@@ -99,13 +99,17 @@ def root_value(base: Fraction, degree: int):
 
 
 def _iroot_exact(x: int, e: int) -> int | None:
+    """The positive integer y with y**e == x, or None; integers only."""
     if x <= 0:
         return None
-    r = round(x ** (1.0 / e))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 1 and cand**e == x:
-            return cand
-    return None
+    # Newton's method from above converges to floor(x ** (1/e)).
+    y = 1 << -(-x.bit_length() // e)
+    while True:
+        nxt = ((e - 1) * y + x // y ** (e - 1)) // e
+        if nxt >= y:
+            break
+        y = nxt
+    return y if y**e == x else None
 
 
 @dataclass(frozen=True)

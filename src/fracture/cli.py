@@ -57,52 +57,63 @@ def _load(path: str | None) -> dict:
         return json.load(fh)
 
 
-def _coloring_payload(coloring: Coloring) -> dict:
-    return {"coloring": coloring_to_dict(coloring), "report": report_dict(coloring)}
+def _report(coloring: Coloring | cons.BipartiteColoring) -> dict:
+    if isinstance(coloring, cons.BipartiteColoring):
+        return cons.bipartite_report_dict(coloring)
+    return report_dict(coloring)
 
 
-def _bipartite_payload(bc: cons.BipartiteColoring) -> dict:
-    return {"coloring": bc.to_dict(), "report": cons.bipartite_report_dict(bc)}
+def _payload(coloring: Coloring | cons.BipartiteColoring) -> dict:
+    if isinstance(coloring, cons.BipartiteColoring):
+        as_dict = coloring.to_dict()
+    else:
+        as_dict = coloring_to_dict(coloring)
+    return {"coloring": as_dict, "report": _report(coloring)}
 
 
 def _cmd_construct(args) -> int:
     what = args.what
     if what == "base":
-        payload = _coloring_payload(cons.base_registry(args.name).coloring)
+        payload = _payload(cons.base_registry(args.name).coloring)
     elif what == "blow-up":
-        payload = _coloring_payload(cons.blow_up(cons.base_registry(args.base), args.n))
+        payload = _payload(cons.blow_up(cons.base_registry(args.base), args.n))
     elif what == "matching-split":
-        payload = _coloring_payload(cons.coloring_tk2(args.n, args.k))
+        payload = _payload(cons.coloring_tk2(args.n, args.k))
     elif what == "factor-split":
-        payload = _coloring_payload(cons.coloring_baranyai_split(args.n, args.r, args.t))
+        payload = _payload(cons.coloring_baranyai_split(args.n, args.r, args.t))
     elif what == "equitable":
-        payload = _coloring_payload(cons.coloring_equitable(args.n, args.r, args.k))
+        payload = _payload(cons.coloring_equitable(args.n, args.r, args.k))
     elif what == "nminus1":
-        payload = _coloring_payload(cons.coloring_nminus1(args.n))
+        payload = _payload(cons.coloring_nminus1(args.n))
     elif what == "ncolors":
-        payload = _coloring_payload(cons.coloring_n(args.n))
+        payload = _payload(cons.coloring_n(args.n))
     elif what == "trivial":
-        payload = _coloring_payload(cons.trivial_coloring(args.n, args.r))
+        payload = _payload(cons.trivial_coloring(args.n, args.r))
     elif what == "bipartite-double":
         base = cons.base_registry(args.base)
-        payload = _bipartite_payload(cons.bipartite_from_clique(base.coloring))
+        payload = _payload(cons.bipartite_from_clique(base.coloring))
     elif what == "bipartite-blow-up":
         base = cons.base_registry(args.base)
-        payload = _bipartite_payload(cons.bipartite_blow_up(base, args.n))
+        payload = _payload(cons.bipartite_blow_up(base, args.n))
     else:
         raise FractureError(f"unknown construction {what!r}")
     _dump(payload, args.output)
     return EXIT_OK
 
 
+def _parse_coloring(inner) -> Coloring | cons.BipartiteColoring:
+    """A complete-graph or bipartite coloring from its JSON object."""
+    if not isinstance(inner, dict):
+        raise FractureError(f"coloring JSON must be an object, got {type(inner).__name__}")
+    if inner.get("bipartite"):
+        return cons.BipartiteColoring.from_dict(inner)
+    return coloring_from_dict(inner)
+
+
 def _cmd_eval(args) -> int:
     data = _load(args.file)
-    inner = data["coloring"] if "coloring" in data else data
-    if inner.get("bipartite"):
-        bc = cons.BipartiteColoring(inner["n"], inner["k"], tuple(inner["colors"]))
-        _dump(_bipartite_payload(bc), args.output)
-    else:
-        _dump(_coloring_payload(coloring_from_dict(inner)), args.output)
+    inner = data["coloring"] if isinstance(data, dict) and "coloring" in data else data
+    _dump(_payload(_parse_coloring(inner)), args.output)
     return EXIT_OK
 
 
@@ -282,12 +293,7 @@ def _verify_payload(data: dict) -> tuple[bool, str]:
             return False, f"witness evaluates to {got}, claim was {claimed}"
         return True, "witness reproduces the claimed value"
     if "coloring" in data:
-        inner = data["coloring"]
-        if inner.get("bipartite"):
-            bc = cons.BipartiteColoring(inner["n"], inner["k"], tuple(inner["colors"]))
-            fresh = cons.bipartite_report_dict(bc)
-        else:
-            fresh = report_dict(coloring_from_dict(inner))
+        fresh = _report(_parse_coloring(data["coloring"]))
         if "report" not in data:
             return False, "nothing to check: no report attached"
         if fresh != data["report"]:

@@ -34,7 +34,7 @@ from .core import (
     class_stats,
     edge_list_stats,
     edge_rank,
-    edge_unrank,
+    edge_table,
     f_value,
     fraction_str,
     relabel_canonical,
@@ -265,30 +265,29 @@ def blow_up(base: BaseColoring, n: int) -> Coloring:
         for v in p:
             part_of[v] = i
 
-    colors_at = [set() for _ in range(t)]
     base_shape = base.coloring.shape
-    for rank, c in enumerate(base.coloring.assignment):
-        for v in edge_unrank(rank, base_shape):
-            colors_at[v].add(c)
+    colors_at = _colors_at(base.coloring)
     absent = [sorted(set(range(k)) - colors_at[i]) for i in range(t)]
 
+    # One pass over the edges: an edge meeting several parts takes the
+    # color its part pattern maps to, an edge inside part i is bucketed.
     assignment = [-1] * shape.edge_count
-    for rank in range(shape.edge_count):
-        f = edge_unrank(rank, shape)
-        u = tuple(sorted({part_of[v] for v in f}))
-        if len(u) >= 2:
-            e = _colex_smallest_superset(u, t, r)
-            assignment[rank] = base.coloring.assignment[edge_rank(e, base_shape)]
+    inside: list[list[int]] = [[] for _ in range(t)]
+    pattern_color: dict[tuple[int, ...], int] = {}
+    for rank, f in enumerate(edge_table(n, r)):
+        pattern = tuple([part_of[v] for v in f])
+        if pattern[0] == pattern[-1]:  # parts are contiguous, f is sorted
+            inside[pattern[0]].append(rank)
+            continue
+        color = pattern_color.get(pattern)
+        if color is None:
+            e = _colex_smallest_superset(tuple(sorted(set(pattern))), t, r)
+            color = pattern_color[pattern] = base.coloring.assignment[edge_rank(e, base_shape)]
+        assignment[rank] = color
 
     for i in range(t):
         part = list(parts[i])
         size = len(part)
-        inside_ranks = [
-            rank
-            for rank in range(shape.edge_count)
-            if assignment[rank] == -1
-            and all(part_of[v] == i for v in _unrank_cached(rank, shape))
-        ]
         if size < r:
             continue
         # constructive feasibility: the matchings must actually exist
@@ -302,7 +301,7 @@ def blow_up(base: BaseColoring, n: int) -> Coloring:
                 rank = edge_rank(ge, shape)
                 assignment[rank] = color
                 placed.add(rank)
-        for rank in inside_ranks:
+        for rank in inside[i]:
             if rank not in placed:
                 assignment[rank] = fallback
 
@@ -318,16 +317,13 @@ def blow_up(base: BaseColoring, n: int) -> Coloring:
     return out
 
 
-_unrank_memo: dict[tuple[int, int, int], tuple[int, ...]] = {}
-
-
-def _unrank_cached(rank: int, shape: HypergraphShape) -> tuple[int, ...]:
-    key = (shape.n, shape.r, rank)
-    got = _unrank_memo.get(key)
-    if got is None:
-        got = edge_unrank(rank, shape)
-        _unrank_memo[key] = got
-    return got
+def _colors_at(coloring: Coloring) -> list[set[int]]:
+    """The set of colors on the edges through each vertex."""
+    out: list[set[int]] = [set() for _ in range(coloring.n)]
+    for e, c in zip(edge_table(coloring.n, coloring.r), coloring.assignment):
+        for v in e:
+            out[v].add(c)
+    return out
 
 
 def _ceil_frac(x: Fraction) -> int:
@@ -368,10 +364,8 @@ def coloring_n(n: int) -> Coloring:
         out = _coloring_from_classes(n, 2, classes)
     else:
         bigger = coloring_nminus1(n + 1)
-        big_shape = bigger.shape
         classes = [[] for _ in range(bigger.k)]
-        for rank, c in enumerate(bigger.assignment):
-            e = _unrank_cached(rank, big_shape)
+        for e, c in zip(edge_table(n + 1, 2), bigger.assignment):
             if n not in e:
                 classes[c].append(e)
         if any(not cl for cl in classes):
@@ -632,9 +626,18 @@ class BipartiteColoring:
     def __post_init__(self) -> None:
         if len(self.assignment) != self.n * self.n:
             raise FractureError("assignment length != n^2")
-        for c in self.assignment:
+        for c in set(self.assignment):
             if not 0 <= c < self.k:
                 raise FractureError(f"color {c} out of range")
+
+    @classmethod
+    def from_dict(cls, d: dict) -> BipartiteColoring:
+        try:
+            return cls(int(d["n"]), int(d["k"]), tuple(int(c) for c in d["colors"]))
+        except KeyError as exc:
+            raise FractureError(f"bipartite coloring JSON missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise FractureError(f"malformed bipartite coloring JSON: {exc}") from exc
 
     def class_edge_lists(self) -> dict[int, list[tuple[int, int]]]:
         """Edges per color over vertex ids a_i = i, b_j = n + j."""
@@ -701,11 +704,7 @@ def bipartite_from_clique(base: Coloring) -> BipartiteColoring:
         raise FractureError("bipartite transfer needs a graph coloring")
     n = base.n
     shape = base.shape
-    smallest_at = [None] * n
-    for rank, c in enumerate(base.assignment):
-        for v in _unrank_cached(rank, shape):
-            if smallest_at[v] is None or c < smallest_at[v]:
-                smallest_at[v] = c
+    smallest_at = [min(cs) for cs in _colors_at(base)]
     assignment = []
     for i in range(n):
         for j in range(n):
@@ -745,10 +744,7 @@ def bipartite_blow_up(base: BaseColoring, n: int) -> BipartiteColoring:
     for i, p in enumerate(parts):
         for v in p:
             part_of[v] = i
-    colors_at = [set() for _ in range(t)]
-    for rank, c in enumerate(base.coloring.assignment):
-        for v in _unrank_cached(rank, base_shape):
-            colors_at[v].add(c)
+    colors_at = _colors_at(base.coloring)
     absent = [sorted(set(range(k)) - colors_at[i]) for i in range(t)]
     for i in range(t):
         if len(absent[i]) > len(parts[i]):

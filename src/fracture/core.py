@@ -16,6 +16,7 @@ by both.
 
 Invariants:
     - edge_rank and edge_unrank are mutual inverses on valid inputs.
+    - edge_table(n, r)[i] == edge_unrank(i, HypergraphShape(n, r)).
     - components <= incident_vertices // r for every class.
     - class edge counts over a coloring sum to C(n, r).
 """
@@ -25,6 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from typing import Iterable, Sequence
 
@@ -52,8 +54,28 @@ class HypergraphShape:
 
     def edges(self) -> Iterable[tuple[int, ...]]:
         """All edges in colexicographic order."""
-        for rank in range(self.edge_count):
-            yield edge_unrank(rank, self)
+        return iter(edge_table(self.n, self.r))
+
+
+@lru_cache(maxsize=1)
+def edge_table(n: int, r: int) -> tuple[tuple[int, ...], ...]:
+    """All r-subsets of range(n) in colex order: ``edge_table(n, r)[rank]``
+    is the edge with that colex rank.
+
+    Built directly in colex order: the j-subsets with largest vertex v are
+    the (j-1)-subsets of range(v), which are the first C(v, j-1) entries
+    of the (j-1)-level, each extended by v.  The cache holds the last
+    shape only, so a long-lived process keeps at most one table.
+    """
+    shape = HypergraphShape(n, r)
+    level: list[tuple[int, ...]] = [(v,) for v in range(shape.n)]
+    for j in range(2, shape.r + 1):
+        level = [
+            prefix + (top,)
+            for top in range(j - 1, shape.n)
+            for prefix in level[: comb(top, j - 1)]
+        ]
+    return tuple(level)
 
 
 def edge_rank(vertices: Sequence[int], shape: HypergraphShape) -> int:
@@ -115,7 +137,7 @@ class Coloring:
             )
         if not 1 <= self.k <= m:
             raise FractureError(f"need 1 <= k <= C(n,r)={m}, got k={self.k}")
-        for c in self.assignment:
+        for c in set(self.assignment):
             if not 0 <= c < self.k:
                 raise FractureError(f"color {c} out of range for k={self.k}")
 
@@ -129,11 +151,8 @@ class Coloring:
 
     def class_edges(self, color: int) -> list[tuple[int, ...]]:
         """Edges of one color class, in colex order."""
-        return [
-            edge_unrank(i, self.shape)
-            for i, c in enumerate(self.assignment)
-            if c == color
-        ]
+        edges = edge_table(self.n, self.r)
+        return [e for e, c in zip(edges, self.assignment) if c == color]
 
     def used_colors(self) -> list[int]:
         return sorted(set(self.assignment))
@@ -186,14 +205,13 @@ def edge_list_stats(edges: Sequence[Sequence[int]], n_vertices: int) -> tuple[in
 
 def class_stats(coloring: Coloring) -> list[ColorClassStats]:
     """Stats for every nonempty color class, ordered by color index."""
-    shape = coloring.shape
     buckets: dict[int, list[tuple[int, ...]]] = {}
-    for rank, c in enumerate(coloring.assignment):
-        buckets.setdefault(c, []).append(edge_unrank(rank, shape))
+    for e, c in zip(edge_table(coloring.n, coloring.r), coloring.assignment):
+        buckets.setdefault(c, []).append(e)
     out = []
     for c in sorted(buckets):
         edges = buckets[c]
-        comps, incident = edge_list_stats(edges, shape.n)
+        comps, incident = edge_list_stats(edges, coloring.n)
         out.append(ColorClassStats(c, len(edges), comps, incident))
     return out
 
@@ -247,6 +265,8 @@ def coloring_from_dict(d: dict) -> Coloring:
         return Coloring(shape, int(d["k"]), tuple(int(c) for c in d["colors"]))
     except KeyError as exc:
         raise FractureError(f"coloring JSON missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise FractureError(f"malformed coloring JSON: {exc}") from exc
 
 
 def coloring_to_json(coloring: Coloring) -> str:
@@ -276,6 +296,5 @@ def report_dict(coloring: Coloring) -> dict:
 
 
 def all_edges(n: int, r: int) -> list[tuple[int, ...]]:
-    """All r-subsets of range(n) in colex order (helper for constructions)."""
-    shape = HypergraphShape(n, r)
-    return [edge_unrank(i, shape) for i in range(shape.edge_count)]
+    """All r-subsets of range(n) in colex order, as a fresh list."""
+    return list(edge_table(n, r))

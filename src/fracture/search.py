@@ -24,8 +24,8 @@ from .core import (
     Coloring,
     FractureError,
     HypergraphShape,
-    all_edges,
     class_stats,
+    edge_table,
     f_value,
     z_value,
 )
@@ -60,19 +60,22 @@ class ExhaustiveCheck:
 def _thread_count(options: SearchOptions | None) -> int:
     env = os.environ.get("FRACTURE_THREADS")
     if env is not None:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise FractureError(f"FRACTURE_THREADS must be an integer, got {env!r}") from None
     if options is not None and options.thread_hint is not None:
         return max(1, options.thread_hint)
     return 1
 
 
 def _edges_flat(shape: HypergraphShape) -> np.ndarray:
-    return np.array(
-        [v for e in all_edges(shape.n, shape.r) for v in e], dtype=np.int64
-    )
+    """The kernels' edge list: vertex j of the edge with colex rank i at
+    index i*r + j."""
+    return np.array(edge_table(shape.n, shape.r), dtype=np.int64).reshape(-1)
 
 
-def _canonical_prefixes(m: int, k: int, depth: int) -> list[tuple[int, ...]]:
+def _canonical_prefixes(k: int, depth: int) -> list[tuple[int, ...]]:
     """All first-use-canonical color tuples of the given length."""
     out: list[tuple[int, ...]] = []
 
@@ -118,7 +121,7 @@ def exact_f(n: int, k: int, r: int = 2, options: SearchOptions | None = None) ->
     cap = min(n // r, int(f_upper_counting(n, k, r).value))
     ef = _edges_flat(shape)
     depth = min(m, _PREFIX_DEPTH)
-    prefixes = _canonical_prefixes(m, k, depth)
+    prefixes = _canonical_prefixes(k, depth)
     total_budget = _UNLIMITED if options is None or options.node_budget is None else options.node_budget
     per_budget = max(1, total_budget // len(prefixes)) if total_budget < _UNLIMITED else _UNLIMITED
     witnesses = [np.full(m, -1, dtype=np.int64) for _ in prefixes]
@@ -156,7 +159,7 @@ def exact_z(n: int, k: int, r: int = 2, options: SearchOptions | None = None) ->
         raise FractureError(f"need 1 <= k <= {m}, got k={k}")
     ef = _edges_flat(shape)
     depth = min(m, _PREFIX_DEPTH)
-    prefixes = _canonical_prefixes(m, k, depth)
+    prefixes = _canonical_prefixes(k, depth)
     total_budget = _UNLIMITED if options is None or options.node_budget is None else options.node_budget
     per_budget = max(1, total_budget // len(prefixes)) if total_budget < _UNLIMITED else _UNLIMITED
     witnesses = [np.full(m, -1, dtype=np.int64) for _ in prefixes]

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from fracture import _kernels
+from fracture.core import HypergraphShape
+from fracture.search import _edges_flat
 
 
 @pytest.fixture(scope="session", autouse=True)
 def warm_kernels():
     # compile or load the jit cache before anything timed runs
-    edges = np.array([0, 1, 0, 2, 1, 2], dtype=np.int64)
+    edges = _edges_flat(HypergraphShape(3, 2))
     prefix = np.empty(0, dtype=np.int64)
     witness = np.empty(3, dtype=np.int64)
     counter = np.empty(3, dtype=np.int64)

@@ -26,7 +26,7 @@ from fracture import (
     z_lower_sqrt,
     z_upper_constructions,
 )
-from fracture.bounds import RootValue
+from fracture.bounds import RootValue, _iroot_exact
 
 
 from oracles import sqrt_rate_vs
@@ -71,6 +71,32 @@ class TestRootValue:
     def test_degenerate_degree_rejected(self):
         with pytest.raises(Exception):
             RootValue(Fraction(1, 2), 1)
+
+
+class TestIntegerRoot:
+    def test_large_exact_cube(self):
+        y = 10**20 + 7
+        assert _iroot_exact(y**3, 3) == y
+        assert root_value(Fraction(y**3, 8), 3) == Fraction(y, 2)
+
+    def test_beyond_float_range(self):
+        x = 10**400
+        assert _iroot_exact(x, 2) == 10**200
+        assert _iroot_exact(x, 4) == 10**100
+        assert _iroot_exact(x, 3) is None
+
+    def test_non_powers(self):
+        y = 10**20 + 7
+        assert _iroot_exact(y**3 + 1, 3) is None
+        assert _iroot_exact(y**3 - 1, 3) is None
+        assert _iroot_exact(2**61 - 1, 2) is None
+        assert _iroot_exact(0, 2) is None
+
+    def test_small_values_exhaustive(self):
+        for e in range(1, 6):
+            powers = {y**e: y for y in range(1, 3000)}
+            for x in range(1, 3000):
+                assert _iroot_exact(x, e) == powers.get(x)
 
 
 class TestZLower:

@@ -84,6 +84,28 @@ class TestConstructAndEval:
         code, out = run(capsys, "eval", str(path))
         assert code == 2 and out == ""
 
+    def test_eval_top_level_list_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2, 3]")
+        code, out = run(capsys, "eval", str(path))
+        assert code == 2 and out == ""
+
+    def test_bipartite_without_n_exits_2(self, capsys, tmp_path):
+        _, text = run(
+            capsys, "construct", "bipartite-blow-up", "--base", "rainbow-triangle",
+            "--n", "6",
+        )
+        data = json.loads(text)
+        del data["coloring"]["n"]
+        path = tmp_path / "b.json"
+        path.write_text(json.dumps(data))
+        code = main(["eval", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error:") and "'n'" in captured.err
+        code, verdict = run_json(capsys, "verify", str(path))
+        assert code == 4 and verdict["valid"] is False
+
     def test_output_flag(self, capsys, tmp_path):
         target = tmp_path / "out.json"
         code, text = run(
@@ -188,6 +210,13 @@ class TestSearchCommand:
         )
         assert code == 0
         assert data["value"] >= 1
+
+    def test_non_integer_threads_env_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("FRACTURE_THREADS", "x")
+        code = main(["search", "f", "--n", "4", "--k", "2"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error:") and "FRACTURE_THREADS" in captured.err
 
     def test_threads_same_bytes(self, capsys):
         _, a = run(capsys, "search", "f", "--n", "5", "--k", "3", "--threads", "1")

@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from fracture import constructions
+from fracture.search import _edges_flat
 from fracture import (
     Coloring,
     FractureError,
@@ -21,6 +23,7 @@ from fracture import (
     coloring_to_dict,
     coloring_to_json,
     edge_rank,
+    edge_table,
     edge_unrank,
     f_value,
     fraction_str,
@@ -80,6 +83,52 @@ class TestEdgeRanking:
             edge_rank((0, 5), shape)
         with pytest.raises(FractureError):
             edge_unrank(10, shape)
+
+
+class TestEdgeTable:
+    SHAPES = [(n, r) for n in range(2, 10) for r in range(2, min(n, 4) + 1)]
+
+    @pytest.mark.parametrize("n,r", SHAPES)
+    def test_table_is_colex_rank_order(self, n, r):
+        shape = HypergraphShape(n, r)
+        table = edge_table(n, r)
+        assert list(table) == oracles.colex_edges(n, r)
+        assert len(table) == shape.edge_count
+        for i, edge in enumerate(table):
+            assert edge_unrank(i, shape) == edge
+            assert edge_rank(edge, shape) == i
+
+    @pytest.mark.parametrize("n,r", SHAPES)
+    def test_flat_kernel_array_follows_table(self, n, r):
+        flat = _edges_flat(HypergraphShape(n, r))
+        assert flat.tolist() == [v for e in oracles.colex_edges(n, r) for v in e]
+
+    def test_cache_is_bounded(self):
+        maxsize = edge_table.cache_info().maxsize
+        assert maxsize is not None and 1 <= maxsize <= 8
+
+    def test_bad_shape_rejected(self):
+        with pytest.raises(FractureError):
+            edge_table(3, 4)
+        with pytest.raises(FractureError):
+            edge_table(5, 1)
+
+    def test_constructions_keep_no_edge_memo(self):
+        assert not hasattr(constructions, "_unrank_memo")
+        assert not hasattr(constructions, "_unrank_cached")
+
+        def container_sizes():
+            return {
+                name: len(value)
+                for name, value in vars(constructions).items()
+                if isinstance(value, (dict, list, set))
+            }
+
+        before = container_sizes()
+        constructions.blow_up(constructions.base_registry("rainbow-triangle"), 30)
+        constructions.coloring_n(8)
+        constructions.bipartite_from_clique(constructions._k5_four())
+        assert container_sizes() == before
 
 
 class TestMetrics:

@@ -8,7 +8,8 @@ import pytest
 
 import oracles
 from fracture import _kernels
-from fracture.core import HypergraphShape, edge_unrank
+from fracture.core import HypergraphShape
+from fracture.search import _edges_flat
 
 HAVE_NUMBA = "numba" in _kernels.IMPLS
 
@@ -18,11 +19,7 @@ pytestmark = pytest.mark.skipif(
 
 
 def edges_flat(n, r):
-    shape = HypergraphShape(n, r)
-    out = []
-    for i in range(shape.edge_count):
-        out.extend(edge_unrank(i, shape))
-    return np.array(out, dtype=np.int64)
+    return _edges_flat(HypergraphShape(n, r))
 
 
 def run_both(kernel_name, *args):
