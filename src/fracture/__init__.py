@@ -87,6 +87,7 @@ from .bounds import (
 )
 from .search import (
     ExhaustiveCheck,
+    SearchBudgetError,
     SearchOptions,
     SearchResult,
     bulk_eval,

@@ -8,11 +8,15 @@ against the other on identical inputs.
 
 Kernel state is flat int64 arrays.  Union-find is by size with no path
 compression so every merge is a single reversible write; an undo log of
-(kind, color, a, b) records rewinds one edge assignment exactly.  The
-apply/undo blocks are inlined rather than factored into inner functions:
-the jit compiler mishandles branching closures that mutate enclosing
-state, producing silently wrong counts, and flat bodies compile the same
-as they interpret.
+(kind, color, a, b) records rewinds one edge assignment exactly.
+
+One search kernel serves f and z, and scores both so that higher is
+better: f is the minimum component count over used colors, z is minus
+the maximum incident-vertex count.  Its edge-apply and undo blocks are
+each written once, forced prefix edges included, and inlined rather
+than factored into inner functions: the jit compiler mishandles
+branching closures that mutate enclosing state, producing silently
+wrong counts, and flat bodies compile the same as they interpret.
 """
 
 from __future__ import annotations
@@ -22,19 +26,25 @@ import os
 import numpy as np
 
 
-def _search_f_impl(n, r, k, m, edges_flat, prefix, budget, cap, witness_out):
-    """Maximize the minimum component count over canonical colorings.
+def _search_impl(minimize_z, n, r, k, m, edges_flat, prefix, budget, cap, witness_out):
+    """Exhaustive search over canonical colorings for the best score: the
+    minimum component count over used colors (f) or, with minimize_z,
+    minus the maximum incident-vertex count (z).
 
     Colors are introduced in first-use order (an edge may use color c
     only if colors below c already appear earlier), which enumerates one
     representative per color-relabeling class in lexicographic order.
-    Returns (best, exhausted, nodes, found); the lexicographically
-    smallest maximizing assignment is copied into witness_out.
+    The first len(prefix) edges take their colors from prefix as forced
+    levels that count no nodes and are never pruned.  Returns (best
+    score, exhausted, nodes, found); the lexicographically smallest
+    optimal assignment is copied into witness_out.
 
-    Prune: a color with comp components and inc incident vertices ends
-    with at most comp + (n - inc) // r components, and unused colors can
-    only pull the minimum down, so the minimum over used colors bounds
-    every completion of the current partial coloring.
+    cap is a score no coloring can beat (n // r or less for f, -r for
+    z).  Prune: a subtree is cut when its bound is <= best, the bound
+    being the minimum of cap and, over used colors, comp + (n - inc) // r
+    for f (a class ends with at most that many components, and unused
+    colors only pull the minimum down) or -inc for z (incident counts
+    only grow).
     """
     parent = np.full(k * n, -1, np.int64)
     size = np.zeros(k * n, np.int64)
@@ -53,62 +63,25 @@ def _search_f_impl(n, r, k, m, edges_flat, prefix, budget, cap, witness_out):
     cursor = np.zeros(m + 1, np.int64)
     assign = np.full(m, -1, np.int64)
 
-    best = np.int64(0)
+    best = np.int64(-(n + 1)) if minimize_z else np.int64(0)
     found = np.int64(0)
     exhausted = np.int64(1)
     nodes = np.int64(0)
     p = prefix.shape[0]
 
-    u = np.int64(0)
-    for d in range(p):
-        c = prefix[d]
-        mark[d] = log_len
-        base = d * r
-        for j in range(r):
-            idx = c * n + edges_flat[base + j]
-            if parent[idx] == -1:
-                parent[idx] = idx
-                size[idx] = 1
-                comp[c] += 1
-                inc[c] += 1
-                log_kind[log_len] = 0
-                log_c[log_len] = c
-                log_a[log_len] = idx
-                log_len += 1
-        ra = c * n + edges_flat[base]
-        while parent[ra] != ra:
-            ra = parent[ra]
-        for j in range(1, r):
-            rb = c * n + edges_flat[base + j]
-            while parent[rb] != rb:
-                rb = parent[rb]
-            while parent[ra] != ra:
-                ra = parent[ra]
-            if rb != ra:
-                if size[ra] < size[rb]:
-                    ra, rb = rb, ra
-                parent[rb] = ra
-                size[ra] += size[rb]
-                comp[c] -= 1
-                log_kind[log_len] = 1
-                log_c[log_len] = c
-                log_a[log_len] = rb
-                log_b[log_len] = ra
-                log_len += 1
-        assign[d] = c
-        if c == u:
-            u += 1
-
-    depth = p
-    used[depth] = u
-    cursor[depth] = 0
+    depth = 0
     while True:
-        do_undo = False
+        c = -1
         if depth == m:
             val = np.int64(2**62)
-            for cc in range(used[depth]):
-                if comp[cc] < val:
-                    val = comp[cc]
+            if minimize_z:
+                for cc in range(used[depth]):
+                    if -inc[cc] < val:
+                        val = -inc[cc]
+            else:
+                for cc in range(used[depth]):
+                    if comp[cc] < val:
+                        val = comp[cc]
             if val > best:
                 best = val
                 found = 1
@@ -117,299 +90,92 @@ def _search_f_impl(n, r, k, m, edges_flat, prefix, budget, cap, witness_out):
             if depth == p:
                 break
             depth -= 1
-            do_undo = True
+        elif depth < p:
+            c = prefix[depth]
         else:
             limit = used[depth]
             if limit > k - 1:
                 limit = k - 1
-            c = cursor[depth]
-            if c > limit:
-                if depth == p:
-                    break
-                depth -= 1
-                do_undo = True
-            else:
-                cursor[depth] += 1
+            if cursor[depth] <= limit:
+                c = cursor[depth]
+                cursor[depth] = c + 1
                 nodes += 1
                 if nodes > budget:
                     exhausted = 0
                     break
-                mark[depth] = log_len
-                base = depth * r
-                for j in range(r):
-                    idx = c * n + edges_flat[base + j]
-                    if parent[idx] == -1:
-                        parent[idx] = idx
-                        size[idx] = 1
-                        comp[c] += 1
-                        inc[c] += 1
-                        log_kind[log_len] = 0
-                        log_c[log_len] = c
-                        log_a[log_len] = idx
-                        log_len += 1
-                ra = c * n + edges_flat[base]
-                while parent[ra] != ra:
-                    ra = parent[ra]
-                for j in range(1, r):
-                    rb = c * n + edges_flat[base + j]
-                    while parent[rb] != rb:
-                        rb = parent[rb]
-                    while parent[ra] != ra:
-                        ra = parent[ra]
-                    if rb != ra:
-                        if size[ra] < size[rb]:
-                            ra, rb = rb, ra
-                        parent[rb] = ra
-                        size[ra] += size[rb]
-                        comp[c] -= 1
-                        log_kind[log_len] = 1
-                        log_c[log_len] = c
-                        log_a[log_len] = rb
-                        log_b[log_len] = ra
-                        log_len += 1
-                assign[depth] = c
-                newu = used[depth]
-                if c == newu:
-                    newu += 1
-                bound = cap
-                for cc in range(newu):
-                    ub = comp[cc] + (n - inc[cc]) // r
-                    if ub < bound:
-                        bound = ub
-                if bound <= best:
-                    do_undo = True
-                else:
-                    depth += 1
-                    used[depth] = newu
-                    cursor[depth] = 0
-        if do_undo:
-            to_mark = mark[depth]
-            while log_len > to_mark:
-                log_len -= 1
-                uc = log_c[log_len]
-                ua = log_a[log_len]
-                if log_kind[log_len] == 0:
-                    parent[ua] = -1
-                    size[ua] = 0
-                    comp[uc] -= 1
-                    inc[uc] -= 1
-                else:
-                    ub2 = log_b[log_len]
-                    size[ub2] -= size[ua]
-                    parent[ua] = ua
-                    comp[uc] += 1
-    return best, exhausted, nodes, found
-
-
-def _search_z_impl(n, r, k, m, edges_flat, prefix, budget, witness_out):
-    """Minimize the maximum incident-vertex count over canonical
-    colorings; same enumeration and undo machinery as the f search.
-
-    Prune: incident counts only grow as edges are added, so the current
-    maximum already bounds every completion from below.
-    """
-    parent = np.full(k * n, -1, np.int64)
-    size = np.zeros(k * n, np.int64)
-    comp = np.zeros(k, np.int64)
-    inc = np.zeros(k, np.int64)
-
-    log_cap = (m + 1) * (2 * r + 2)
-    log_kind = np.zeros(log_cap, np.int64)
-    log_c = np.zeros(log_cap, np.int64)
-    log_a = np.zeros(log_cap, np.int64)
-    log_b = np.zeros(log_cap, np.int64)
-    log_len = 0
-
-    mark = np.zeros(m + 1, np.int64)
-    used = np.zeros(m + 2, np.int64)
-    cursor = np.zeros(m + 1, np.int64)
-    assign = np.full(m, -1, np.int64)
-
-    best = np.int64(n + 1)
-    found = np.int64(0)
-    exhausted = np.int64(1)
-    nodes = np.int64(0)
-    p = prefix.shape[0]
-
-    u = np.int64(0)
-    for d in range(p):
-        c = prefix[d]
-        mark[d] = log_len
-        base = d * r
-        for j in range(r):
-            idx = c * n + edges_flat[base + j]
-            if parent[idx] == -1:
-                parent[idx] = idx
-                size[idx] = 1
-                comp[c] += 1
-                inc[c] += 1
-                log_kind[log_len] = 0
-                log_c[log_len] = c
-                log_a[log_len] = idx
-                log_len += 1
-        ra = c * n + edges_flat[base]
-        while parent[ra] != ra:
-            ra = parent[ra]
-        for j in range(1, r):
-            rb = c * n + edges_flat[base + j]
-            while parent[rb] != rb:
-                rb = parent[rb]
-            while parent[ra] != ra:
-                ra = parent[ra]
-            if rb != ra:
-                if size[ra] < size[rb]:
-                    ra, rb = rb, ra
-                parent[rb] = ra
-                size[ra] += size[rb]
-                comp[c] -= 1
-                log_kind[log_len] = 1
-                log_c[log_len] = c
-                log_a[log_len] = rb
-                log_b[log_len] = ra
-                log_len += 1
-        assign[d] = c
-        if c == u:
-            u += 1
-
-    depth = p
-    used[depth] = u
-    cursor[depth] = 0
-    while True:
-        do_undo = False
-        if depth == m:
-            val = np.int64(0)
-            for cc in range(used[depth]):
-                if inc[cc] > val:
-                    val = inc[cc]
-            if val < best:
-                best = val
-                found = 1
-                for i in range(m):
-                    witness_out[i] = assign[i]
-            if depth == p:
+            elif depth == p:
                 break
-            depth -= 1
-            do_undo = True
-        else:
-            limit = used[depth]
-            if limit > k - 1:
-                limit = k - 1
-            c = cursor[depth]
-            if c > limit:
-                if depth == p:
-                    break
-                depth -= 1
-                do_undo = True
             else:
-                cursor[depth] += 1
-                nodes += 1
-                if nodes > budget:
-                    exhausted = 0
-                    break
-                mark[depth] = log_len
-                base = depth * r
-                for j in range(r):
-                    idx = c * n + edges_flat[base + j]
-                    if parent[idx] == -1:
-                        parent[idx] = idx
-                        size[idx] = 1
-                        comp[c] += 1
-                        inc[c] += 1
-                        log_kind[log_len] = 0
-                        log_c[log_len] = c
-                        log_a[log_len] = idx
-                        log_len += 1
-                ra = c * n + edges_flat[base]
-                while parent[ra] != ra:
-                    ra = parent[ra]
-                for j in range(1, r):
-                    rb = c * n + edges_flat[base + j]
-                    while parent[rb] != rb:
-                        rb = parent[rb]
-                    while parent[ra] != ra:
-                        ra = parent[ra]
-                    if rb != ra:
-                        if size[ra] < size[rb]:
-                            ra, rb = rb, ra
-                        parent[rb] = ra
-                        size[ra] += size[rb]
-                        comp[c] -= 1
-                        log_kind[log_len] = 1
-                        log_c[log_len] = c
-                        log_a[log_len] = rb
-                        log_b[log_len] = ra
-                        log_len += 1
-                assign[depth] = c
-                newu = used[depth]
-                if c == newu:
-                    newu += 1
-                cur = np.int64(0)
-                for cc in range(newu):
-                    if inc[cc] > cur:
-                        cur = inc[cc]
-                if cur >= best:
-                    do_undo = True
-                else:
-                    depth += 1
-                    used[depth] = newu
-                    cursor[depth] = 0
-        if do_undo:
-            to_mark = mark[depth]
-            while log_len > to_mark:
-                log_len -= 1
-                uc = log_c[log_len]
-                ua = log_a[log_len]
-                if log_kind[log_len] == 0:
-                    parent[ua] = -1
-                    size[ua] = 0
-                    comp[uc] -= 1
-                    inc[uc] -= 1
-                else:
-                    ub2 = log_b[log_len]
-                    size[ub2] -= size[ua]
-                    parent[ua] = ua
-                    comp[uc] += 1
-    return best, exhausted, nodes, found
-
-
-def _eval_impl(n, r, k, m, edges_flat, assign, parent):
-    """(min components over nonempty classes, max incident count) of one
-    assignment; parent is scratch of length n."""
-    best_f = np.int64(2**62)
-    max_inc = np.int64(0)
-    for c in range(k):
-        for v in range(n):
-            parent[v] = -1
-        comps = np.int64(0)
-        incident = np.int64(0)
-        for e in range(m):
-            if assign[e] != c:
-                continue
-            base = e * r
+                depth -= 1
+        if c >= 0:
+            mark[depth] = log_len
+            base = depth * r
             for j in range(r):
-                v = edges_flat[base + j]
-                if parent[v] == -1:
-                    parent[v] = v
-                    comps += 1
-                    incident += 1
-            ra = edges_flat[base]
+                idx = c * n + edges_flat[base + j]
+                if parent[idx] == -1:
+                    parent[idx] = idx
+                    size[idx] = 1
+                    comp[c] += 1
+                    inc[c] += 1
+                    log_kind[log_len] = 0
+                    log_c[log_len] = c
+                    log_a[log_len] = idx
+                    log_len += 1
+            ra = c * n + edges_flat[base]
             while parent[ra] != ra:
                 ra = parent[ra]
             for j in range(1, r):
-                rb = edges_flat[base + j]
+                rb = c * n + edges_flat[base + j]
                 while parent[rb] != rb:
                     rb = parent[rb]
                 while parent[ra] != ra:
                     ra = parent[ra]
-                if ra != rb:
+                if rb != ra:
+                    if size[ra] < size[rb]:
+                        ra, rb = rb, ra
                     parent[rb] = ra
-                    comps -= 1
-        if incident > 0:
-            if comps < best_f:
-                best_f = comps
-            if incident > max_inc:
-                max_inc = incident
-    return best_f, max_inc
+                    size[ra] += size[rb]
+                    comp[c] -= 1
+                    log_kind[log_len] = 1
+                    log_c[log_len] = c
+                    log_a[log_len] = rb
+                    log_b[log_len] = ra
+                    log_len += 1
+            assign[depth] = c
+            newu = used[depth]
+            if c == newu:
+                newu += 1
+            bound = cap
+            if minimize_z:
+                for cc in range(newu):
+                    if -inc[cc] < bound:
+                        bound = -inc[cc]
+            else:
+                for cc in range(newu):
+                    ub = comp[cc] + (n - inc[cc]) // r
+                    if ub < bound:
+                        bound = ub
+            if bound > best or depth < p:
+                depth += 1
+                used[depth] = newu
+                cursor[depth] = 0
+                continue
+        to_mark = mark[depth]
+        while log_len > to_mark:
+            log_len -= 1
+            uc = log_c[log_len]
+            ua = log_a[log_len]
+            if log_kind[log_len] == 0:
+                parent[ua] = -1
+                size[ua] = 0
+                comp[uc] -= 1
+                inc[uc] -= 1
+            else:
+                ub2 = log_b[log_len]
+                size[ub2] -= size[ua]
+                parent[ua] = ua
+                comp[uc] += 1
+    return best, exhausted, nodes, found
 
 
 def _verify_kler_impl(n, r, k, m, edges_flat, counterexample_out):
@@ -468,54 +234,66 @@ def _verify_kler_impl(n, r, k, m, edges_flat, counterexample_out):
 
 
 def _bulk_eval_impl(n, r, k, m, edges_flat, colorings, out):
-    """Row i of out becomes (min components, max incident count) for
-    colorings[i]."""
+    """Row i of out becomes (min components over nonempty classes, max
+    incident count) for colorings[i]."""
     parent = np.empty(n, np.int64)
     for i in range(colorings.shape[0]):
-        f, z = _eval_impl(n, r, k, m, edges_flat, colorings[i], parent)
-        out[i, 0] = f
-        out[i, 1] = z
+        assign = colorings[i]
+        best_f = np.int64(2**62)
+        max_inc = np.int64(0)
+        for c in range(k):
+            for v in range(n):
+                parent[v] = -1
+            comps = np.int64(0)
+            incident = np.int64(0)
+            for e in range(m):
+                if assign[e] != c:
+                    continue
+                base = e * r
+                for j in range(r):
+                    v = edges_flat[base + j]
+                    if parent[v] == -1:
+                        parent[v] = v
+                        comps += 1
+                        incident += 1
+                ra = edges_flat[base]
+                while parent[ra] != ra:
+                    ra = parent[ra]
+                for j in range(1, r):
+                    rb = edges_flat[base + j]
+                    while parent[rb] != rb:
+                        rb = parent[rb]
+                    while parent[ra] != ra:
+                        ra = parent[ra]
+                    if ra != rb:
+                        parent[rb] = ra
+                        comps -= 1
+            if incident > 0:
+                if comps < best_f:
+                    best_f = comps
+                if incident > max_inc:
+                    max_inc = incident
+        out[i, 0] = best_f
+        out[i, 1] = max_inc
 
 
-_PY_IMPLS = {
-    "search_f": _search_f_impl,
-    "search_z": _search_z_impl,
-    "verify_kler": _verify_kler_impl,
-    "bulk_eval": _bulk_eval_impl,
-}
+_PY_IMPLS = {"search": _search_impl, "verify_kler": _verify_kler_impl, "bulk_eval": _bulk_eval_impl}
 
 IMPLS: dict[str, dict] = {"python": _PY_IMPLS}
 
 try:
     from numba import njit as _njit
-
-    _HAVE_NUMBA = True
 except ImportError:
-    _HAVE_NUMBA = False
+    _njit = None
 
-if _HAVE_NUMBA:
+if _njit is not None:
     _jit = _njit(cache=True, nogil=True)
-    _nb_eval = _jit(_eval_impl)
+    IMPLS["numba"] = {name: _jit(fn) for name, fn in _PY_IMPLS.items()}
 
-    def _bulk_eval_nb_src(n, r, k, m, edges_flat, colorings, out):
-        parent = np.empty(n, np.int64)
-        for i in range(colorings.shape[0]):
-            f, z = _nb_eval(n, r, k, m, edges_flat, colorings[i], parent)
-            out[i, 0] = f
-            out[i, 1] = z
-
-    IMPLS["numba"] = {
-        "search_f": _jit(_search_f_impl),
-        "search_z": _jit(_search_z_impl),
-        "verify_kler": _jit(_verify_kler_impl),
-        "bulk_eval": _jit(_bulk_eval_nb_src),
-    }
-
-NUMBA_ENABLED = _HAVE_NUMBA and os.environ.get("FRACTURE_NUMBA", "1") != "0"
+NUMBA_ENABLED = "numba" in IMPLS and os.environ.get("FRACTURE_NUMBA", "1") != "0"
 
 ACTIVE = IMPLS["numba"] if NUMBA_ENABLED else IMPLS["python"]
 
-search_f_kernel = ACTIVE["search_f"]
-search_z_kernel = ACTIVE["search_z"]
+search_kernel = ACTIVE["search"]
 verify_kler_kernel = ACTIVE["verify_kler"]
 bulk_eval_kernel = ACTIVE["bulk_eval"]

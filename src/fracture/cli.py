@@ -9,8 +9,9 @@ claims and fails loudly on any mismatch.
 
 Exit codes: 0 success, 2 bad arguments, unreadable or malformed input,
 or infeasible construction, 3 search stopped by budget before proving
-optimality, 4 verification failed.  All JSON output is sorted and
-newline-terminated so identical inputs produce identical bytes.
+optimality (or before reaching any leaf), 4 verification failed.  All
+JSON output is sorted and newline-terminated so identical inputs
+produce identical bytes.
 """
 
 from __future__ import annotations
@@ -283,15 +284,18 @@ def _verify_payload(data: dict) -> tuple[bool, str]:
         return True, "factors are disjoint maximum matchings"
     if "witness" in data:
         witness = coloring_from_dict(data["witness"])
+        for key in ("n", "k", "r"):
+            if data[key] != getattr(witness, key):
+                return False, f"{key} is {data[key]}, the witness has {getattr(witness, key)}"
         if data["metric"] == "f":
             got = f_value(witness)
-            claimed = data["value"]
         else:
             got = fraction_str(z_value(witness))
-            claimed = data["value"]
-        if got != claimed:
-            return False, f"witness evaluates to {got}, claim was {claimed}"
-        return True, "witness reproduces the claimed value"
+        if got != data["value"]:
+            return False, f"witness evaluates to {got}, claim was {data['value']}"
+        if data["report"] != report_dict(witness):
+            return False, "report does not match a fresh evaluation of the witness"
+        return True, "witness reproduces the claimed value and report"
     if "coloring" in data:
         fresh = _report(_parse_coloring(data["coloring"]))
         if "report" not in data:
@@ -452,7 +456,7 @@ def main(argv=None) -> int:
         return _HANDLERS[args.command](args)
     except (FractureError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_BUDGET if isinstance(exc, search_mod.SearchBudgetError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

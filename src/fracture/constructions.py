@@ -342,7 +342,8 @@ def coloring_nminus1(n: int) -> Coloring:
     else:
         for cycle in hamiltonian_decomposition(n):
             matching = [cycle[i] for i in range(0, n - 2, 2)]
-            rest = [e for e in cycle if e not in set(matching)]
+            in_matching = set(matching)
+            rest = [e for e in cycle if e not in in_matching]
             classes.append(matching)
             classes.append(rest)
     out = _coloring_from_classes(n, 2, classes)

@@ -6,6 +6,10 @@ subtrees.  Each subtree gets an equal share of the node budget and runs
 independently, so the merged result is identical whether subtrees run on
 one thread or many; the thread count is a throughput knob, never a
 semantics knob.  FRACTURE_THREADS overrides the thread hint.
+
+exact_f and exact_z share one driver and one kernel; they differ only in
+the objective flag passed down and in how the best score is turned into
+a value.  A budget too small to reach any leaf raises SearchBudgetError.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 import numpy as np
 
@@ -105,32 +108,36 @@ def _run_subtrees(kernel, all_args, threads):
     return results
 
 
-def exact_f(n: int, k: int, r: int = 2, options: SearchOptions | None = None) -> SearchResult:
-    """The largest achievable minimum component count over colorings of
-    the complete r-uniform hypergraph on n vertices with at most k
-    colors, with a witness coloring.
+class SearchBudgetError(FractureError):
+    """The node budget ran out before the search reached any leaf."""
 
-    Exhaustive over canonical colorings; exact when exhausted is True.
-    The witness is rechecked through the plain evaluator before being
-    returned.
+
+def _exact(n: int, k: int, r: int, options: SearchOptions | None, minimize_z: bool) -> SearchResult:
+    """The exhaustive driver behind exact_f and exact_z.
+
+    The kernel scores f as the minimum component count and z as minus
+    the maximum incident count, so both are maximized here, and a score
+    equal to cap is optimal without exhausting the tree.
     """
     shape = HypergraphShape(n, r)
     m = shape.edge_count
     if not 1 <= k <= m:
         raise FractureError(f"need 1 <= k <= {m}, got k={k}")
-    cap = min(n // r, int(f_upper_counting(n, k, r).value))
+    if minimize_z:
+        cap = -r
+    else:
+        cap = min(n // r, int(f_upper_counting(n, k, r).value))
     ef = _edges_flat(shape)
-    depth = min(m, _PREFIX_DEPTH)
-    prefixes = _canonical_prefixes(k, depth)
+    prefixes = _canonical_prefixes(k, min(m, _PREFIX_DEPTH))
     total_budget = _UNLIMITED if options is None or options.node_budget is None else options.node_budget
     per_budget = max(1, total_budget // len(prefixes)) if total_budget < _UNLIMITED else _UNLIMITED
     witnesses = [np.full(m, -1, dtype=np.int64) for _ in prefixes]
     all_args = [
-        (n, r, k, m, ef, np.array(p, dtype=np.int64), per_budget, cap, witnesses[i])
+        (minimize_z, n, r, k, m, ef, np.array(p, dtype=np.int64), per_budget, cap, witnesses[i])
         for i, p in enumerate(prefixes)
     ]
-    raw = _run_subtrees(_kernels.search_f_kernel, all_args, _thread_count(options))
-    best = 0
+    raw = _run_subtrees(_kernels.search_kernel, all_args, _thread_count(options))
+    best = -n - 1  # below every score a leaf can have
     best_i = -1
     nodes = 0
     all_exhausted = True
@@ -142,50 +149,33 @@ def exact_f(n: int, k: int, r: int = 2, options: SearchOptions | None = None) ->
             best = int(val)
             best_i = i
     if best_i < 0:
-        raise FractureError("search found no leaf; budget too small")
+        raise SearchBudgetError("search found no leaf; budget too small")
     witness = Coloring(shape, k, tuple(int(x) for x in witnesses[best_i]))
-    if f_value(witness) != best:
+    if minimize_z:
+        value, got = Fraction(-best, n), z_value(witness)
+    else:
+        value, got = best, f_value(witness)
+    if got != value:
         raise FractureError("witness does not evaluate to the reported value")
-    exhausted = all_exhausted or best == cap
-    return SearchResult(best, witness, exhausted, nodes)
+    return SearchResult(value, witness, all_exhausted or best == cap, nodes)
+
+
+def exact_f(n: int, k: int, r: int = 2, options: SearchOptions | None = None) -> SearchResult:
+    """The largest achievable minimum component count over colorings of
+    the complete r-uniform hypergraph on n vertices with at most k
+    colors, with a witness coloring.
+
+    Exhaustive over canonical colorings; exact when exhausted is True.
+    The witness is rechecked through the plain evaluator before being
+    returned.
+    """
+    return _exact(n, k, r, options, minimize_z=False)
 
 
 def exact_z(n: int, k: int, r: int = 2, options: SearchOptions | None = None) -> SearchResult:
     """The smallest achievable maximum incidence fraction over colorings
     with at most k colors, as an exact Fraction, with witness."""
-    shape = HypergraphShape(n, r)
-    m = shape.edge_count
-    if not 1 <= k <= m:
-        raise FractureError(f"need 1 <= k <= {m}, got k={k}")
-    ef = _edges_flat(shape)
-    depth = min(m, _PREFIX_DEPTH)
-    prefixes = _canonical_prefixes(k, depth)
-    total_budget = _UNLIMITED if options is None or options.node_budget is None else options.node_budget
-    per_budget = max(1, total_budget // len(prefixes)) if total_budget < _UNLIMITED else _UNLIMITED
-    witnesses = [np.full(m, -1, dtype=np.int64) for _ in prefixes]
-    all_args = [
-        (n, r, k, m, ef, np.array(p, dtype=np.int64), per_budget, witnesses[i])
-        for i, p in enumerate(prefixes)
-    ]
-    raw = _run_subtrees(_kernels.search_z_kernel, all_args, _thread_count(options))
-    best = n + 1
-    best_i = -1
-    nodes = 0
-    all_exhausted = True
-    for i, (val, exh, nd, found) in enumerate(raw):
-        nodes += int(nd)
-        if not exh:
-            all_exhausted = False
-        if found and int(val) < best:
-            best = int(val)
-            best_i = i
-    if best_i < 0:
-        raise FractureError("search found no leaf; budget too small")
-    witness = Coloring(shape, k, tuple(int(x) for x in witnesses[best_i]))
-    if z_value(witness) != Fraction(best, n):
-        raise FractureError("witness does not evaluate to the reported value")
-    exhausted = all_exhausted or best == r
-    return SearchResult(Fraction(best, n), witness, exhausted, nodes)
+    return _exact(n, k, r, options, minimize_z=True)
 
 
 def verify_k_le_r(n: int, k: int, r: int = 2, limit: int = 10**7) -> ExhaustiveCheck:

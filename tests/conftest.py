@@ -16,7 +16,7 @@ def warm_kernels():
     colorings = np.zeros((2, 3), dtype=np.int64)
     out = np.empty((2, 2), dtype=np.int64)
     for impl in _kernels.IMPLS.values():
-        impl["search_f"](3, 2, 2, 3, edges, prefix, 2**62, 3, witness)
-        impl["search_z"](3, 2, 2, 3, edges, prefix, 2**62, witness)
+        impl["search"](False, 3, 2, 2, 3, edges, prefix, 2**62, 1, witness)
+        impl["search"](True, 3, 2, 2, 3, edges, prefix, 2**62, -2, witness)
         impl["verify_kler"](3, 2, 2, 3, edges, counter)
         impl["bulk_eval"](3, 2, 2, 3, edges, colorings, out)

@@ -204,6 +204,12 @@ class TestSearchCommand:
         assert code == 3
         assert data["exhausted"] is False
 
+    def test_budget_too_small_exit_3(self, capsys):
+        code = main(["search", "f", "--n", "6", "--k", "3", "--budget", "1"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == "error: search found no leaf; budget too small\n"
+
     def test_improve(self, capsys):
         code, data = run_json(
             capsys, "search", "improve", "--n", "6", "--k", "3", "--restarts", "5"
@@ -250,6 +256,25 @@ class TestVerifyRejections:
         _, text = run(capsys, "search", "f", "--n", "5", "--k", "3")
         data = json.loads(text)
         data["value"] += 1
+        code, verdict = self.write_and_verify(capsys, tmp_path, data)
+        assert code == 4 and verdict["valid"] is False
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda d: d.update(n=d["n"] + 1),
+            lambda d: d.update(k=d["k"] + 1),
+            lambda d: d.update(r=d["r"] + 1),
+            lambda d: d["report"].update(f=7),
+        ],
+        ids=["n", "k", "r", "report.f"],
+    )
+    def test_rejects_search_artifact_mutation(self, capsys, tmp_path, mutate):
+        _, text = run(capsys, "search", "f", "--n", "5", "--k", "3")
+        data = json.loads(text)
+        code, verdict = self.write_and_verify(capsys, tmp_path, data)
+        assert code == 0 and verdict["valid"] is True
+        mutate(data)
         code, verdict = self.write_and_verify(capsys, tmp_path, data)
         assert code == 4 and verdict["valid"] is False
 

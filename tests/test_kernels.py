@@ -42,7 +42,7 @@ class TestSearchKernels:
         wit = np.zeros(m, dtype=np.int64)
         cap = n // r
         (py, py_args), (nb, nb_args) = run_both(
-            "search_f", n, r, k, m, flat, prefix, 2**62, cap, wit
+            "search", False, n, r, k, m, flat, prefix, 2**62, cap, wit
         )
         assert py == nb
         np.testing.assert_array_equal(py_args[-1], nb_args[-1])
@@ -54,7 +54,7 @@ class TestSearchKernels:
         prefix = np.empty(0, dtype=np.int64)
         wit = np.zeros(m, dtype=np.int64)
         (py, py_args), (nb, nb_args) = run_both(
-            "search_z", n, r, k, m, flat, prefix, 2**62, wit
+            "search", True, n, r, k, m, flat, prefix, 2**62, -r, wit
         )
         assert py == nb
         np.testing.assert_array_equal(py_args[-1], nb_args[-1])
@@ -67,7 +67,7 @@ class TestSearchKernels:
             prefix = np.array(pfx, dtype=np.int64)
             wit = np.zeros(m, dtype=np.int64)
             (py, a1), (nb, a2) = run_both(
-                "search_f", n, r, k, m, flat, prefix, 2**62, n // r, wit
+                "search", False, n, r, k, m, flat, prefix, 2**62, n // r, wit
             )
             assert py == nb
             np.testing.assert_array_equal(a1[-1], a2[-1])
@@ -80,7 +80,7 @@ class TestSearchKernels:
         for budget in [5, 20, 100, 350]:
             wit = np.zeros(m, dtype=np.int64)
             (py, a1), (nb, a2) = run_both(
-                "search_f", n, r, k, m, flat, prefix, budget, n // r, wit
+                "search", False, n, r, k, m, flat, prefix, budget, n // r, wit
             )
             assert py == nb
             np.testing.assert_array_equal(a1[-1], a2[-1])

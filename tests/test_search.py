@@ -10,6 +10,7 @@ import pytest
 import oracles
 from fracture import (
     FractureError,
+    SearchBudgetError,
     SearchOptions,
     bulk_eval,
     exact_f,
@@ -60,7 +61,7 @@ class TestExactF:
         assert f_value(capped.witness) == capped.value
 
     def test_budget_too_small_raises(self):
-        with pytest.raises(FractureError):
+        with pytest.raises(SearchBudgetError):
             exact_f(6, 3, 2, SearchOptions(node_budget=4))
 
     def test_bad_k_rejected(self):
@@ -95,6 +96,31 @@ class TestExactZ:
         base = exact_z(5, 4, 2, SearchOptions(thread_hint=1))
         again = exact_z(5, 4, 2, SearchOptions(thread_hint=4))
         assert again == base
+
+
+# (objective, n, k, node budget, value, exhausted, nodes, witness): the search
+# must give exactly these until the enumeration order or a prune rule changes
+NODE_PINS = [
+    ("f", 6, 3, None, 2, True, 1057, (0, 0, 0, 0, 0, 0, 1, 1, 1, 2, 2, 2, 2, 1, 0)),
+    ("f", 7, 3, None, 2, True, 1117,
+     (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 2, 1, 0)),
+    ("f", 7, 4, None, 2, True, 1463,
+     (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 2, 1, 0)),
+    ("z", 5, 4, None, Fraction(3, 5), True, 690, (0, 0, 0, 1, 1, 2, 3, 3, 2, 2)),
+    ("z", 6, 4, None, Fraction(2, 3), True, 2469,
+     (0, 0, 0, 0, 0, 0, 1, 1, 1, 2, 2, 3, 3, 2, 2)),
+    ("z", 3, 3, None, Fraction(2, 3), True, 0, (0, 1, 2)),
+    ("f", 8, 4, 2000, 2, False, 2010,
+     (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 1, 0)),
+]
+
+
+@pytest.mark.parametrize("kind,n,k,budget,value,exhausted,nodes,witness", NODE_PINS)
+def test_node_for_node(kind, n, k, budget, value, exhausted, nodes, witness):
+    search = exact_f if kind == "f" else exact_z
+    res = search(n, k, options=SearchOptions(node_budget=budget))
+    assert (res.value, res.exhausted, res.nodes) == (value, exhausted, nodes)
+    assert res.witness.assignment == witness
 
 
 class TestVerifier:
