@@ -9,6 +9,7 @@ bounds with exact arithmetic, and settles small cases by search.
 """
 
 from .core import (
+    BipartiteShape,
     Coloring,
     ColorClassStats,
     FractureError,
@@ -48,15 +49,11 @@ from .designs import (
 )
 from .constructions import (
     BaseColoring,
-    BipartiteColoring,
     base_registry,
     base_registry_names,
     bipartite_blow_up,
-    bipartite_class_stats,
     bipartite_from_clique,
-    bipartite_min_components,
     bipartite_report_dict,
-    bipartite_z_value,
     blow_up,
     coloring_baranyai_split,
     coloring_equitable,

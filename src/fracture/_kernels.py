@@ -35,9 +35,11 @@ def _search_impl(minimize_z, n, r, k, m, edges_flat, prefix, budget, cap, witnes
     only if colors below c already appear earlier), which enumerates one
     representative per color-relabeling class in lexicographic order.
     The first len(prefix) edges take their colors from prefix as forced
-    levels that count no nodes and are never pruned.  Returns (best
-    score, exhausted, nodes, found); the lexicographically smallest
-    optimal assignment is copied into witness_out.
+    levels that count no nodes and are never pruned.  Every other edge
+    assignment counts one node; the budget is tested before the count,
+    so nodes never exceeds budget.  Returns (best score, exhausted,
+    nodes, found); the lexicographically smallest optimal assignment is
+    copied into witness_out.
 
     cap is a score no coloring can beat (n // r or less for f, -r for
     z).  Prune: a subtree is cut when its bound is <= best, the bound
@@ -97,12 +99,12 @@ def _search_impl(minimize_z, n, r, k, m, edges_flat, prefix, budget, cap, witnes
             if limit > k - 1:
                 limit = k - 1
             if cursor[depth] <= limit:
+                if nodes >= budget:
+                    exhausted = 0
+                    break
                 c = cursor[depth]
                 cursor[depth] = c + 1
                 nodes += 1
-                if nodes > budget:
-                    exhausted = 0
-                    break
             elif depth == p:
                 break
             else:

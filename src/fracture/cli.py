@@ -29,7 +29,6 @@ from .core import (
     Coloring,
     FractureError,
     coloring_from_dict,
-    coloring_to_dict,
     f_value,
     fraction_str,
     report_dict,
@@ -58,18 +57,8 @@ def _load(path: str | None) -> dict:
         return json.load(fh)
 
 
-def _report(coloring: Coloring | cons.BipartiteColoring) -> dict:
-    if isinstance(coloring, cons.BipartiteColoring):
-        return cons.bipartite_report_dict(coloring)
-    return report_dict(coloring)
-
-
-def _payload(coloring: Coloring | cons.BipartiteColoring) -> dict:
-    if isinstance(coloring, cons.BipartiteColoring):
-        as_dict = coloring.to_dict()
-    else:
-        as_dict = coloring_to_dict(coloring)
-    return {"coloring": as_dict, "report": _report(coloring)}
+def _payload(coloring: Coloring) -> dict:
+    return {"coloring": coloring.to_dict(), "report": report_dict(coloring)}
 
 
 def _cmd_construct(args) -> int:
@@ -102,56 +91,29 @@ def _cmd_construct(args) -> int:
     return EXIT_OK
 
 
-def _parse_coloring(inner) -> Coloring | cons.BipartiteColoring:
-    """A complete-graph or bipartite coloring from its JSON object."""
-    if not isinstance(inner, dict):
-        raise FractureError(f"coloring JSON must be an object, got {type(inner).__name__}")
-    if inner.get("bipartite"):
-        return cons.BipartiteColoring.from_dict(inner)
-    return coloring_from_dict(inner)
-
-
 def _cmd_eval(args) -> int:
     data = _load(args.file)
     inner = data["coloring"] if isinstance(data, dict) and "coloring" in data else data
-    _dump(_payload(_parse_coloring(inner)), args.output)
+    _dump(_payload(coloring_from_dict(inner)), args.output)
     return EXIT_OK
-
-
-def _design_dict(d: designs_mod.Design) -> dict:
-    return {
-        "v": d.v,
-        "strength": d.strength,
-        "block_size": d.block_size,
-        "blocks": [list(b) for b in d.blocks],
-    }
-
-
-def _decomposition_dict(dec: designs_mod.MatchingDecomposition) -> dict:
-    return {
-        "n": dec.n,
-        "r": dec.r,
-        "complete": dec.complete,
-        "factors": [[list(e) for e in f] for f in dec.factors],
-    }
 
 
 def _cmd_designs(args) -> int:
     kind = args.kind
     if kind == "pg":
-        out = _design_dict(designs_mod.projective_plane(args.q))
+        out = designs_mod.projective_plane(args.q).to_dict()
     elif kind == "ag":
-        out = _design_dict(designs_mod.affine_plane(args.q))
+        out = designs_mod.affine_plane(args.q).to_dict()
     elif kind == "sqs":
-        out = _design_dict(designs_mod.boolean_sqs(args.m))
+        out = designs_mod.boolean_sqs(args.m).to_dict()
     elif kind == "inversive":
-        out = _design_dict(designs_mod.inversive_plane(args.q))
+        out = designs_mod.inversive_plane(args.q).to_dict()
     elif kind == "baranyai":
-        out = _decomposition_dict(designs_mod.baranyai(args.n, args.r))
+        out = designs_mod.baranyai(args.n, args.r).to_dict()
     elif kind == "one-factorization":
-        out = _decomposition_dict(designs_mod.one_factorization(args.n))
+        out = designs_mod.one_factorization(args.n).to_dict()
     elif kind == "near-one-factorization":
-        out = _decomposition_dict(designs_mod.near_one_factorization(args.n))
+        out = designs_mod.near_one_factorization(args.n).to_dict()
     elif kind == "diamonds":
         groups = designs_mod.k4minus_decomposition(args.n)
         out = {"n": args.n, "groups": [[list(e) for e in g] for g in groups]}
@@ -254,7 +216,7 @@ def _cmd_search(args) -> int:
         "value": value,
         "exhausted": res.exhausted,
         "nodes": res.nodes,
-        "witness": coloring_to_dict(res.witness),
+        "witness": res.witness.to_dict(),
         "report": report_dict(res.witness),
     }
     _dump(out, args.output)
@@ -284,6 +246,8 @@ def _verify_payload(data: dict) -> tuple[bool, str]:
         return True, "factors are disjoint maximum matchings"
     if "witness" in data:
         witness = coloring_from_dict(data["witness"])
+        if witness.shape.bipartite:
+            return False, "a search witness must be a K_n^r coloring, not K_{n,n}"
         for key in ("n", "k", "r"):
             if data[key] != getattr(witness, key):
                 return False, f"{key} is {data[key]}, the witness has {getattr(witness, key)}"
@@ -297,7 +261,7 @@ def _verify_payload(data: dict) -> tuple[bool, str]:
             return False, "report does not match a fresh evaluation of the witness"
         return True, "witness reproduces the claimed value and report"
     if "coloring" in data:
-        fresh = _report(_parse_coloring(data["coloring"]))
+        fresh = report_dict(coloring_from_dict(data["coloring"]))
         if "report" not in data:
             return False, "nothing to check: no report attached"
         if fresh != data["report"]:

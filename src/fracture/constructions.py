@@ -27,17 +27,17 @@ from fractions import Fraction
 from math import ceil, comb
 
 from .core import (
+    BipartiteShape,
     Coloring,
     FractureError,
     HypergraphShape,
     all_edges,
     class_stats,
-    edge_list_stats,
     edge_rank,
     edge_table,
     f_value,
-    fraction_str,
     relabel_canonical,
+    report_dict,
     z_value,
 )
 from . import designs
@@ -241,6 +241,11 @@ def _colex_smallest_superset(u: tuple[int, ...], t: int, r: int) -> tuple[int, .
     return tuple(sorted(list(u) + fill[: r - len(u)]))
 
 
+def _require_complete_host(coloring: Coloring, what: str) -> None:
+    if coloring.shape.bipartite:
+        raise FractureError(f"{what} needs a K_n^r base, got a K_{{n,n}} coloring")
+
+
 def blow_up(base: BaseColoring, n: int) -> Coloring:
     """Lift a base coloring on t vertices to a coloring of K_n^r.
 
@@ -253,6 +258,7 @@ def blow_up(base: BaseColoring, n: int) -> Coloring:
     Guarantee, checked before returning: the produced coloring has
     f_value >= floor(n/(r*t)) * ceil(t * (1 - realized_z)) + 1.
     """
+    _require_complete_host(base.coloring, "blow-up")
     t = base.coloring.n
     r = base.coloring.r
     k = base.coloring.k
@@ -319,8 +325,8 @@ def blow_up(base: BaseColoring, n: int) -> Coloring:
 
 def _colors_at(coloring: Coloring) -> list[set[int]]:
     """The set of colors on the edges through each vertex."""
-    out: list[set[int]] = [set() for _ in range(coloring.n)]
-    for e, c in zip(edge_table(coloring.n, coloring.r), coloring.assignment):
+    out: list[set[int]] = [set() for _ in range(coloring.shape.vertex_count)]
+    for e, c in zip(coloring.shape.edges(), coloring.assignment):
         for v in e:
             out[v].add(c)
     return out
@@ -615,92 +621,16 @@ def coloring_equitable(n: int, r: int, k: int) -> Coloring:
     return out
 
 
-@dataclass(frozen=True)
-class BipartiteColoring:
-    """A coloring of the n x n cross edges between sides A and B; the edge
-    (a_i, b_j) sits at index i*n + j."""
-
-    n: int
-    k: int
-    assignment: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.assignment) != self.n * self.n:
-            raise FractureError("assignment length != n^2")
-        for c in set(self.assignment):
-            if not 0 <= c < self.k:
-                raise FractureError(f"color {c} out of range")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> BipartiteColoring:
-        try:
-            return cls(int(d["n"]), int(d["k"]), tuple(int(c) for c in d["colors"]))
-        except KeyError as exc:
-            raise FractureError(f"bipartite coloring JSON missing key {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise FractureError(f"malformed bipartite coloring JSON: {exc}") from exc
-
-    def class_edge_lists(self) -> dict[int, list[tuple[int, int]]]:
-        """Edges per color over vertex ids a_i = i, b_j = n + j."""
-        out: dict[int, list[tuple[int, int]]] = {}
-        for idx, c in enumerate(self.assignment):
-            i, j = divmod(idx, self.n)
-            out.setdefault(c, []).append((i, self.n + j))
-        return out
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "r": 2,
-            "k": self.k,
-            "bipartite": True,
-            "colors": list(self.assignment),
-        }
+# The K_{n,n} report is the one report; this name is kept for callers.
+bipartite_report_dict = report_dict
 
 
-def bipartite_class_stats(bc: BipartiteColoring):
-    from .core import ColorClassStats
-
-    out = []
-    for c, edges in sorted(bc.class_edge_lists().items()):
-        comps, incident = edge_list_stats(edges, 2 * bc.n)
-        out.append(ColorClassStats(c, len(edges), comps, incident))
-    return out
-
-
-def bipartite_min_components(bc: BipartiteColoring) -> int:
-    return min(s.components for s in bipartite_class_stats(bc))
-
-
-def bipartite_z_value(bc: BipartiteColoring) -> Fraction:
-    return max(
-        Fraction(s.incident_vertices, 2 * bc.n) for s in bipartite_class_stats(bc)
-    )
-
-
-def bipartite_report_dict(bc: BipartiteColoring) -> dict:
-    """Same shape as the complete-graph report: f, z, and per-class rows."""
-    stats = bipartite_class_stats(bc)
-    return {
-        "f": min(s.components for s in stats),
-        "z": fraction_str(bipartite_z_value(bc)),
-        "per_class": [
-            {
-                "color": s.color,
-                "edges": s.edge_count,
-                "components": s.components,
-                "incident_vertices": s.incident_vertices,
-            }
-            for s in stats
-        ],
-    }
-
-
-def bipartite_from_clique(base: Coloring) -> BipartiteColoring:
+def bipartite_from_clique(base: Coloring) -> Coloring:
     """Transfer a complete-graph coloring to the complete bipartite double
     cover: (a_i, b_j) copies the color of {i, j}, and each diagonal
     (a_i, b_i) takes the smallest color already incident with i, so every
     color touches exactly twice as many vertices as before."""
+    _require_complete_host(base, "bipartite transfer")
     if base.r != 2:
         raise FractureError("bipartite transfer needs a graph coloring")
     n = base.n
@@ -713,15 +643,15 @@ def bipartite_from_clique(base: Coloring) -> BipartiteColoring:
                 assignment.append(smallest_at[i])
             else:
                 assignment.append(base.assignment[edge_rank((min(i, j), max(i, j)), shape)])
-    out = BipartiteColoring(n, base.k, tuple(assignment))
+    out = Coloring(BipartiteShape(n), base.k, tuple(assignment))
     base_inc = {s.color: s.incident_vertices for s in class_stats(base)}
-    for s in bipartite_class_stats(out):
+    for s in class_stats(out):
         if s.incident_vertices != 2 * base_inc[s.color]:
             raise FractureError("bipartite transfer failed to double incidence")
     return out
 
 
-def bipartite_blow_up(base: BaseColoring, n: int) -> BipartiteColoring:
+def bipartite_blow_up(base: BaseColoring, n: int) -> Coloring:
     """Blow up a graph base coloring to K_{n,n}.
 
     Both sides split into the same t near-equal groups.  Edges between
@@ -733,6 +663,7 @@ def bipartite_blow_up(base: BaseColoring, n: int) -> BipartiteColoring:
     Checked guarantee: every color splits into at least
     floor(n/t) * ceil(t * (1 - realized_z)) - t + 1 components.
     """
+    _require_complete_host(base.coloring, "bipartite blow-up")
     if base.coloring.r != 2:
         raise FractureError("bipartite blow-up needs a graph base")
     t = base.coloring.n
@@ -774,9 +705,9 @@ def bipartite_blow_up(base: BaseColoring, n: int) -> BipartiteColoring:
             for b in group:
                 if assignment[a * n + b] == -1:
                     assignment[a * n + b] = fallback
-    out = BipartiteColoring(n, k, tuple(assignment))
+    out = Coloring(BipartiteShape(n), k, tuple(assignment))
     guarantee = (n // t) * _ceil_frac(t * (1 - base.realized_z)) - t + 1
-    got = bipartite_min_components(out)
+    got = f_value(out)
     if got < guarantee:
         raise FractureError(
             f"bipartite blow-up produced min components {got} < {guarantee}"

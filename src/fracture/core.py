@@ -1,14 +1,19 @@
 """Complete uniform hypergraphs, edge colorings, and the two central metrics.
 
-The complete r-uniform hypergraph on n vertices has every r-subset of
-{0, ..., n-1} as an edge.  Edges are identified with their rank in
-colexicographic order, so a coloring is just a flat tuple of color
-indices.  Two quantities are measured per color class:
+A coloring lives on a host shape.  The main host is the complete
+r-uniform hypergraph K_n^r, whose edges are the r-subsets of
+{0, ..., n-1}; they are identified with their rank in colexicographic
+order, so a coloring is just a flat tuple of color indices.  The second
+host is the complete bipartite graph K_{n,n} (``BipartiteShape``), with
+sides {0, ..., n-1} and {n, ..., 2n-1} and the edge (i, n + j) at index
+i*n + j.  Every metric and serializer below reads the host only through
+``shape.edges()`` and ``shape.vertex_count``, so both hosts share one
+path.  Two quantities are measured per color class:
 
 * the number of connected components the class induces (vertices touched
   by no edge of the class never count), and
-* the fraction of the n vertices incident with at least one edge of the
-  class.
+* the fraction of the host's vertices (n for K_n^r, 2n for K_{n,n})
+  incident with at least one edge of the class.
 
 ``f_value`` is the minimum component count over the nonempty classes;
 ``z_value`` is the maximum incidence fraction.  Empty classes are ignored
@@ -18,7 +23,7 @@ Invariants:
     - edge_rank and edge_unrank are mutual inverses on valid inputs.
     - edge_table(n, r)[i] == edge_unrank(i, HypergraphShape(n, r)).
     - components <= incident_vertices // r for every class.
-    - class edge counts over a coloring sum to C(n, r).
+    - class edge counts over a coloring sum to shape.edge_count.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 class FractureError(Exception):
@@ -41,20 +46,56 @@ class HypergraphShape:
 
     n: int
     r: int
+    bipartite = False
 
     def __post_init__(self) -> None:
         if self.r < 2:
             raise FractureError(f"uniformity must be >= 2, got r={self.r}")
         if self.n < self.r:
             raise FractureError(f"need n >= r, got n={self.n}, r={self.r}")
+        # C(n, r) >= 2^j for j = min(r, n - r): past j = 64 no edge list or
+        # coloring fits in memory, and math.comb alone would take minutes
+        if min(self.r, self.n - self.r) >= 64:
+            raise FractureError(f"C({self.n},{self.r}) exceeds 2^64 edges")
 
     @property
     def edge_count(self) -> int:
         return comb(self.n, self.r)
 
-    def edges(self) -> Iterable[tuple[int, ...]]:
+    @property
+    def vertex_count(self) -> int:
+        return self.n
+
+    def edges(self) -> Sequence[tuple[int, ...]]:
         """All edges in colexicographic order."""
-        return iter(edge_table(self.n, self.r))
+        return edge_table(self.n, self.r)
+
+
+@dataclass(frozen=True)
+class BipartiteShape:
+    """The complete bipartite graph K_{n,n}: sides range(n) and
+    range(n, 2n), the edge (i, n + j) at index i*n + j."""
+
+    n: int
+    r = 2
+    bipartite = True
+
+    def __post_init__(self) -> None:
+        if self.n < 1:
+            raise FractureError(f"bipartite host needs n >= 1, got n={self.n}")
+
+    @property
+    def edge_count(self) -> int:
+        return self.n * self.n
+
+    @property
+    def vertex_count(self) -> int:
+        return 2 * self.n
+
+    def edges(self) -> list[tuple[int, int]]:
+        """All edges in index order, built per call (n^2 pairs)."""
+        n = self.n
+        return [(i, n + j) for i in range(n) for j in range(n)]
 
 
 @lru_cache(maxsize=1)
@@ -118,14 +159,15 @@ def edge_unrank(rank: int, shape: HypergraphShape) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Coloring:
-    """An assignment of one of k colors to every edge, immutable.
+    """An assignment of one of k colors to every edge of a host, immutable.
 
-    ``assignment[rank]`` is the color of the edge with that colex rank.
+    ``assignment[i]`` is the color of ``shape.edges()[i]``: the edge with
+    colex rank i on K_n^r, the edge (i // n, n + i % n) on K_{n,n}.
     Colors need not all be used; empty classes are ignored by the metric
     functions.
     """
 
-    shape: HypergraphShape
+    shape: HypergraphShape | BipartiteShape
     k: int
     assignment: tuple[int, ...]
 
@@ -136,7 +178,7 @@ class Coloring:
                 f"assignment length {len(self.assignment)} != edge count {m}"
             )
         if not 1 <= self.k <= m:
-            raise FractureError(f"need 1 <= k <= C(n,r)={m}, got k={self.k}")
+            raise FractureError(f"need 1 <= k <= edge count {m}, got k={self.k}")
         for c in set(self.assignment):
             if not 0 <= c < self.k:
                 raise FractureError(f"color {c} out of range for k={self.k}")
@@ -150,12 +192,23 @@ class Coloring:
         return self.shape.r
 
     def class_edges(self, color: int) -> list[tuple[int, ...]]:
-        """Edges of one color class, in colex order."""
-        edges = edge_table(self.n, self.r)
-        return [e for e, c in zip(edges, self.assignment) if c == color]
+        """Edges of one color class, in index order."""
+        return [e for e, c in zip(self.shape.edges(), self.assignment) if c == color]
 
     def used_colors(self) -> list[int]:
         return sorted(set(self.assignment))
+
+    def to_dict(self) -> dict:
+        """The JSON form; ``"bipartite": true`` marks the K_{n,n} host."""
+        out = {
+            "n": self.n,
+            "r": self.r,
+            "k": self.k,
+            "colors": list(self.assignment),
+        }
+        if self.shape.bipartite:
+            out["bipartite"] = True
+        return out
 
 
 @dataclass(frozen=True)
@@ -206,12 +259,12 @@ def edge_list_stats(edges: Sequence[Sequence[int]], n_vertices: int) -> tuple[in
 def class_stats(coloring: Coloring) -> list[ColorClassStats]:
     """Stats for every nonempty color class, ordered by color index."""
     buckets: dict[int, list[tuple[int, ...]]] = {}
-    for e, c in zip(edge_table(coloring.n, coloring.r), coloring.assignment):
+    for e, c in zip(coloring.shape.edges(), coloring.assignment):
         buckets.setdefault(c, []).append(e)
     out = []
     for c in sorted(buckets):
         edges = buckets[c]
-        comps, incident = edge_list_stats(edges, coloring.n)
+        comps, incident = edge_list_stats(edges, coloring.shape.vertex_count)
         out.append(ColorClassStats(c, len(edges), comps, incident))
     return out
 
@@ -224,7 +277,8 @@ def f_value(coloring: Coloring) -> int:
 def z_value(coloring: Coloring) -> Fraction:
     """Maximum incidence fraction over the nonempty color classes."""
     return max(
-        Fraction(s.incident_vertices, coloring.n) for s in class_stats(coloring)
+        Fraction(s.incident_vertices, coloring.shape.vertex_count)
+        for s in class_stats(coloring)
     )
 
 
@@ -250,22 +304,22 @@ def parse_fraction(s: str) -> Fraction:
     return Fraction(int(num), int(den if den else 1))
 
 
-def coloring_to_dict(coloring: Coloring) -> dict:
-    return {
-        "n": coloring.n,
-        "r": coloring.r,
-        "k": coloring.k,
-        "colors": list(coloring.assignment),
-    }
+coloring_to_dict = Coloring.to_dict
 
 
 def coloring_from_dict(d: dict) -> Coloring:
+    """Inverse of coloring_to_dict; a bipartite coloring needs no ``r``."""
+    if not isinstance(d, dict):
+        raise FractureError(f"coloring JSON must be an object, got {type(d).__name__}")
     try:
-        shape = HypergraphShape(int(d["n"]), int(d["r"]))
+        if d.get("bipartite"):
+            shape = BipartiteShape(int(d["n"]))
+        else:
+            shape = HypergraphShape(int(d["n"]), int(d["r"]))
         return Coloring(shape, int(d["k"]), tuple(int(c) for c in d["colors"]))
     except KeyError as exc:
         raise FractureError(f"coloring JSON missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FractureError(f"malformed coloring JSON: {exc}") from exc
 
 
@@ -282,7 +336,9 @@ def report_dict(coloring: Coloring) -> dict:
     stats = class_stats(coloring)
     return {
         "f": min(s.components for s in stats),
-        "z": fraction_str(max(Fraction(s.incident_vertices, coloring.n) for s in stats)),
+        "z": fraction_str(
+            max(Fraction(s.incident_vertices, coloring.shape.vertex_count) for s in stats)
+        ),
         "per_class": [
             {
                 "color": s.color,

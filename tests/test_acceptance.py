@@ -23,8 +23,6 @@ from fracture import (
     base_registry,
     bipartite_blow_up,
     bipartite_from_clique,
-    bipartite_min_components,
-    bipartite_z_value,
     blow_up,
     boolean_sqs,
     bulk_eval,
@@ -238,12 +236,12 @@ def build_digest(thread_hint):
         base = base_registry(name).coloring
         bc = bipartite_from_clique(base)
         bip[f"double({name})"] = [
-            fraction_str(bipartite_z_value(bc)),
+            fraction_str(z_value(bc)),
             fraction_str(z_value(base)),
         ]
     for n in [9, 30, 60]:
         bc = bipartite_blow_up(rainbow, n)
-        bip[f"blow({n})"] = bipartite_min_components(bc)
+        bip[f"blow({n})"] = f_value(bc)
     digest["c13"] = bip
     timings["c13"] = time.monotonic() - t0
 

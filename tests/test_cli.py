@@ -2,10 +2,14 @@
 artifacts are rejected, and exit codes follow the contract
 (0 ok / 2 usage / 3 budget / 4 invalid)."""
 
+import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fracture import BipartiteShape, Coloring, base_registry, bipartite_from_clique, report_dict
 from fracture.cli import main
 
 
@@ -89,6 +93,14 @@ class TestConstructAndEval:
         path.write_text("[1, 2, 3]")
         code, out = run(capsys, "eval", str(path))
         assert code == 2 and out == ""
+
+    def test_hostile_shape_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"n": 10**7, "r": 5 * 10**6, "k": 1, "colors": [0]}))
+        code, out = run(capsys, "eval", str(path))
+        assert code == 2 and out == ""
+        code, verdict = run_json(capsys, "verify", str(path))
+        assert code == 4 and verdict["valid"] is False
 
     def test_bipartite_without_n_exits_2(self, capsys, tmp_path):
         _, text = run(
@@ -309,3 +321,132 @@ class TestVerifyRejections:
         code, out = run(capsys, "verify")
         assert code == 0
         assert json.loads(out)["valid"] is True
+
+
+class TestBipartiteHost:
+    # sha256 of the construct outputs, recorded before K_{n,n} colorings
+    # moved onto the shared Coloring path
+    PINNED = [
+        (
+            ("construct", "bipartite-double", "--base", "k5-four"),
+            "8f11a646445c7212db1b803cfe65438333022ac97712ad5ad4a4f73874a2ddc6",
+        ),
+        (
+            ("construct", "bipartite-blow-up", "--base", "rainbow-triangle", "--n", "9"),
+            "d5d49806b6572f7c0f80a82a35e9350ae04def6b6296f74e23cd8e545818a3c3",
+        ),
+    ]
+
+    @pytest.mark.parametrize("argv,sha", PINNED, ids=["double", "blow-up"])
+    def test_bytes_unchanged(self, capsys, tmp_path, argv, sha):
+        code, text = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == sha
+        path = tmp_path / "b.json"
+        path.write_text(text)
+        code, again = run(capsys, "eval", str(path))
+        assert code == 0 and again == text
+
+    def eval_and_verify(self, capsys, tmp_path, data):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code = main(["eval", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error:")
+        code, verdict = run_json(capsys, "verify", str(path))
+        assert code == 4 and verdict["valid"] is False
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"bipartite": True, "n": 0, "k": 1, "colors": []},
+            {"bipartite": True, "n": -1, "k": 1, "colors": [0]},
+            {"bipartite": True, "n": 2, "k": 5, "colors": [0, 1, 2, 3]},
+        ],
+        ids=["n=0", "n=-1", "k>n^2"],
+    )
+    def test_malformed_rejected(self, capsys, tmp_path, data):
+        self.eval_and_verify(capsys, tmp_path, data)
+        self.eval_and_verify(capsys, tmp_path, {"coloring": data})
+
+    def test_bare_coloring_verifies(self, capsys, tmp_path):
+        _, text = run(capsys, *self.PINNED[0][0])
+        path = tmp_path / "b.json"
+        path.write_text(json.dumps(json.loads(text)["coloring"]))
+        code, verdict = run_json(capsys, "verify", str(path))
+        assert code == 0 and verdict["valid"] is True
+
+    def test_witness_must_be_complete_host(self, capsys, tmp_path):
+        # an otherwise consistent claim whose witness lives on K_{2,2}
+        witness = Coloring(BipartiteShape(2), 2, (0, 1, 1, 0))
+        data = {
+            "metric": "f", "mode": "f", "n": 2, "k": 2, "r": 2, "value": 2,
+            "exhausted": True, "nodes": 0,
+            "witness": witness.to_dict(), "report": report_dict(witness),
+        }
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(data))
+        code, verdict = run_json(capsys, "verify", str(path))
+        assert code == 4 and verdict["valid"] is False
+        assert "K_{n,n}" in verdict["reason"]
+
+
+def _valid_colorings():
+    rainbow = base_registry("rainbow-triangle").coloring
+    return [
+        rainbow.to_dict(),
+        base_registry("k6r3-six").coloring.to_dict(),
+        bipartite_from_clique(rainbow).to_dict(),
+        Coloring(BipartiteShape(2), 2, (0, 1, 1, 0)).to_dict(),
+    ]
+
+
+_ODD_VALUES = st.one_of(
+    st.sampled_from([None, True, "7", "x", 2.5, float("inf"), float("nan"), [1], {}, 10**20]),
+    st.floats(),
+    st.integers(-(10**20), 10**20),
+)
+
+
+_VALID_COLORINGS = _valid_colorings()
+
+
+@st.composite
+def _mutated_coloring(draw):
+    d = dict(draw(st.sampled_from(_VALID_COLORINGS)))
+    d["colors"] = list(d["colors"])
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["drop", "n", "k", "length", "entry", "flip", "odd"]))
+        if kind == "drop" and d:
+            del d[draw(st.sampled_from(sorted(d)))]
+        elif kind == "n":
+            d["n"] = draw(st.integers(-3, 40))
+        elif kind == "k":
+            d["k"] = draw(st.sampled_from([-1, 0, 10**6]))
+        elif kind == "length" and isinstance(d.get("colors"), list):
+            cut = draw(st.integers(0, len(d["colors"]) + 3))
+            d["colors"] = (d["colors"] + [0, 0, 0])[:cut]
+        elif kind == "entry" and isinstance(d.get("colors"), list) and d["colors"]:
+            d["colors"][draw(st.integers(0, len(d["colors"]) - 1))] = draw(_ODD_VALUES)
+        elif kind == "flip":
+            d["bipartite"] = not d.get("bipartite", False)
+        elif kind == "odd":
+            d[draw(st.sampled_from(["n", "r", "k", "colors", "bipartite"]))] = draw(_ODD_VALUES)
+    whole = draw(st.sampled_from(["bare", "wrapped", "non-object"]))
+    if whole == "wrapped":
+        return {"coloring": d}
+    if whole == "non-object":
+        return draw(st.one_of(_ODD_VALUES, st.just([d])))
+    return d
+
+
+class TestColoringFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(data=_mutated_coloring())
+    def test_exit_codes(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "fuzz.json"
+        out = tmp_path_factory.getbasetemp() / "fuzz.out.json"
+        path.write_text(json.dumps(data))
+        assert main(["eval", str(path), "--output", str(out)]) in (0, 2)
+        assert main(["verify", str(path), "--output", str(out)]) in (0, 4)

@@ -7,13 +7,14 @@ import pytest
 
 import oracles
 from fracture import (
+    BaseColoring,
+    BipartiteShape,
+    Coloring,
     FractureError,
     base_registry,
     base_registry_names,
     bipartite_from_clique,
     bipartite_blow_up,
-    bipartite_min_components,
-    bipartite_z_value,
     blow_up,
     coloring_baranyai_split,
     coloring_equitable,
@@ -201,6 +202,10 @@ class TestMatchingColorings:
             coloring_equitable(5, 2, 3)
 
 
+def class_edge_lists(coloring):
+    return {c: coloring.class_edges(c) for c in coloring.used_colors()}
+
+
 class TestBipartite:
     def doubling_bases(self):
         return ["rainbow-triangle", "k5-four", "design(pg(2))"]
@@ -216,15 +221,15 @@ class TestBipartite:
             for rank, color in enumerate(base.assignment):
                 edge = oracles.colex_edges(base.n, 2)[rank]
                 clique_incidence.setdefault(color, set()).update(edge)
-            for color, pairs in bc.class_edge_lists().items():
+            for color, pairs in class_edge_lists(bc).items():
                 touched = {v for e in pairs for v in e}
                 assert len(touched) == 2 * len(clique_incidence[color])
-            assert bipartite_z_value(bc) == z_value(base)
+            assert z_value(bc) == z_value(base)
 
     def test_doubling_components_oracle(self):
         base = base_registry("rainbow-triangle").coloring
         bc = bipartite_from_clique(base)
-        per_class = bc.class_edge_lists()
+        per_class = class_edge_lists(bc)
         for color, edges in per_class.items():
             pairs = [(a, b - bc.n) for a, b in edges]
             assert oracles.bipartite_components(bc.n, pairs) >= 1
@@ -232,17 +237,25 @@ class TestBipartite:
     @pytest.mark.parametrize("n,floor_bound", [(9, 3), (30, 10), (60, 20)])
     def test_blow_up_bound(self, n, floor_bound):
         bc = bipartite_blow_up(base_registry("rainbow-triangle"), n)
-        got = bipartite_min_components(bc)
+        got = f_value(bc)
         assert got >= floor_bound
         # oracle recount of the minimum over classes
         counts = [
             oracles.bipartite_components(bc.n, [(a, b - bc.n) for a, b in edges])
-            for edges in bc.class_edge_lists().values()
+            for edges in class_edge_lists(bc).values()
         ]
         assert min(counts) == got
 
     def test_assignment_length_checked(self):
-        from fracture import BipartiteColoring
-
         with pytest.raises(FractureError):
-            BipartiteColoring(3, 2, (0, 1))
+            Coloring(BipartiteShape(3), 2, (0, 1))
+
+    def test_bipartite_base_rejected(self):
+        bc = bipartite_from_clique(base_registry("rainbow-triangle").coloring)
+        base = BaseColoring("doubled", bc, z_value(bc))
+        with pytest.raises(FractureError):
+            bipartite_from_clique(bc)
+        with pytest.raises(FractureError):
+            bipartite_blow_up(base, 12)
+        with pytest.raises(FractureError):
+            blow_up(base, 12)

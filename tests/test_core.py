@@ -13,6 +13,7 @@ import oracles
 from fracture import constructions
 from fracture.search import _edges_flat
 from fracture import (
+    BipartiteShape,
     Coloring,
     FractureError,
     HypergraphShape,
@@ -131,6 +132,29 @@ class TestEdgeTable:
         assert container_sizes() == before
 
 
+class TestBipartiteHost:
+    def test_shape(self):
+        shape = BipartiteShape(3)
+        assert (shape.n, shape.r, shape.edge_count, shape.vertex_count) == (3, 2, 9, 6)
+        edges = shape.edges()
+        for i in range(3):
+            for j in range(3):
+                assert edges[i * 3 + j] == (i, 3 + j)
+        assert HypergraphShape(5, 3).vertex_count == 5
+
+    def test_metrics_divide_by_both_sides(self):
+        # K_{2,2}: color 0 is the matching (0,2),(1,3), color 1 the other
+        c = Coloring(BipartiteShape(2), 2, (0, 1, 1, 0))
+        assert f_value(c) == 2
+        assert z_value(c) == 1
+        assert c.class_edges(0) == [(0, 2), (1, 3)]
+        # a single star at a_0 touches 3 of the 4 vertices
+        c = Coloring(BipartiteShape(2), 2, (0, 0, 1, 1))
+        assert z_value(c) == Fraction(3, 4)
+        assert report_dict(c)["z"] == "3/4"
+        assert [s.components for s in class_stats(c)] == [1, 1]
+
+
 class TestMetrics:
     def test_rainbow_triangle(self):
         c = make(3, 3, 2, (0, 1, 2))
@@ -216,6 +240,17 @@ class TestValidation:
             HypergraphShape(3, 4)  # r > n
         with pytest.raises(FractureError):
             HypergraphShape(4, 1)  # r too small
+        with pytest.raises(FractureError):
+            HypergraphShape(10**7, 5 * 10**6)  # far too many edges to color
+
+    def test_bipartite_checks(self):
+        for n in (0, -1):
+            with pytest.raises(FractureError):
+                BipartiteShape(n)
+        with pytest.raises(FractureError):
+            Coloring(BipartiteShape(2), 5, (0, 1, 2, 3))  # k above n^2
+        with pytest.raises(FractureError):
+            Coloring(BipartiteShape(2), 2, (0, 1, 1))  # wrong length
 
     def test_relabel_canonical(self):
         colors = (2, 2, 1, 1, 0, 2)
@@ -258,6 +293,14 @@ class TestSerialization:
         c = make(3, 3, 2, (0, 0, 2))  # color 1 unused
         rep = report_dict(c)
         assert [p["color"] for p in rep["per_class"]] == [0, 2]
+
+    def test_bipartite_dict_roundtrip(self):
+        c = Coloring(BipartiteShape(3), 2, (0, 1, 1, 1, 0, 1, 1, 1, 0))
+        d = coloring_to_dict(c)
+        assert d == {"n": 3, "r": 2, "k": 2, "bipartite": True, "colors": list(c.assignment)}
+        assert c.to_dict() == d
+        assert coloring_from_dict(d) == c
+        assert "bipartite" not in make(3, 3, 2, (0, 1, 2)).to_dict()
 
     def test_fraction_strings(self):
         assert fraction_str(Fraction(2, 3)) == "2/3"

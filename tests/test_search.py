@@ -110,7 +110,7 @@ NODE_PINS = [
     ("z", 6, 4, None, Fraction(2, 3), True, 2469,
      (0, 0, 0, 0, 0, 0, 1, 1, 1, 2, 2, 3, 3, 2, 2)),
     ("z", 3, 3, None, Fraction(2, 3), True, 0, (0, 1, 2)),
-    ("f", 8, 4, 2000, 2, False, 2010,
+    ("f", 8, 4, 2000, 2, False, 1995,
      (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 1, 0)),
 ]
 
@@ -121,6 +121,20 @@ def test_node_for_node(kind, n, k, budget, value, exhausted, nodes, witness):
     res = search(n, k, options=SearchOptions(node_budget=budget))
     assert (res.value, res.exhausted, res.nodes) == (value, exhausted, nodes)
     assert res.witness.assignment == witness
+
+
+@pytest.mark.parametrize(
+    "kind,n,k,r", [("f", 7, 3, 2), ("f", 8, 4, 2), ("z", 6, 4, 2), ("f", 6, 3, 3), ("z", 7, 5, 2)]
+)
+@pytest.mark.parametrize("budget", [333, 1000, 2500])
+def test_nodes_never_exceed_budget(kind, n, k, r, budget):
+    # the node that would pass the budget is neither explored nor counted
+    search = exact_f if kind == "f" else exact_z
+    try:
+        res = search(n, k, r, SearchOptions(node_budget=budget))
+    except SearchBudgetError:
+        return
+    assert res.nodes <= budget
 
 
 class TestVerifier:
