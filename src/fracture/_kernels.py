@@ -10,6 +10,14 @@ Kernel state is flat int64 arrays.  Union-find is by size with no path
 compression so every merge is a single reversible write; an undo log of
 (kind, color, a, b) records rewinds one edge assignment exactly.
 
+numba compiles the functions below on numpy arrays.  The pure-Python
+backend runs the same code objects with np bound to _ListNumpy, whose
+int64, full, zeros and empty give Python ints and lists, and with every
+read-only array argument passed as a list: indexing an ndarray from the
+interpreter boxes a fresh np.int64 on every read and every += 1, and the
+same search on lists runs about five times as many nodes per second.
+Arguments named *_out stay ndarrays, written element by element.
+
 One search kernel serves f and z, and scores both so that higher is
 better: f is the minimum component count over used colors, z is minus
 the maximum incident-vertex count.  Its edge-apply and undo blocks are
@@ -21,7 +29,9 @@ wrong counts, and flat bodies compile the same as they interpret.
 
 from __future__ import annotations
 
+import functools
 import os
+import types
 
 import numpy as np
 
@@ -69,7 +79,7 @@ def _search_impl(minimize_z, n, r, k, m, edges_flat, prefix, budget, cap, witnes
     found = np.int64(0)
     exhausted = np.int64(1)
     nodes = np.int64(0)
-    p = prefix.shape[0]
+    p = len(prefix)
 
     depth = 0
     while True:
@@ -235,11 +245,11 @@ def _verify_kler_impl(n, r, k, m, edges_flat, counterexample_out):
             return np.int64(1), checked
 
 
-def _bulk_eval_impl(n, r, k, m, edges_flat, colorings, out):
-    """Row i of out becomes (min components over nonempty classes, max
+def _bulk_eval_impl(n, r, k, m, edges_flat, colorings, rows_out):
+    """Row i of rows_out becomes (min components over nonempty classes, max
     incident count) for colorings[i]."""
     parent = np.empty(n, np.int64)
-    for i in range(colorings.shape[0]):
+    for i in range(len(colorings)):
         assign = colorings[i]
         best_f = np.int64(2**62)
         max_inc = np.int64(0)
@@ -275,13 +285,54 @@ def _bulk_eval_impl(n, r, k, m, edges_flat, colorings, out):
                     best_f = comps
                 if incident > max_inc:
                     max_inc = incident
-        out[i, 0] = best_f
-        out[i, 1] = max_inc
+        rows_out[i, 0] = best_f
+        rows_out[i, 1] = max_inc
 
 
-_PY_IMPLS = {"search": _search_impl, "verify_kler": _verify_kler_impl, "bulk_eval": _bulk_eval_impl}
+class _ListNumpy:
+    """The part of numpy the kernel bodies call, over Python lists and
+    ints: what the interpreted backend binds to the name np."""
 
-IMPLS: dict[str, dict] = {"python": _PY_IMPLS}
+    int64 = int
+
+    @staticmethod
+    def full(size, value, dtype=None):
+        return [value] * size
+
+    @staticmethod
+    def zeros(size, dtype=None):
+        return [0] * size
+
+    @staticmethod
+    def empty(size, dtype=None):
+        return [0] * size
+
+
+def _on_lists(fn):
+    """Run fn's code object with np bound to _ListNumpy, on lists.
+
+    Every ndarray argument whose parameter name does not end in _out is
+    passed as a (nested) list; _out arrays stay numpy, since the kernels
+    write them only on an improvement or once per row.
+    """
+    code = fn.__code__
+    body = types.FunctionType(code, {**fn.__globals__, "np": _ListNumpy})
+    writes = tuple(name.endswith("_out") for name in code.co_varnames[: code.co_argcount])
+
+    @functools.wraps(fn)
+    def run(*args):
+        args = [
+            a.tolist() if isinstance(a, np.ndarray) and not out else a
+            for a, out in zip(args, writes, strict=True)
+        ]
+        return body(*args)
+
+    return run
+
+
+_SOURCES = {"search": _search_impl, "verify_kler": _verify_kler_impl, "bulk_eval": _bulk_eval_impl}
+
+IMPLS: dict[str, dict] = {"python": {name: _on_lists(fn) for name, fn in _SOURCES.items()}}
 
 try:
     from numba import njit as _njit
@@ -290,7 +341,7 @@ except ImportError:
 
 if _njit is not None:
     _jit = _njit(cache=True, nogil=True)
-    IMPLS["numba"] = {name: _jit(fn) for name, fn in _PY_IMPLS.items()}
+    IMPLS["numba"] = {name: _jit(fn) for name, fn in _SOURCES.items()}
 
 NUMBA_ENABLED = "numba" in IMPLS and os.environ.get("FRACTURE_NUMBA", "1") != "0"
 

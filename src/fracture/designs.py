@@ -363,8 +363,17 @@ class MatchingDecomposition:
     complete: bool
 
     def validate(self) -> None:
+        for name, value in (("n", self.n), ("r", self.r)):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise FractureError(f"{name} must be an integer, got {value!r}")
+        if not 1 <= self.r <= self.n:
+            raise FractureError(f"need 1 <= r <= n, got n={self.n}, r={self.r}")
         seen: set[tuple[int, ...]] = set()
         for factor in self.factors:
+            if len(factor) != self.n // self.r:
+                raise FractureError(
+                    f"factor has {len(factor)} edges, a maximum matching has {self.n // self.r}"
+                )
             used: set[int] = set()
             for e in factor:
                 if len(e) != self.r or list(e) != sorted(set(e)):

@@ -5,7 +5,10 @@ in first-use order) and split the tree at a fixed depth into prefix
 subtrees.  Each subtree gets an equal share of the node budget and runs
 independently, so the merged result is identical whether subtrees run on
 one thread or many; the thread count is a throughput knob, never a
-semantics knob.  FRACTURE_THREADS overrides the thread hint.
+semantics knob.  FRACTURE_THREADS overrides the thread hint.  The count
+is honoured only by a backend that releases the GIL (numba); the
+interpreted kernels run their subtrees serially, since threads would
+only contend for the lock.
 
 exact_f and exact_z share one driver and one kernel; they differ only in
 the objective flag passed down and in how the best score is turned into
@@ -96,9 +99,11 @@ def _canonical_prefixes(k: int, depth: int) -> list[tuple[int, ...]]:
 
 
 def _run_subtrees(kernel, all_args, threads):
-    """Run one kernel call per prepared argument tuple, optionally on a
-    thread pool; results come back indexed so merge order is fixed."""
-    if threads <= 1 or len(all_args) <= 1:
+    """Run one kernel call per prepared argument tuple, on a thread pool
+    only when the active backend releases the GIL (the numba kernels are
+    nogil; interpreted subtrees only contend for the lock); results come
+    back indexed so merge order is fixed."""
+    if threads <= 1 or len(all_args) <= 1 or not _kernels.NUMBA_ENABLED:
         return [kernel(*a) for a in all_args]
     results = [None] * len(all_args)
     with ThreadPoolExecutor(max_workers=min(threads, len(all_args))) as pool:
@@ -123,14 +128,19 @@ def _exact(n: int, k: int, r: int, options: SearchOptions | None, minimize_z: bo
     m = shape.edge_count
     if not 1 <= k <= m:
         raise FractureError(f"need 1 <= k <= {m}, got k={k}")
+    depth = min(m, _PREFIX_DEPTH)
+    prefixes = _canonical_prefixes(k, depth)
+    total_budget = _UNLIMITED if options is None or options.node_budget is None else options.node_budget
+    per_budget = max(1, total_budget // len(prefixes)) if total_budget < _UNLIMITED else _UNLIMITED
+    if per_budget < m - depth:
+        # a leaf lies m - depth nodes below every prefix: fail before the
+        # edge table is built, which a hopeless budget on a huge n would pay for
+        raise SearchBudgetError("search found no leaf; budget too small")
     if minimize_z:
         cap = -r
     else:
         cap = min(n // r, int(f_upper_counting(n, k, r).value))
     ef = _edges_flat(shape)
-    prefixes = _canonical_prefixes(k, min(m, _PREFIX_DEPTH))
-    total_budget = _UNLIMITED if options is None or options.node_budget is None else options.node_budget
-    per_budget = max(1, total_budget // len(prefixes)) if total_budget < _UNLIMITED else _UNLIMITED
     witnesses = [np.full(m, -1, dtype=np.int64) for _ in prefixes]
     all_args = [
         (minimize_z, n, r, k, m, ef, np.array(p, dtype=np.int64), per_budget, cap, witnesses[i])

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import oracles
+from fracture import _kernels
 from fracture import (
     SearchOptions,
     affine_plane,
@@ -438,7 +439,9 @@ def test_criterion_13_bipartite_transfer(pass1):
     assert timings["c13"] < 30
 
 
-def test_criterion_14_byte_identical_runs(pass1):
+def test_criterion_14_byte_identical_runs(pass1, monkeypatch):
+    # pool the subtrees as the GIL-free backend does, on whichever kernel is active
+    monkeypatch.setattr(_kernels, "NUMBA_ENABLED", True)
     first, _ = pass1
     blobs = [json.dumps(first, sort_keys=True)]
     for hint in [4, 4, 1]:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracture import BipartiteShape, Coloring, base_registry, bipartite_from_clique, report_dict
+from fracture import search as search_mod
 from fracture.cli import main
 
 
@@ -222,6 +223,16 @@ class TestSearchCommand:
         assert code == 3 and captured.out == ""
         assert captured.err == "error: search found no leaf; budget too small\n"
 
+    def test_hopeless_budget_fails_before_edge_table(self, capsys, monkeypatch):
+        def no_table(shape):
+            raise AssertionError(f"edge table built for {shape}")
+
+        monkeypatch.setattr(search_mod, "_edges_flat", no_table)
+        code = main(["search", "f", "--n", "100000", "--k", "3", "--budget", "10"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == "error: search found no leaf; budget too small\n"
+
     def test_improve(self, capsys):
         code, data = run_json(
             capsys, "search", "improve", "--n", "6", "--k", "3", "--restarts", "5"
@@ -301,6 +312,21 @@ class TestVerifyRejections:
         _, text = run(capsys, "designs", "one-factorization", "--n", "6")
         data = json.loads(text)
         data["factors"][0][0][0] = data["factors"][0][0][1]
+        code, verdict = self.write_and_verify(capsys, tmp_path, data)
+        assert code == 4 and verdict["valid"] is False
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"factors": [[[0, 1]]], "n": 10, "r": 2},
+            {"factors": [[[0, 1], [2, 3]]], "n": 4.5, "r": 2},
+            {"factors": [[[0, 1], [2, 3]]], "n": 4.0, "r": 2},
+            {"factors": [[[0], [1]]], "n": 2, "r": True},
+            {"factors": [], "n": 4, "r": 0},
+        ],
+        ids=["not-maximum", "float-n", "integral-float-n", "bool-r", "zero-r"],
+    )
+    def test_rejects_non_maximum_factors(self, capsys, tmp_path, data):
         code, verdict = self.write_and_verify(capsys, tmp_path, data)
         assert code == 4 and verdict["valid"] is False
 

@@ -1,5 +1,8 @@
-"""The jitted kernels must agree with the pure-python reference exactly:
-same values, same node counts, same witnesses, bit for bit."""
+"""Both executions of the one kernel source must agree exactly: same
+values, same node counts, same witnesses, bit for bit.  The pure-Python
+backend runs the code objects on lists and ints; the raw functions
+called on numpy int64 arrays are what numba compiles, and the jitted
+kernels are compared against the pure-Python ones where numba imports."""
 
 import math
 
@@ -13,9 +16,7 @@ from fracture.search import _edges_flat
 
 HAVE_NUMBA = "numba" in _kernels.IMPLS
 
-pytestmark = pytest.mark.skipif(
-    not HAVE_NUMBA, reason="numba backend not importable here"
-)
+needs_numba = pytest.mark.skipif(not HAVE_NUMBA, reason="numba backend not importable here")
 
 
 def edges_flat(n, r):
@@ -33,6 +34,7 @@ def run_both(kernel_name, *args):
 SEARCH_CASES = [(4, 2, 2), (4, 3, 2), (5, 2, 2), (5, 3, 2), (4, 2, 3), (5, 3, 3)]
 
 
+@needs_numba
 class TestSearchKernels:
     @pytest.mark.parametrize("n,k,r", SEARCH_CASES)
     def test_search_f_identical(self, n, k, r):
@@ -86,6 +88,7 @@ class TestSearchKernels:
             np.testing.assert_array_equal(a1[-1], a2[-1])
 
 
+@needs_numba
 class TestEvalKernels:
     def test_bulk_eval_identical_and_correct(self):
         rng = np.random.default_rng(7)
@@ -116,7 +119,54 @@ class TestEvalKernels:
             assert res_py[1] == k**m
 
 
+PARITY_SHAPES = [
+    (n, r, k) for r in (2, 3) for n in range(r, 7) for k in range(1, min(4, math.comb(n, r)) + 1)
+]
+
+
+class TestListBackendParity:
+    """IMPLS["python"] (lists and ints) against the raw kernel functions
+    on numpy arrays."""
+
+    @pytest.mark.parametrize("n,r,k", PARITY_SHAPES)
+    @pytest.mark.parametrize("minimize_z", [False, True], ids=["f", "z"])
+    def test_search(self, n, r, k, minimize_z):
+        m = math.comb(n, r)
+        flat = edges_flat(n, r)
+        cap = -r if minimize_z else n // r
+        for prefix, budget in [((), 2**62), ((), 50), ((0,), 7)]:
+            outs = []
+            for fn in (_kernels.IMPLS["python"]["search"], _kernels._search_impl):
+                wit = np.full(m, -1, dtype=np.int64)
+                got = fn(minimize_z, n, r, k, m, flat, np.array(prefix, dtype=np.int64), budget, cap, wit)
+                outs.append((tuple(int(x) for x in got), wit.tolist()))
+            assert outs[0] == outs[1], (prefix, budget)
+
+    @pytest.mark.parametrize("n,r,k", [(4, 2, 2), (5, 2, 2), (4, 3, 3), (5, 3, 2)])
+    def test_verify_kler(self, n, r, k):
+        m = math.comb(n, r)
+        flat = edges_flat(n, r)
+        outs = []
+        for fn in (_kernels.IMPLS["python"]["verify_kler"], _kernels._verify_kler_impl):
+            cx = np.full(m, -1, dtype=np.int64)
+            got = fn(n, r, k, m, flat, cx)
+            outs.append((tuple(int(x) for x in got), cx.tolist()))
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("n,r,k", [(5, 3, 2), (6, 4, 2), (6, 5, 3)])
+    def test_bulk_eval(self, n, r, k):
+        m = math.comb(n, r)
+        flat = edges_flat(n, r)
+        colorings = np.random.default_rng(n * 100 + k).integers(0, k, size=(40, m)).astype(np.int64)
+        rows = []
+        for fn in (_kernels.IMPLS["python"]["bulk_eval"], _kernels._bulk_eval_impl):
+            out = np.zeros((40, 2), dtype=np.int64)
+            fn(n, r, k, m, flat, colorings, out)
+            rows.append(out)
+        np.testing.assert_array_equal(rows[0], rows[1])
+
+
 class TestBackendFlag:
     def test_active_points_at_known_backend(self):
         assert _kernels.ACTIVE in _kernels.IMPLS.values()
-        assert _kernels.NUMBA_ENABLED == (_kernels.ACTIVE is _kernels.IMPLS["numba"])
+        assert _kernels.NUMBA_ENABLED == (_kernels.ACTIVE is _kernels.IMPLS.get("numba"))

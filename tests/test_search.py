@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 import oracles
+from fracture import _kernels
+from fracture import search as search_mod
 from fracture import (
     FractureError,
     SearchBudgetError,
@@ -46,7 +48,9 @@ class TestExactF:
         res = exact_f(4, 3, 2)
         assert res.witness.assignment == (0, 1, 2, 2, 1, 0)
 
-    def test_determinism_across_threads(self):
+    def test_determinism_across_threads(self, monkeypatch):
+        # pool subtrees as the GIL-free backend does, on the interpreted kernel
+        monkeypatch.setattr(_kernels, "NUMBA_ENABLED", True)
         base = exact_f(5, 3, 2, SearchOptions(thread_hint=1))
         for hint in [2, 4]:
             again = exact_f(5, 3, 2, SearchOptions(thread_hint=hint))
@@ -63,6 +67,16 @@ class TestExactF:
     def test_budget_too_small_raises(self):
         with pytest.raises(SearchBudgetError):
             exact_f(6, 3, 2, SearchOptions(node_budget=4))
+
+    def test_interpreted_subtrees_stay_serial(self, monkeypatch):
+        # the interpreted kernel holds the GIL, so a pool would only add contention
+        monkeypatch.setattr(_kernels, "NUMBA_ENABLED", False)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("thread pool used by a GIL-bound backend")
+
+        monkeypatch.setattr(search_mod, "ThreadPoolExecutor", no_pool)
+        assert exact_f(5, 3, 2, SearchOptions(thread_hint=4)) == exact_f(5, 3, 2)
 
     def test_bad_k_rejected(self):
         with pytest.raises(FractureError):
@@ -92,7 +106,8 @@ class TestExactZ:
         assert res.exhausted
         assert res.value == Fraction(2, 3)
 
-    def test_determinism_across_threads(self):
+    def test_determinism_across_threads(self, monkeypatch):
+        monkeypatch.setattr(_kernels, "NUMBA_ENABLED", True)
         base = exact_z(5, 4, 2, SearchOptions(thread_hint=1))
         again = exact_z(5, 4, 2, SearchOptions(thread_hint=4))
         assert again == base
