@@ -32,6 +32,7 @@ from .core import (
     FractureError,
     HypergraphShape,
     all_edges,
+    check_desk_edges,
     class_stats,
     edge_rank,
     edge_table,
@@ -533,8 +534,7 @@ def coloring_equitable(n: int, r: int, k: int) -> Coloring:
     moves until sizes are within one of each other.
     """
     m = comb(n, r)
-    if m > 2000:
-        raise FractureError(f"C({n},{r})={m} above desk cap 2000")
+    check_desk_edges(n, r, m)
     need = m - comb(n - r, r)
     if k < need:
         raise FractureError(f"need k >= {need}, got k={k}")

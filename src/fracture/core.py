@@ -40,6 +40,16 @@ class FractureError(Exception):
     """Base error for invalid shapes, colorings, or desk-size caps."""
 
 
+DESK_EDGE_CAP = 2000
+
+
+def check_desk_edges(n: int, r: int, m: int) -> None:
+    """Refuse a host whose C(n, r) = m edges exceed DESK_EDGE_CAP, before
+    a tool that walks or allocates per edge starts on it."""
+    if m > DESK_EDGE_CAP:
+        raise FractureError(f"C({n},{r})={m} above desk cap {DESK_EDGE_CAP}")
+
+
 @dataclass(frozen=True)
 class HypergraphShape:
     """Shape (n, r) of a complete r-uniform hypergraph."""

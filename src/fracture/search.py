@@ -1,8 +1,21 @@
 """Exact optimization drivers over the kernel layer.
 
 The exhaustive searches enumerate colorings canonically (colors appear
-in first-use order) and split the tree at a fixed depth into prefix
-subtrees.  Each subtree gets an equal share of the node budget and runs
+in first-use order) and split the tree after the first r + 1 colex
+ranks, which are the edges of K_{r+1}^r on {0, ..., r}.  A permutation
+of those r + 1 vertices that fixes the rest maps these edges onto
+themselves in any order wanted, and neither it nor a relabelling of
+colors changes f or z.  So one prefix per S_{r+1} x S_k
+orbit is searched: 0^a 1^b 2^c ... for each partition a >= b >= c ...
+of r + 1 into at most k parts, 3 subtrees for graphs (McKay's
+isomorph rejection, J. Algorithms 1998).  The lexicographically
+smallest optimal coloring has the smallest prefix in its orbit, or
+relabelling it would give a smaller one, so the witness is the one an
+unsplit search returns.  The split stops at K_{r+1}^r because every
+subtree starts its incumbent from zero: splitting exact_f(9, 5) at K_4
+into 24 orbit subtrees took 327,435 nodes against 45,277 at K_3.
+
+Each subtree gets an equal share of the node budget and runs
 independently, so the merged result is identical whether subtrees run on
 one thread or many; the thread count is a throughput knob, never a
 semantics knob.  FRACTURE_THREADS overrides the thread hint.  The count
@@ -12,7 +25,8 @@ only contend for the lock.
 
 exact_f and exact_z share one driver and one kernel; they differ only in
 the objective flag passed down and in how the best score is turned into
-a value.  A budget too small to reach any leaf raises SearchBudgetError.
+a value.  A budget too small to reach any leaf raises SearchBudgetError,
+and a host with more than DESK_EDGE_CAP edges raises FractureError.
 """
 
 from __future__ import annotations
@@ -30,6 +44,7 @@ from .core import (
     Coloring,
     FractureError,
     HypergraphShape,
+    check_desk_edges,
     class_stats,
     edge_table,
     f_value,
@@ -37,7 +52,6 @@ from .core import (
 )
 
 _UNLIMITED = 2**62
-_PREFIX_DEPTH = 4
 
 
 @dataclass(frozen=True)
@@ -81,21 +95,25 @@ def _edges_flat(shape: HypergraphShape) -> np.ndarray:
     return np.array(edge_table(shape.n, shape.r), dtype=np.int64).reshape(-1)
 
 
-def _canonical_prefixes(k: int, depth: int) -> list[tuple[int, ...]]:
-    """All first-use-canonical color tuples of the given length."""
+def _orbit_prefixes(k: int, depth: int) -> list[tuple[int, ...]]:
+    """The smallest first-use-canonical coloring in each orbit of colorings
+    of depth interchangeable edges under edge permutations and color
+    relabellings: 0^a 1^b ... for each partition a >= b >= ... of depth
+    into at most k parts, in lexicographic order so the merge's
+    first-index tie-break keeps the smallest witness."""
     out: list[tuple[int, ...]] = []
 
-    def rec(prefix: list[int], u: int) -> None:
-        if len(prefix) == depth:
-            out.append(tuple(prefix))
+    def rec(parts: list[int], left: int) -> None:
+        if left == 0:
+            out.append(tuple(c for c, part in enumerate(parts) for _ in range(part)))
             return
-        for c in range(min(u, k - 1) + 1):
-            prefix.append(c)
-            rec(prefix, u + 1 if c == u else u)
-            prefix.pop()
+        if len(parts) == k:
+            return
+        for part in range(min(left, parts[-1] if parts else left), 0, -1):
+            rec(parts + [part], left - part)
 
-    rec([], 0)
-    return out
+    rec([], depth)
+    return sorted(out)
 
 
 def _run_subtrees(kernel, all_args, threads):
@@ -128,14 +146,15 @@ def _exact(n: int, k: int, r: int, options: SearchOptions | None, minimize_z: bo
     m = shape.edge_count
     if not 1 <= k <= m:
         raise FractureError(f"need 1 <= k <= {m}, got k={k}")
-    depth = min(m, _PREFIX_DEPTH)
-    prefixes = _canonical_prefixes(k, depth)
+    depth = min(m, r + 1)
+    prefixes = _orbit_prefixes(k, depth)
     total_budget = _UNLIMITED if options is None or options.node_budget is None else options.node_budget
     per_budget = max(1, total_budget // len(prefixes)) if total_budget < _UNLIMITED else _UNLIMITED
     if per_budget < m - depth:
         # a leaf lies m - depth nodes below every prefix: fail before the
         # edge table is built, which a hopeless budget on a huge n would pay for
         raise SearchBudgetError("search found no leaf; budget too small")
+    check_desk_edges(n, r, m)
     if minimize_z:
         cap = -r
     else:
@@ -245,6 +264,7 @@ def randomized_improve(
     m = shape.edge_count
     if not 1 <= k <= m:
         raise FractureError(f"need 1 <= k <= {m}, got k={k}")
+    check_desk_edges(n, r, m)
     rng = np.random.Generator(np.random.PCG64(seed))
     best_obj = (-1, -1)
     best_assign: tuple[int, ...] | None = None

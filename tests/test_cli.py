@@ -212,7 +212,7 @@ class TestSearchCommand:
 
     def test_budget_exit_3(self, capsys):
         code, data = run_json(
-            capsys, "search", "f", "--n", "6", "--k", "3", "--budget", "500"
+            capsys, "search", "f", "--n", "6", "--k", "3", "--budget", "100"
         )
         assert code == 3
         assert data["exhausted"] is False
@@ -232,6 +232,18 @@ class TestSearchCommand:
         captured = capsys.readouterr()
         assert code == 3 and captured.out == ""
         assert captured.err == "error: search found no leaf; budget too small\n"
+
+    @pytest.mark.parametrize("mode", ["f", "z", "improve"])
+    def test_above_desk_cap_exits_2_before_edge_table(self, capsys, monkeypatch, mode):
+        def no_work(arg):
+            raise AssertionError(f"per-edge work started on {arg}")
+
+        monkeypatch.setattr(search_mod, "_edges_flat", no_work)
+        monkeypatch.setattr(search_mod, "_objective", no_work)
+        code = main(["search", mode, "--n", "100000", "--k", "3"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: C(100000,2)=4999950000 above desk cap 2000\n"
 
     def test_improve(self, capsys):
         code, data = run_json(

@@ -1,6 +1,7 @@
 """Exact searches checked against raw enumeration on instances small
 enough to enumerate every coloring."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -19,11 +20,14 @@ from fracture import (
     exact_z,
     f_value,
     randomized_improve,
+    relabel_canonical,
     verify_k_le_r,
     z_value,
 )
 
-ORACLE_CASES = [(3, 2, 2), (3, 3, 2), (4, 2, 2), (4, 3, 2), (4, 2, 3), (5, 2, 4)]
+ORACLE_CASES = [
+    (3, 2, 2), (3, 3, 2), (4, 2, 2), (4, 3, 2), (4, 4, 2), (4, 2, 3), (4, 4, 3), (5, 2, 4)
+]
 
 
 class TestExactF:
@@ -113,19 +117,53 @@ class TestExactZ:
         assert again == base
 
 
+class TestOrbitPrefixes:
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
+    def test_one_smallest_prefix_per_orbit(self, r):
+        # K_{r+1}^r under every vertex permutation, colors read in first-use order
+        edges = oracles.colex_edges(r + 1, r)
+        rank = {e: i for i, e in enumerate(edges)}
+        moves = [
+            [rank[tuple(sorted(sigma[v] for v in e))] for e in edges]
+            for sigma in itertools.permutations(range(r + 1))
+        ]
+
+        def orbit_min(colors):
+            # moves is a group, so reading colors through each move covers the orbit
+            return min(relabel_canonical([colors[j] for j in move]) for move in moves)
+
+        canonical = {
+            relabel_canonical(colors)
+            for colors in itertools.product(range(r + 1), repeat=r + 1)
+        }
+        orbit_of = {colors: orbit_min(colors) for colors in canonical}
+        for k in range(1, 8):
+            listed = search_mod._orbit_prefixes(k, r + 1)
+            assert listed == sorted(listed)
+            assert all(orbit_of[p] == p for p in listed)
+            for colors, least in orbit_of.items():
+                if max(colors) < k:
+                    assert listed.count(least) == 1, (k, colors)
+
+    def test_single_edge_host(self):
+        assert search_mod._orbit_prefixes(3, 1) == [(0,)]
+        res = exact_f(3, 1, 3)
+        assert (res.value, res.exhausted, res.nodes) == (1, True, 0)
+
+
 # (objective, n, k, node budget, value, exhausted, nodes, witness): the search
 # must give exactly these until the enumeration order or a prune rule changes
 NODE_PINS = [
-    ("f", 6, 3, None, 2, True, 1057, (0, 0, 0, 0, 0, 0, 1, 1, 1, 2, 2, 2, 2, 1, 0)),
-    ("f", 7, 3, None, 2, True, 1117,
+    ("f", 6, 3, None, 2, True, 168, (0, 0, 0, 0, 0, 0, 1, 1, 1, 2, 2, 2, 2, 1, 0)),
+    ("f", 7, 3, None, 2, True, 234,
      (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 2, 1, 0)),
-    ("f", 7, 4, None, 2, True, 1463,
+    ("f", 7, 4, None, 2, True, 274,
      (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 2, 1, 0)),
-    ("z", 5, 4, None, Fraction(3, 5), True, 690, (0, 0, 0, 1, 1, 2, 3, 3, 2, 2)),
-    ("z", 6, 4, None, Fraction(2, 3), True, 2469,
+    ("z", 5, 4, None, Fraction(3, 5), True, 159, (0, 0, 0, 1, 1, 2, 3, 3, 2, 2)),
+    ("z", 6, 4, None, Fraction(2, 3), True, 1168,
      (0, 0, 0, 0, 0, 0, 1, 1, 1, 2, 2, 3, 3, 2, 2)),
     ("z", 3, 3, None, Fraction(2, 3), True, 0, (0, 1, 2)),
-    ("f", 8, 4, 2000, 2, False, 1995,
+    ("f", 8, 4, 2000, 2, False, 1998,
      (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 1, 0)),
 ]
 
