@@ -115,18 +115,31 @@ def edge_table(n: int, r: int) -> tuple[tuple[int, ...], ...]:
 
     Built directly in colex order: the j-subsets with largest vertex v are
     the (j-1)-subsets of range(v), which are the first C(v, j-1) entries
-    of the (j-1)-level, each extended by v.  The cache holds the last
+    of the (j-1)-level, each extended by v.  For 2r > n the table is the
+    complements of the (n - r)-level read backwards (S precedes T in
+    colex order exactly when the complement of T precedes that of S), so
+    no level wider than C(n, r) is built.  The cache holds the last
     shape only, so a long-lived process keeps at most one table.
     """
     shape = HypergraphShape(n, r)
-    level: list[tuple[int, ...]] = [(v,) for v in range(shape.n)]
-    for j in range(2, shape.r + 1):
+    if 2 * shape.r <= shape.n:
+        return tuple(_colex_level(shape.n, shape.r))
+    holes = _colex_level(shape.n, shape.n - shape.r)
+    return tuple(
+        tuple(v for v in range(shape.n) if v not in hole) for hole in reversed(holes)
+    )
+
+
+def _colex_level(n: int, j: int) -> list[tuple[int, ...]]:
+    """All j-subsets of range(n) in colex order, for 0 <= j <= n."""
+    level: list[tuple[int, ...]] = [()]
+    for i in range(1, j + 1):
         level = [
             prefix + (top,)
-            for top in range(j - 1, shape.n)
-            for prefix in level[: comb(top, j - 1)]
+            for top in range(i - 1, n)
+            for prefix in level[: comb(top, i - 1)]
         ]
-    return tuple(level)
+    return level
 
 
 def edge_rank(vertices: Sequence[int], shape: HypergraphShape) -> int:

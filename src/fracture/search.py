@@ -13,7 +13,13 @@ smallest optimal coloring has the smallest prefix in its orbit, or
 relabelling it would give a smaller one, so the witness is the one an
 unsplit search returns.  The split stops at K_{r+1}^r because every
 subtree starts its incumbent from zero: splitting exact_f(9, 5) at K_4
-into 24 orbit subtrees took 327,435 nodes against 45,277 at K_3.
+into 24 orbit subtrees took 327,435 nodes against 45,277 at K_3.  It
+also stops after _MAX_SPLIT_DEPTH edges, at most p(9) = 30 subtrees:
+any d <= r + 1 of those edges are still interchangeable (permute the
+vertices they omit), and without the bound r = 100 would list p(101),
+about 2e8, prefixes.  Within K_{r+1}^r a deeper split pays on z:
+exact_z(8, 6, 6) takes 572,704 nodes split at 7 edges against
+2,455,303 at 5.
 
 Each subtree gets an equal share of the node budget and runs
 independently, so the merged result is identical whether subtrees run on
@@ -52,6 +58,7 @@ from .core import (
 )
 
 _UNLIMITED = 2**62
+_MAX_SPLIT_DEPTH = 9
 
 
 @dataclass(frozen=True)
@@ -146,7 +153,7 @@ def _exact(n: int, k: int, r: int, options: SearchOptions | None, minimize_z: bo
     m = shape.edge_count
     if not 1 <= k <= m:
         raise FractureError(f"need 1 <= k <= {m}, got k={k}")
-    depth = min(m, r + 1)
+    depth = min(m, r + 1, _MAX_SPLIT_DEPTH)
     prefixes = _orbit_prefixes(k, depth)
     total_budget = _UNLIMITED if options is None or options.node_budget is None else options.node_budget
     per_budget = max(1, total_budget // len(prefixes)) if total_budget < _UNLIMITED else _UNLIMITED

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracture import BipartiteShape, Coloring, base_registry, bipartite_from_clique, report_dict
+from fracture import core
 from fracture import search as search_mod
 from fracture.cli import main
 
@@ -216,6 +217,30 @@ class TestSearchCommand:
         )
         assert code == 3
         assert data["exhausted"] is False
+
+    def test_wide_edges_return_at_once(self, capsys, monkeypatch):
+        # n = r + 1: listing all p(101) orbit prefixes, or passing through the
+        # C(101, 50) subset level, would not fit in memory; fail fast instead
+        listed, level = search_mod._orbit_prefixes, core._colex_level
+
+        def few_prefixes(k, depth):
+            assert depth <= 9, "split depth unbounded"
+            return listed(k, depth)
+
+        def narrow_level(n, j):
+            assert j <= 1, f"built the {j}-subset level of range({n})"
+            return level(n, j)
+
+        monkeypatch.setattr(search_mod, "_orbit_prefixes", few_prefixes)
+        monkeypatch.setattr(core, "_colex_level", narrow_level)
+        argv = ["search", "f", "--n", "101", "--r", "100", "--k", "101"]
+        code, data = run_json(capsys, *argv)
+        assert code == 0
+        assert data["value"] == 1 and data["exhausted"] is True
+        code = main(argv + ["--budget", "1000"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == "error: search found no leaf; budget too small\n"
 
     def test_budget_too_small_exit_3(self, capsys):
         code = main(["search", "f", "--n", "6", "--k", "3", "--budget", "1"])

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from fracture import constructions
+from fracture import constructions, core
 from fracture.search import _edges_flat
 from fracture import (
     BipartiteShape,
@@ -87,7 +87,7 @@ class TestEdgeRanking:
 
 
 class TestEdgeTable:
-    SHAPES = [(n, r) for n in range(2, 10) for r in range(2, min(n, 4) + 1)]
+    SHAPES = [(n, r) for n in range(2, 10) for r in range(2, n + 1)]
 
     @pytest.mark.parametrize("n,r", SHAPES)
     def test_table_is_colex_rank_order(self, n, r):
@@ -103,6 +103,21 @@ class TestEdgeTable:
     def test_flat_kernel_array_follows_table(self, n, r):
         flat = _edges_flat(HypergraphShape(n, r))
         assert flat.tolist() == [v for e in oracles.colex_edges(n, r) for v in e]
+
+    def test_wide_edges_built_from_complements(self, monkeypatch):
+        # the direct build would pass through the C(101, 50) level
+        level = core._colex_level
+
+        def narrow_level(n, j):
+            assert j <= 1, f"built the {j}-subset level of range({n})"
+            return level(n, j)
+
+        monkeypatch.setattr(core, "_colex_level", narrow_level)
+        edge_table.cache_clear()
+        table = edge_table(101, 100)
+        assert table == tuple(
+            tuple(v for v in range(101) if v != 100 - i) for i in range(101)
+        )
 
     def test_cache_is_bounded(self):
         maxsize = edge_table.cache_info().maxsize

@@ -150,6 +150,28 @@ class TestOrbitPrefixes:
         res = exact_f(3, 1, 3)
         assert (res.value, res.exhausted, res.nodes) == (1, True, 0)
 
+    def test_split_depth_is_bounded(self, monkeypatch):
+        # n = r + 1 is a single K_{r+1}^r: splitting at all of it would list
+        # p(101), about 2e8, prefixes before any node is searched
+        depths = []
+        listed = search_mod._orbit_prefixes
+
+        def recorded(k, depth):
+            depths.append(depth)
+            assert depth <= 9, "split depth unbounded"
+            return listed(k, depth)
+
+        monkeypatch.setattr(search_mod, "_orbit_prefixes", recorded)
+        res = exact_f(101, 101, 100)
+        budgeted = exact_f(101, 101, 100, SearchOptions(node_budget=5000))
+        with pytest.raises(SearchBudgetError):
+            # 30 subtrees share the budget, 33 nodes each, and a leaf lies 92 deep
+            exact_f(101, 101, 100, SearchOptions(node_budget=1000))
+        assert depths == [9, 9, 9]
+        assert (res.value, res.exhausted) == (1, True)
+        assert (budgeted.value, budgeted.exhausted) == (1, True)
+        assert budgeted.nodes <= 5000
+
 
 # (objective, n, k, node budget, value, exhausted, nodes, witness): the search
 # must give exactly these until the enumeration order or a prune rule changes
