@@ -24,7 +24,9 @@ the maximum incident-vertex count.  Its edge-apply and undo blocks are
 each written once, forced prefix edges included, and inlined rather
 than factored into inner functions: the jit compiler mishandles
 branching closures that mutate enclosing state, producing silently
-wrong counts, and flat bodies compile the same as they interpret.
+wrong counts, and flat bodies compile the same as they interpret.  The
+k <= r verifier walks colorings the same way, edge by edge with one
+union-find per color, and so carries its own copy of those blocks.
 """
 
 from __future__ import annotations
@@ -52,11 +54,12 @@ def _search_impl(minimize_z, n, r, k, m, edges_flat, prefix, budget, cap, witnes
     copied into witness_out.
 
     cap is a score no coloring can beat (n // r or less for f, -r for
-    z).  Prune: a subtree is cut when its bound is <= best, the bound
-    being the minimum of cap and, over used colors, comp + (n - inc) // r
-    for f (a class ends with at most that many components, and unused
-    colors only pull the minimum down) or -inc for z (incident counts
-    only grow).
+    z).  The search returns at the first leaf that scores cap: nothing
+    later can beat it, so best is proved and exhausted stays 1.  Prune:
+    a subtree is cut when its bound is <= best, the bound being the
+    minimum of cap and, over used colors, comp + (n - inc) // r for f (a
+    class ends with at most that many components, and unused colors only
+    pull the minimum down) or -inc for z (incident counts only grow).
     """
     parent = np.full(k * n, -1, np.int64)
     size = np.zeros(k * n, np.int64)
@@ -99,6 +102,8 @@ def _search_impl(minimize_z, n, r, k, m, edges_flat, prefix, budget, cap, witnes
                 found = 1
                 for i in range(m):
                     witness_out[i] = assign[i]
+                if best >= cap:
+                    break
             if depth == p:
                 break
             depth -= 1
@@ -193,56 +198,110 @@ def _search_impl(minimize_z, n, r, k, m, edges_flat, prefix, budget, cap, witnes
 def _verify_kler_impl(n, r, k, m, edges_flat, counterexample_out):
     """Check that every one of the k^m colorings has a class that is
     connected and touches all n vertices.  Returns (holds, checked); on
-    failure the offending assignment is copied out."""
+    failure the offending assignment is copied out.
+
+    A depth-first walk colors the edges in colex order, trying colors
+    0..k-1 in turn, so leaves come in lexicographic order and checked
+    counts the colorings up to and including the first counterexample.
+    One union-find per color is updated edge by edge and rewound through
+    the same (kind, color, a, b) undo log as the search.  Adding edges
+    never breaks a class that is connected and spans all n vertices, so
+    once the edge just colored makes its class so, every completion
+    below holds: the subtree counts as its k^(m - depth - 1) colorings
+    without being walked.  No class spans on the path to any node the
+    walk visits, so a leaf it reaches is a counterexample.
+    """
+    parent = np.full(k * n, -1, np.int64)
+    size = np.zeros(k * n, np.int64)
+    comp = np.zeros(k, np.int64)
+    inc = np.zeros(k, np.int64)
+
+    log_cap = (m + 1) * (2 * r + 2)
+    log_kind = np.zeros(log_cap, np.int64)
+    log_c = np.zeros(log_cap, np.int64)
+    log_a = np.zeros(log_cap, np.int64)
+    log_b = np.zeros(log_cap, np.int64)
+    log_len = 0
+
+    mark = np.zeros(m + 1, np.int64)
+    cursor = np.zeros(m + 1, np.int64)
     assign = np.zeros(m, np.int64)
-    parent = np.empty(n, np.int64)
+    # weight[i] = k^i, the colorings of i edges still free
+    weight = np.zeros(m + 1, np.int64)
+    weight[0] = 1
+    for i in range(1, m + 1):
+        weight[i] = weight[i - 1] * k
+
     checked = np.int64(0)
+    depth = 0
     while True:
-        good = False
-        for c in range(k):
-            for v in range(n):
-                parent[v] = -1
-            comps = 0
-            incident = 0
-            for e in range(m):
-                if assign[e] != c:
-                    continue
-                base = e * r
-                for j in range(r):
-                    v = edges_flat[base + j]
-                    if parent[v] == -1:
-                        parent[v] = v
-                        comps += 1
-                        incident += 1
-                ra = edges_flat[base]
-                while parent[ra] != ra:
-                    ra = parent[ra]
-                for j in range(1, r):
-                    rb = edges_flat[base + j]
-                    while parent[rb] != rb:
-                        rb = parent[rb]
-                    while parent[ra] != ra:
-                        ra = parent[ra]
-                    if ra != rb:
-                        parent[rb] = ra
-                        comps -= 1
-            if comps == 1 and incident == n:
-                good = True
-                break
-        checked += 1
-        if not good:
+        if depth == m:
+            checked += 1
             for e in range(m):
                 counterexample_out[e] = assign[e]
             return np.int64(0), checked
-        pos = m - 1
-        while pos >= 0:
-            assign[pos] += 1
-            if assign[pos] < k:
-                break
-            assign[pos] = 0
-            pos -= 1
-        if pos < 0:
+        c = cursor[depth]
+        if c < k:
+            cursor[depth] = c + 1
+            mark[depth] = log_len
+            base = depth * r
+            for j in range(r):
+                idx = c * n + edges_flat[base + j]
+                if parent[idx] == -1:
+                    parent[idx] = idx
+                    size[idx] = 1
+                    comp[c] += 1
+                    inc[c] += 1
+                    log_kind[log_len] = 0
+                    log_c[log_len] = c
+                    log_a[log_len] = idx
+                    log_len += 1
+            ra = c * n + edges_flat[base]
+            while parent[ra] != ra:
+                ra = parent[ra]
+            for j in range(1, r):
+                rb = c * n + edges_flat[base + j]
+                while parent[rb] != rb:
+                    rb = parent[rb]
+                while parent[ra] != ra:
+                    ra = parent[ra]
+                if rb != ra:
+                    if size[ra] < size[rb]:
+                        ra, rb = rb, ra
+                    parent[rb] = ra
+                    size[ra] += size[rb]
+                    comp[c] -= 1
+                    log_kind[log_len] = 1
+                    log_c[log_len] = c
+                    log_a[log_len] = rb
+                    log_b[log_len] = ra
+                    log_len += 1
+            assign[depth] = c
+            if comp[c] == 1 and inc[c] == n:
+                checked += weight[m - 1 - depth]
+            else:
+                depth += 1
+                cursor[depth] = 0
+                continue
+        elif depth == 0:
             return np.int64(1), checked
+        else:
+            depth -= 1
+        to_mark = mark[depth]
+        while log_len > to_mark:
+            log_len -= 1
+            uc = log_c[log_len]
+            ua = log_a[log_len]
+            if log_kind[log_len] == 0:
+                parent[ua] = -1
+                size[ua] = 0
+                comp[uc] -= 1
+                inc[uc] -= 1
+            else:
+                ub2 = log_b[log_len]
+                size[ub2] -= size[ua]
+                parent[ua] = ua
+                comp[uc] += 1
 
 
 def _bulk_eval_impl(n, r, k, m, edges_flat, colorings, rows_out):

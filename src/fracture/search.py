@@ -29,6 +29,10 @@ is honoured only by a backend that releases the GIL (numba); the
 interpreted kernels run their subtrees serially, since threads would
 only contend for the lock.
 
+The search stops at its cap, a score no coloring can beat: a subtree
+returns at its first leaf that scores cap, and the merge ends with that
+subtree, since no later one can beat it or win the first-index tie.
+
 exact_f and exact_z share one driver and one kernel; they differ only in
 the objective flag passed down and in how the best score is turned into
 a value.  A budget too small to reach any leaf raises SearchBudgetError,
@@ -126,10 +130,11 @@ def _orbit_prefixes(k: int, depth: int) -> list[tuple[int, ...]]:
 def _run_subtrees(kernel, all_args, threads):
     """Run one kernel call per prepared argument tuple, on a thread pool
     only when the active backend releases the GIL (the numba kernels are
-    nogil; interpreted subtrees only contend for the lock); results come
-    back indexed so merge order is fixed."""
+    nogil; interpreted subtrees only contend for the lock).  Results come
+    back in subtree order so merge order is fixed; serially they come
+    lazily, so a subtree after the merge stops is never run."""
     if threads <= 1 or len(all_args) <= 1 or not _kernels.NUMBA_ENABLED:
-        return [kernel(*a) for a in all_args]
+        return (kernel(*a) for a in all_args)
     results = [None] * len(all_args)
     with ThreadPoolExecutor(max_workers=min(threads, len(all_args))) as pool:
         futures = {pool.submit(kernel, *a): i for i, a in enumerate(all_args)}
@@ -147,7 +152,11 @@ def _exact(n: int, k: int, r: int, options: SearchOptions | None, minimize_z: bo
 
     The kernel scores f as the minimum component count and z as minus
     the maximum incident count, so both are maximized here, and a score
-    equal to cap is optimal without exhausting the tree.
+    equal to cap is optimal without exhausting the tree.  The search
+    stops at its cap: the merge ends at the first subtree that reaches
+    it, and later subtrees are not run (serially) or their results are
+    dropped (on the pool), so values, witnesses and node counts do not
+    depend on the thread count.
     """
     shape = HypergraphShape(n, r)
     m = shape.edge_count
@@ -184,6 +193,9 @@ def _exact(n: int, k: int, r: int, options: SearchOptions | None, minimize_z: bo
         if found and int(val) > best:
             best = int(val)
             best_i = i
+        if best == cap:
+            # no later subtree can beat cap or win the first-index tie
+            break
     if best_i < 0:
         raise SearchBudgetError("search found no leaf; budget too small")
     witness = Coloring(shape, k, tuple(int(x) for x in witnesses[best_i]))
@@ -215,14 +227,19 @@ def exact_z(n: int, k: int, r: int = 2, options: SearchOptions | None = None) ->
 
 
 def verify_k_le_r(n: int, k: int, r: int = 2, limit: int = 10**7) -> ExhaustiveCheck:
-    """Check by raw enumeration that with at most r colors, every
-    coloring has a class that is connected and spans all n vertices.
+    """Check exhaustively that with at most r colors, every coloring has
+    a class that is connected and spans all n vertices.
 
     This is the exhaustive ground truth behind treating f as 1 whenever
-    k <= r; it refuses instances beyond the enumeration cap.
+    k <= r.  The kernel colors edge by edge and counts a whole subtree
+    as checked once a class spans connected, which no further edge can
+    undo; checked is still k^m when the claim holds.  It refuses
+    instances whose k^m exceeds the enumeration cap.
     """
     if k > r:
         raise FractureError(f"claim only holds for k <= r, got k={k} > r={r}")
+    if k < 1:
+        raise FractureError(f"need k >= 1, got k={k}")
     shape = HypergraphShape(n, r)
     m = shape.edge_count
     if k**m > limit:

@@ -86,6 +86,28 @@ def brute_force_min_z(n, k, r):
     return best
 
 
+def first_unspanned(n, k, r, limit=10**6):
+    """Walk every k-coloring in lexicographic order until one has no
+    class that is connected and covers all n vertices.  Returns (holds,
+    checked, counterexample): checked counts the colorings seen, the
+    counterexample included, and the counterexample is None when every
+    coloring has such a class.  Tiny inputs only."""
+    m = len(colex_edges(n, r))
+    checked = 0
+    for colors in product(range(k), repeat=m):
+        checked += 1
+        if checked > limit:
+            raise AssertionError("oracle is exponential; keep it tiny")
+        spanning = False
+        for cls in classes_of(n, r, colors).values():
+            covered = {v for edge in cls for v in edge}
+            if len(covered) == n and components_dfs(n, cls) == 1:
+                spanning = True
+        if not spanning:
+            return False, checked, list(colors)
+    return True, checked, None
+
+
 def subset_coverage(blocks, t):
     """How many blocks contain each t-subset of the points seen."""
     cover = {}

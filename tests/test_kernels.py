@@ -166,6 +166,51 @@ class TestListBackendParity:
         np.testing.assert_array_equal(rows[0], rows[1])
 
 
+# (n, r, k): k > r shapes end at a first counterexample, k <= r shapes hold
+VERIFY_SHAPES = [
+    (3, 2, 3), (4, 2, 3), (5, 2, 3), (4, 2, 4), (5, 2, 4), (4, 3, 4), (5, 3, 4),
+    (3, 2, 2), (4, 2, 2), (5, 2, 2), (4, 3, 2), (4, 3, 3), (5, 3, 2), (5, 4, 3), (5, 4, 4),
+]
+
+
+class TestVerifyKernel:
+    """The pruned walk against lexicographic enumeration: the same
+    verdict, the same count of colorings checked, and the same first
+    counterexample, on every backend."""
+
+    @staticmethod
+    def run_all(n, r, k):
+        m = math.comb(n, r)
+        flat = edges_flat(n, r)
+        kernels = [impl["verify_kler"] for impl in _kernels.IMPLS.values()]
+        outs = []
+        for fn in kernels + [_kernels._verify_kler_impl]:
+            cx = np.full(m, -1, dtype=np.int64)
+            holds, checked = fn(n, r, k, m, flat, cx)
+            outs.append((bool(holds), int(checked), None if holds else cx.tolist()))
+            if holds:
+                assert cx.tolist() == [-1] * m
+        return outs
+
+    @pytest.mark.parametrize("n,r,k", VERIFY_SHAPES)
+    def test_matches_enumeration(self, n, r, k):
+        want = oracles.first_unspanned(n, k, r)
+        assert want[0] == (k <= r)
+        if want[0]:
+            assert want[1] == k ** math.comb(n, r)
+        for got in self.run_all(n, r, k):
+            assert got == want
+
+    def test_pinned_counterexamples(self):
+        assert self.run_all(4, 2, 3)[0] == (False, 15, [0, 0, 0, 1, 1, 2])
+        assert self.run_all(4, 3, 4)[0] == (False, 28, [0, 1, 2, 3])
+        assert self.run_all(5, 2, 3)[0][:2] == (False, 42)
+
+    def test_counts_beyond_enumeration(self):
+        # 2^21 colorings of K_7: every one holds, and all are counted
+        assert self.run_all(7, 2, 2)[0] == (True, 2**21, None)
+
+
 class TestBackendFlag:
     def test_active_points_at_known_backend(self):
         assert _kernels.ACTIVE in _kernels.IMPLS.values()

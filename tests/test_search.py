@@ -62,8 +62,9 @@ class TestExactF:
         assert exact_f(5, 3, 2, SearchOptions(thread_hint=1)) == base
 
     def test_budget_reported(self):
-        full = exact_f(5, 3, 2)
-        capped = exact_f(5, 3, 2, SearchOptions(node_budget=full.nodes // 3))
+        # f(7, 2) = 1 is below its cap, so the full search walks every subtree
+        full = exact_f(7, 2, 2)
+        capped = exact_f(7, 2, 2, SearchOptions(node_budget=full.nodes // 3))
         assert not capped.exhausted
         assert capped.value <= full.value
         assert f_value(capped.witness) == capped.value
@@ -71,6 +72,31 @@ class TestExactF:
     def test_budget_too_small_raises(self):
         with pytest.raises(SearchBudgetError):
             exact_f(6, 3, 2, SearchOptions(node_budget=4))
+
+    def test_cap_in_later_subtree(self, monkeypatch):
+        # f(8, 4) = 3 = cap: subtree (0,0,0) spends its 10,000-node share
+        # below cap, (0,0,1) reaches cap, and (0,1,2) must not count
+        monkeypatch.setattr(_kernels, "NUMBA_ENABLED", True)
+        results = [
+            exact_f(8, 4, 2, SearchOptions(node_budget=30_000, thread_hint=hint))
+            for hint in [1, 2, 4]
+        ]
+        assert results[1] == results[0] and results[2] == results[0]
+        assert (results[0].value, results[0].exhausted) == (3, True)
+        assert 10_000 < results[0].nodes < 20_000
+
+    def test_serial_merge_stops_at_cap(self, monkeypatch):
+        calls = []
+        kernel = _kernels.search_kernel
+
+        def counted(*args):
+            calls.append(tuple(args[6].tolist()))
+            return kernel(*args)
+
+        monkeypatch.setattr(_kernels, "search_kernel", counted)
+        res = exact_f(8, 4, 2, SearchOptions(node_budget=30_000))
+        assert calls == [(0, 0, 0), (0, 0, 1)]
+        assert (res.value, res.exhausted) == (3, True)
 
     def test_interpreted_subtrees_stay_serial(self, monkeypatch):
         # the interpreted kernel holds the GIL, so a pool would only add contention
@@ -176,10 +202,10 @@ class TestOrbitPrefixes:
 # (objective, n, k, node budget, value, exhausted, nodes, witness): the search
 # must give exactly these until the enumeration order or a prune rule changes
 NODE_PINS = [
-    ("f", 6, 3, None, 2, True, 168, (0, 0, 0, 0, 0, 0, 1, 1, 1, 2, 2, 2, 2, 1, 0)),
-    ("f", 7, 3, None, 2, True, 234,
+    ("f", 6, 3, None, 2, True, 40, (0, 0, 0, 0, 0, 0, 1, 1, 1, 2, 2, 2, 2, 1, 0)),
+    ("f", 7, 3, None, 2, True, 53,
      (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 2, 1, 0)),
-    ("f", 7, 4, None, 2, True, 274,
+    ("f", 7, 4, None, 2, True, 53,
      (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 2, 1, 0)),
     ("z", 5, 4, None, Fraction(3, 5), True, 159, (0, 0, 0, 1, 1, 2, 3, 3, 2, 2)),
     ("z", 6, 4, None, Fraction(2, 3), True, 1168,
@@ -190,7 +216,11 @@ NODE_PINS = [
 ]
 
 
-@pytest.mark.parametrize("kind,n,k,budget,value,exhausted,nodes,witness", NODE_PINS)
+@pytest.mark.parametrize(
+    "kind,n,k,budget,value,exhausted,nodes,witness",
+    NODE_PINS,
+    ids=[f"{kind}-{n}-{k}-{budget}" for kind, n, k, budget, *_ in NODE_PINS],
+)
 def test_node_for_node(kind, n, k, budget, value, exhausted, nodes, witness):
     search = exact_f if kind == "f" else exact_z
     res = search(n, k, options=SearchOptions(node_budget=budget))
@@ -223,6 +253,10 @@ class TestVerifier:
     def test_k_above_r_rejected(self):
         with pytest.raises(FractureError):
             verify_k_le_r(5, 3, 2)
+
+    def test_no_colors_rejected(self):
+        with pytest.raises(FractureError):
+            verify_k_le_r(4, 0, 2)
 
     def test_limit_guard(self):
         with pytest.raises(FractureError):
