@@ -399,7 +399,7 @@ except ImportError:
     _njit = None
 
 if _njit is not None:
-    _jit = _njit(cache=True, nogil=True)
+    _jit = _njit(cache=True)
     IMPLS["numba"] = {name: _jit(fn) for name, fn in _SOURCES.items()}
 
 NUMBA_ENABLED = "numba" in IMPLS and os.environ.get("FRACTURE_NUMBA", "1") != "0"

@@ -193,9 +193,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    options = search_mod.SearchOptions(
-        node_budget=args.budget, thread_hint=args.threads
-    )
+    options = search_mod.SearchOptions(node_budget=args.budget)
     if args.mode == "f":
         res = search_mod.exact_f(args.n, args.k, args.r, options)
         value = res.value
@@ -390,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--k", type=int, required=True)
     ps.add_argument("--r", type=int, default=2)
     ps.add_argument("--budget", type=int, help="node budget; exit 3 if hit")
-    ps.add_argument("--threads", type=int, help="thread hint; FRACTURE_THREADS overrides")
     ps.add_argument("--seed", type=int, default=0, help="improve mode only")
     ps.add_argument("--restarts", type=int, default=20, help="improve mode only")
     _add_output(ps)

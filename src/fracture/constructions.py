@@ -24,6 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import ceil, comb
 
 from .core import (
@@ -66,9 +67,6 @@ class BaseColoring:
     realized_z: Fraction
 
 
-_EXPLICIT_BASES = ("rainbow-triangle", "k5-four", "k9-five", "k6r3-six")
-
-
 def base_registry_names() -> list[str]:
     return list(_EXPLICIT_BASES) + [
         "trivial(n,r)",
@@ -81,6 +79,16 @@ def base_registry_names() -> list[str]:
 def _coloring_from_classes(n: int, r: int, classes: list[list[tuple[int, ...]]]) -> Coloring:
     assignment = decomposition_to_coloring_edges(n, r, classes)
     return Coloring(HypergraphShape(n, r), len(classes), tuple(assignment))
+
+
+def _checked_classes(n: int, r: int, classes: list[list[tuple[int, ...]]], f: int, what: str) -> Coloring:
+    """The coloring giving class i color i, relabelled into first-use color
+    order, once its f is checked to be the claimed f."""
+    assignment = relabel_canonical(decomposition_to_coloring_edges(n, r, classes))
+    out = Coloring(HypergraphShape(n, r), len(classes), assignment)
+    if f_value(out) != f:
+        raise FractureError(f"{what} has f != {f}")
+    return out
 
 
 def _rainbow_triangle() -> Coloring:
@@ -144,10 +152,8 @@ def design_coloring(design: designs.Design) -> Coloring:
     """
     r = design.strength
     classes = []
-    from itertools import combinations as _comb
-
     for block in design.blocks:
-        classes.append([tuple(sorted(sub)) for sub in _comb(block, r)])
+        classes.append([tuple(sorted(sub)) for sub in combinations(block, r)])
     return _coloring_from_classes(design.v, r, classes)
 
 
@@ -162,11 +168,13 @@ def diamond_coloring(n: int) -> Coloring:
     groups = [list(g) for g in k4minus_decomposition(n)]
     return _coloring_from_classes(n, 2, groups)
 
-_EXPECTED_Z = {
-    "rainbow-triangle": Fraction(2, 3),
-    "k5-four": Fraction(3, 5),
-    "k9-five": Fraction(5, 9),
-    "k6r3-six": Fraction(2, 3),
+
+# name -> (builder, verified incidence fraction)
+_EXPLICIT_BASES = {
+    "rainbow-triangle": (_rainbow_triangle, Fraction(2, 3)),
+    "k5-four": (_k5_four, Fraction(3, 5)),
+    "k9-five": (_k9_five, Fraction(5, 9)),
+    "k6r3-six": (_k6r3_six, Fraction(2, 3)),
 }
 
 
@@ -177,48 +185,33 @@ def base_registry(name: str) -> BaseColoring:
     Parameterized entries: ``trivial(n,r)`` and ``design(...)`` where the
     inner constructor is one of pg(q), ag(q), sqs(m), inversive(q).
     """
-    if name == "rainbow-triangle":
-        coloring = _rainbow_triangle()
-    elif name == "k5-four":
-        coloring = _k5_four()
-    elif name == "k9-five":
-        coloring = _k9_five()
-    elif name == "k6r3-six":
-        coloring = _k6r3_six()
+    trivial = _TRIVIAL_NAME.match(name)
+    diamond = _DIAMOND_NAME.match(name)
+    design_name = _DESIGN_NAME.match(name)
+    if name in _EXPLICIT_BASES:
+        build, expected = _EXPLICIT_BASES[name]
+        coloring = build()
+    elif trivial:
+        coloring = trivial_coloring(int(trivial.group(1)), int(trivial.group(2)))
+        expected = Fraction(coloring.r, coloring.n)
+    elif diamond:
+        coloring = diamond_coloring(int(diamond.group(1)))
+        expected = Fraction(4, coloring.n)
+    elif design_name:
+        ctor = {
+            "pg": projective_plane,
+            "ag": affine_plane,
+            "sqs": boolean_sqs,
+            "inversive": inversive_plane,
+        }[design_name.group(1)]
+        design = ctor(int(design_name.group(2)))
+        coloring = design_coloring(design)
+        expected = Fraction(design.block_size, design.v)
     else:
-        m = _TRIVIAL_NAME.match(name)
-        if m:
-            coloring = trivial_coloring(int(m.group(1)), int(m.group(2)))
-        elif _DIAMOND_NAME.match(name):
-            nn = int(_DIAMOND_NAME.match(name).group(1))
-            coloring = diamond_coloring(nn)
-            realized = z_value(coloring)
-            if realized != Fraction(4, nn):
-                raise FractureError(f"{name}: z {realized} != 4/{nn}")
-            return BaseColoring(name, coloring, realized)
-        else:
-            m = _DESIGN_NAME.match(name)
-            if m is None:
-                raise FractureError(f"unknown base coloring {name!r}")
-            ctor = {
-                "pg": projective_plane,
-                "ag": affine_plane,
-                "sqs": boolean_sqs,
-                "inversive": inversive_plane,
-            }[m.group(1)]
-            design = ctor(int(m.group(2)))
-            coloring = design_coloring(design)
-            expected = Fraction(design.block_size, design.v)
-            realized = z_value(coloring)
-            if realized != expected:
-                raise FractureError(f"{name}: z {realized} != expected {expected}")
-            return BaseColoring(name, coloring, realized)
+        raise FractureError(f"unknown base coloring {name!r}")
     realized = z_value(coloring)
-    expected = _EXPECTED_Z.get(name, Fraction(coloring.r, coloring.n) if name.startswith("trivial") else None)
-    if name in _EXPECTED_Z and realized != _EXPECTED_Z[name]:
-        raise FractureError(f"{name}: z {realized} != expected {_EXPECTED_Z[name]}")
-    if name.startswith("trivial") and realized != Fraction(coloring.r, coloring.n):
-        raise FractureError(f"{name}: z {realized} != {coloring.r}/{coloring.n}")
+    if realized != expected:
+        raise FractureError(f"{name}: z {realized} != expected {expected}")
     return BaseColoring(name, coloring, realized)
 
 
@@ -353,12 +346,7 @@ def coloring_nminus1(n: int) -> Coloring:
             rest = [e for e in cycle if e not in in_matching]
             classes.append(matching)
             classes.append(rest)
-    out = _coloring_from_classes(n, 2, classes)
-    out = Coloring(out.shape, out.k, relabel_canonical(out.assignment))
-    expected = n // 2
-    if f_value(out) != expected:
-        raise FractureError(f"(n-1)-coloring of K_{n} has f != {expected}")
-    return out
+    return _checked_classes(n, 2, classes, n // 2, f"(n-1)-coloring of K_{n}")
 
 
 def coloring_n(n: int) -> Coloring:
@@ -369,7 +357,6 @@ def coloring_n(n: int) -> Coloring:
         raise FractureError(f"need n >= 3, got {n}")
     if n % 2 == 1:
         classes = [list(f) for f in near_one_factorization(n).factors]
-        out = _coloring_from_classes(n, 2, classes)
     else:
         bigger = coloring_nminus1(n + 1)
         classes = [[] for _ in range(bigger.k)]
@@ -378,12 +365,7 @@ def coloring_n(n: int) -> Coloring:
                 classes[c].append(e)
         if any(not cl for cl in classes):
             raise FractureError("vertex deletion emptied a class")
-        out = _coloring_from_classes(n, 2, classes)
-    out = Coloring(out.shape, out.k, relabel_canonical(out.assignment))
-    expected = (n - 1) // 2
-    if f_value(out) != expected:
-        raise FractureError(f"n-coloring of K_{n} has f != {expected}")
-    return out
+    return _checked_classes(n, 2, classes, (n - 1) // 2, f"n-coloring of K_{n}")
 
 
 def _kempe_swap_path(
@@ -498,11 +480,7 @@ def coloring_tk2(n: int, k: int) -> Coloring:
             if used.intersection(e):
                 raise FractureError("class is not a matching")
             used.update(e)
-    out = _coloring_from_classes(n, 2, classes)
-    out = Coloring(out.shape, k, relabel_canonical(out.assignment))
-    if f_value(out) != t:
-        raise FractureError(f"matching split has f != {t}")
-    return out
+    return _checked_classes(n, 2, classes, t, "matching split")
 
 
 def coloring_baranyai_split(n: int, r: int, t: int) -> Coloring:
@@ -518,12 +496,7 @@ def coloring_baranyai_split(n: int, r: int, t: int) -> Coloring:
     for factor in baranyai(n, r).factors:
         for j in range(0, per_factor, group):
             classes.append(list(factor[j : j + group]))
-    out = _coloring_from_classes(n, r, classes)
-    out = Coloring(out.shape, out.k, relabel_canonical(out.assignment))
-    expected = n // (r * t)
-    if f_value(out) != expected:
-        raise FractureError(f"factor split has f != {expected}")
-    return out
+    return _checked_classes(n, r, classes, n // (r * t), "factor split")
 
 
 def coloring_equitable(n: int, r: int, k: int) -> Coloring:
@@ -614,11 +587,7 @@ def coloring_equitable(n: int, r: int, k: int) -> Coloring:
     sz = sizes()
     if max(sz) - min(sz) > 1 or min(sz) != m // k:
         raise FractureError(f"sizes {sorted(sz)} not equitable for m={m}, k={k}")
-    out = _coloring_from_classes(n, r, classes)
-    out = Coloring(out.shape, k, relabel_canonical(out.assignment))
-    if f_value(out) != m // k:
-        raise FractureError(f"equitable coloring has f != {m // k}")
-    return out
+    return _checked_classes(n, r, classes, m // k, "equitable coloring")
 
 
 # The K_{n,n} report is the one report; this name is kept for callers.

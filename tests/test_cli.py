@@ -2,8 +2,12 @@
 artifacts are rejected, and exit codes follow the contract
 (0 ok / 2 usage / 3 budget / 4 invalid)."""
 
+import copy
 import hashlib
 import json
+import shlex
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -277,17 +281,11 @@ class TestSearchCommand:
         assert code == 0
         assert data["value"] >= 1
 
-    def test_non_integer_threads_env_exits_2(self, capsys, monkeypatch):
+    def test_stale_threads_env_ignored(self, capsys, monkeypatch):
+        # the search reads no FRACTURE_THREADS any more, whatever its value
         monkeypatch.setenv("FRACTURE_THREADS", "x")
-        code = main(["search", "f", "--n", "4", "--k", "2"])
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        assert captured.err.startswith("error:") and "FRACTURE_THREADS" in captured.err
-
-    def test_threads_same_bytes(self, capsys):
-        _, a = run(capsys, "search", "f", "--n", "5", "--k", "3", "--threads", "1")
-        _, b = run(capsys, "search", "f", "--n", "5", "--k", "3", "--threads", "4")
-        assert a == b
+        code, data = run_json(capsys, "search", "f", "--n", "4", "--k", "2")
+        assert code == 0 and data["value"] == 1
 
 
 class TestVerifyRejections:
@@ -366,6 +364,20 @@ class TestVerifyRejections:
     def test_rejects_non_maximum_factors(self, capsys, tmp_path, data):
         code, verdict = self.write_and_verify(capsys, tmp_path, data)
         assert code == 4 and verdict["valid"] is False
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"factors": [], "n": 1_000_000, "r": 500_000, "complete": True},
+            {"v": 60, "strength": 20, "block_size": 60, "blocks": [list(range(60))]},
+        ],
+        ids=["factors-C(1e6,5e5)", "design-C(60,20)"],
+    )
+    def test_rejects_hostile_sizes_at_once(self, capsys, tmp_path, data):
+        start = time.perf_counter()
+        code, verdict = self.write_and_verify(capsys, tmp_path, data)
+        assert time.perf_counter() - start < 1
+        assert code == 4 and verdict["reason"].startswith("FractureError:")
 
     def test_rejects_unknown_shape(self, capsys, tmp_path):
         code, verdict = self.write_and_verify(capsys, tmp_path, {"what": 1})
@@ -513,3 +525,75 @@ class TestColoringFuzz:
         path.write_text(json.dumps(data))
         assert main(["eval", str(path), "--output", str(out)]) in (0, 2)
         assert main(["verify", str(path), "--output", str(out)]) in (0, 4)
+
+
+@pytest.fixture(scope="module")
+def emitted_artifacts(tmp_path_factory):
+    """One design, factorization and search artifact each, as the CLI writes them."""
+    out = tmp_path_factory.mktemp("artifacts") / "artifact.json"
+    argvs = [
+        ["designs", "pg", "--q", "2"],
+        ["designs", "sqs", "--m", "3"],
+        ["designs", "one-factorization", "--n", "6"],
+        ["designs", "baranyai", "--n", "6", "--r", "3"],
+        ["search", "f", "--n", "5", "--k", "3"],
+        ["search", "z", "--n", "4", "--k", "3"],
+    ]
+    artifacts = []
+    for argv in argvs:
+        assert main([*argv, "--output", str(out)]) == 0
+        artifacts.append(json.loads(out.read_text()))
+    return artifacts
+
+
+@st.composite
+def _mutated_artifact(draw, artifact):
+    d = copy.deepcopy(artifact)
+    for _ in range(draw(st.integers(1, 3))):
+        target = d
+        if isinstance(d.get("witness"), dict) and draw(st.booleans()):
+            target = d["witness"]
+        size_key, order_key = ("v", "strength") if "blocks" in target else ("n", "r")
+        kind = draw(st.sampled_from(["drop", "size", "order", "odd"]))
+        if kind == "drop" and target:
+            del target[draw(st.sampled_from(sorted(target)))]
+        elif kind == "size":
+            target[size_key] = draw(st.one_of(st.integers(-3, 40), st.integers(0, 10**7)))
+        elif kind == "order":
+            bound = target.get(size_key)
+            if not isinstance(bound, int) or bound < 0:
+                bound = 10**7
+            target[order_key] = draw(st.integers(-2, bound))
+        elif kind == "odd" and target:
+            target[draw(st.sampled_from(sorted(target)))] = draw(_ODD_VALUES)
+    return d
+
+
+class TestArtifactFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_verify_exit_codes(self, emitted_artifacts, tmp_path_factory, data):
+        artifact = data.draw(st.sampled_from(emitted_artifacts))
+        mutated = data.draw(_mutated_artifact(artifact))
+        path = tmp_path_factory.getbasetemp() / "artifact-fuzz.json"
+        out = tmp_path_factory.getbasetemp() / "artifact-fuzz.out.json"
+        path.write_text(json.dumps(mutated))
+        assert main(["verify", str(path), "--output", str(out)]) in (0, 4)
+
+
+def _readme_cli_lines():
+    """The argument lists of the ``fracture ...`` lines in the README's CLI block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```", 2)[1]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.startswith("fracture ")]
+
+
+class TestReadmeExamples:
+    @pytest.mark.parametrize("argv", _readme_cli_lines(), ids=" ".join)
+    def test_cli_line_runs(self, capsys, tmp_path, argv):
+        artifact = tmp_path / "artifact.json"
+        assert main(["construct", "base", "k5-four", "--output", str(artifact)]) == 0
+        files = {"coloring.json": str(artifact), "artifact.json": str(artifact)}
+        code = main([files.get(arg, arg) for arg in argv])
+        capsys.readouterr()
+        assert code in ((0, 3) if "--budget" in argv else (0,))

@@ -52,15 +52,6 @@ class TestExactF:
         res = exact_f(4, 3, 2)
         assert res.witness.assignment == (0, 1, 2, 2, 1, 0)
 
-    def test_determinism_across_threads(self, monkeypatch):
-        # pool subtrees as the GIL-free backend does, on the interpreted kernel
-        monkeypatch.setattr(_kernels, "NUMBA_ENABLED", True)
-        base = exact_f(5, 3, 2, SearchOptions(thread_hint=1))
-        for hint in [2, 4]:
-            again = exact_f(5, 3, 2, SearchOptions(thread_hint=hint))
-            assert again == base
-        assert exact_f(5, 3, 2, SearchOptions(thread_hint=1)) == base
-
     def test_budget_reported(self):
         # f(7, 2) = 1 is below its cap, so the full search walks every subtree
         full = exact_f(7, 2, 2)
@@ -73,17 +64,12 @@ class TestExactF:
         with pytest.raises(SearchBudgetError):
             exact_f(6, 3, 2, SearchOptions(node_budget=4))
 
-    def test_cap_in_later_subtree(self, monkeypatch):
+    def test_cap_in_later_subtree(self):
         # f(8, 4) = 3 = cap: subtree (0,0,0) spends its 10,000-node share
         # below cap, (0,0,1) reaches cap, and (0,1,2) must not count
-        monkeypatch.setattr(_kernels, "NUMBA_ENABLED", True)
-        results = [
-            exact_f(8, 4, 2, SearchOptions(node_budget=30_000, thread_hint=hint))
-            for hint in [1, 2, 4]
-        ]
-        assert results[1] == results[0] and results[2] == results[0]
-        assert (results[0].value, results[0].exhausted) == (3, True)
-        assert 10_000 < results[0].nodes < 20_000
+        res = exact_f(8, 4, 2, SearchOptions(node_budget=30_000))
+        assert (res.value, res.exhausted) == (3, True)
+        assert 10_000 < res.nodes < 20_000
 
     def test_serial_merge_stops_at_cap(self, monkeypatch):
         calls = []
@@ -97,16 +83,6 @@ class TestExactF:
         res = exact_f(8, 4, 2, SearchOptions(node_budget=30_000))
         assert calls == [(0, 0, 0), (0, 0, 1)]
         assert (res.value, res.exhausted) == (3, True)
-
-    def test_interpreted_subtrees_stay_serial(self, monkeypatch):
-        # the interpreted kernel holds the GIL, so a pool would only add contention
-        monkeypatch.setattr(_kernels, "NUMBA_ENABLED", False)
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("thread pool used by a GIL-bound backend")
-
-        monkeypatch.setattr(search_mod, "ThreadPoolExecutor", no_pool)
-        assert exact_f(5, 3, 2, SearchOptions(thread_hint=4)) == exact_f(5, 3, 2)
 
     def test_bad_k_rejected(self):
         with pytest.raises(FractureError):
@@ -135,12 +111,6 @@ class TestExactZ:
         res = exact_z(3, 3, 2)
         assert res.exhausted
         assert res.value == Fraction(2, 3)
-
-    def test_determinism_across_threads(self, monkeypatch):
-        monkeypatch.setattr(_kernels, "NUMBA_ENABLED", True)
-        base = exact_z(5, 4, 2, SearchOptions(thread_hint=1))
-        again = exact_z(5, 4, 2, SearchOptions(thread_hint=4))
-        assert again == base
 
 
 class TestOrbitPrefixes:
