@@ -1,4 +1,4 @@
-"""Hot search and verification loops, written once and run either as
+"""Hot search and evaluation loops, written once and run either as
 plain Python or compiled by numba.
 
 The environment variable FRACTURE_NUMBA picks the active backend:
@@ -18,15 +18,15 @@ interpreter boxes a fresh np.int64 on every read and every += 1, and the
 same search on lists runs about five times as many nodes per second.
 Arguments named *_out stay ndarrays, written element by element.
 
-One search kernel serves f and z, and scores both so that higher is
-better: f is the minimum component count over used colors, z is minus
-the maximum incident-vertex count.  Its edge-apply and undo blocks are
-each written once, forced prefix edges included, and inlined rather
-than factored into inner functions: the jit compiler mishandles
-branching closures that mutate enclosing state, producing silently
-wrong counts, and flat bodies compile the same as they interpret.  The
-k <= r verifier walks colorings the same way, edge by edge with one
-union-find per color, and so carries its own copy of those blocks.
+One search kernel serves three objectives, each scored so that higher
+is better: f is the minimum component count over used colors, z is
+minus the maximum incident-vertex count, and span finds the first
+coloring in which no class is connected and spans every vertex (the
+exhaustive k <= r check).  Its edge-apply and undo blocks are each
+written once, forced prefix edges included, and inlined rather than
+factored into inner functions: the jit compiler mishandles branching
+closures that mutate enclosing state, producing silently wrong counts,
+and flat bodies compile the same as they interpret.
 """
 
 from __future__ import annotations
@@ -37,11 +37,16 @@ import types
 
 import numpy as np
 
+# the objective codes of _search_impl
+OBJ_F, OBJ_Z, OBJ_SPAN = 0, 1, 2
 
-def _search_impl(minimize_z, n, r, k, m, edges_flat, prefix, budget, cap, witness_out):
-    """Exhaustive search over canonical colorings for the best score: the
-    minimum component count over used colors (f) or, with minimize_z,
-    minus the maximum incident-vertex count (z).
+
+def _search_impl(objective, n, r, k, m, edges_flat, prefix, budget, cap, witness_out):
+    """Exhaustive search over canonical colorings for the best score
+    under objective: the minimum component count over used colors
+    (OBJ_F), minus the maximum incident-vertex count (OBJ_Z), or, under
+    OBJ_SPAN, cap for a coloring with no class that is connected and
+    spans all n vertices.
 
     Colors are introduced in first-use order (an edge may use color c
     only if colors below c already appear earlier), which enumerates one
@@ -54,12 +59,17 @@ def _search_impl(minimize_z, n, r, k, m, edges_flat, prefix, budget, cap, witnes
     copied into witness_out.
 
     cap is a score no coloring can beat (n // r or less for f, -r for
-    z).  The search returns at the first leaf that scores cap: nothing
-    later can beat it, so best is proved and exhausted stays 1.  Prune:
-    a subtree is cut when its bound is <= best, the bound being the
-    minimum of cap and, over used colors, comp + (n - inc) // r for f (a
-    class ends with at most that many components, and unused colors only
-    pull the minimum down) or -inc for z (incident counts only grow).
+    z, 1 for span), and a leaf scores at most cap.  The search returns
+    at the first leaf that scores cap: nothing later can beat it, so
+    best is proved and exhausted stays 1.  Prune: a subtree is cut when
+    its bound is <= best, the bound being the minimum of cap and, over
+    used colors, comp + (n - inc) // r for f (a class ends with at most
+    that many components, and unused colors only pull the minimum down)
+    or -inc for z (incident counts only grow).  Under span best starts
+    at 0 and the bound is 0 once the class just colored is connected
+    and spans all n vertices, which no further edge undoes; every leaf
+    the walk reaches is therefore a counterexample, and it returns at
+    the first, the lexicographically smallest canonical one.
     """
     parent = np.full(k * n, -1, np.int64)
     size = np.zeros(k * n, np.int64)
@@ -78,7 +88,7 @@ def _search_impl(minimize_z, n, r, k, m, edges_flat, prefix, budget, cap, witnes
     cursor = np.zeros(m + 1, np.int64)
     assign = np.full(m, -1, np.int64)
 
-    best = np.int64(-(n + 1)) if minimize_z else np.int64(0)
+    best = np.int64(-(n + 1)) if objective == OBJ_Z else np.int64(0)
     found = np.int64(0)
     exhausted = np.int64(1)
     nodes = np.int64(0)
@@ -88,12 +98,12 @@ def _search_impl(minimize_z, n, r, k, m, edges_flat, prefix, budget, cap, witnes
     while True:
         c = -1
         if depth == m:
-            val = np.int64(2**62)
-            if minimize_z:
+            val = cap
+            if objective == OBJ_Z:
                 for cc in range(used[depth]):
                     if -inc[cc] < val:
                         val = -inc[cc]
-            else:
+            elif objective == OBJ_F:
                 for cc in range(used[depth]):
                     if comp[cc] < val:
                         val = comp[cc]
@@ -163,15 +173,17 @@ def _search_impl(minimize_z, n, r, k, m, edges_flat, prefix, budget, cap, witnes
             if c == newu:
                 newu += 1
             bound = cap
-            if minimize_z:
+            if objective == OBJ_Z:
                 for cc in range(newu):
                     if -inc[cc] < bound:
                         bound = -inc[cc]
-            else:
+            elif objective == OBJ_F:
                 for cc in range(newu):
                     ub = comp[cc] + (n - inc[cc]) // r
                     if ub < bound:
                         bound = ub
+            elif comp[c] == 1 and inc[c] == n:
+                bound = 0
             if bound > best or depth < p:
                 depth += 1
                 used[depth] = newu
@@ -193,115 +205,6 @@ def _search_impl(minimize_z, n, r, k, m, edges_flat, prefix, budget, cap, witnes
                 parent[ua] = ua
                 comp[uc] += 1
     return best, exhausted, nodes, found
-
-
-def _verify_kler_impl(n, r, k, m, edges_flat, counterexample_out):
-    """Check that every one of the k^m colorings has a class that is
-    connected and touches all n vertices.  Returns (holds, checked); on
-    failure the offending assignment is copied out.
-
-    A depth-first walk colors the edges in colex order, trying colors
-    0..k-1 in turn, so leaves come in lexicographic order and checked
-    counts the colorings up to and including the first counterexample.
-    One union-find per color is updated edge by edge and rewound through
-    the same (kind, color, a, b) undo log as the search.  Adding edges
-    never breaks a class that is connected and spans all n vertices, so
-    once the edge just colored makes its class so, every completion
-    below holds: the subtree counts as its k^(m - depth - 1) colorings
-    without being walked.  No class spans on the path to any node the
-    walk visits, so a leaf it reaches is a counterexample.
-    """
-    parent = np.full(k * n, -1, np.int64)
-    size = np.zeros(k * n, np.int64)
-    comp = np.zeros(k, np.int64)
-    inc = np.zeros(k, np.int64)
-
-    log_cap = (m + 1) * (2 * r + 2)
-    log_kind = np.zeros(log_cap, np.int64)
-    log_c = np.zeros(log_cap, np.int64)
-    log_a = np.zeros(log_cap, np.int64)
-    log_b = np.zeros(log_cap, np.int64)
-    log_len = 0
-
-    mark = np.zeros(m + 1, np.int64)
-    cursor = np.zeros(m + 1, np.int64)
-    assign = np.zeros(m, np.int64)
-    # weight[i] = k^i, the colorings of i edges still free
-    weight = np.zeros(m + 1, np.int64)
-    weight[0] = 1
-    for i in range(1, m + 1):
-        weight[i] = weight[i - 1] * k
-
-    checked = np.int64(0)
-    depth = 0
-    while True:
-        if depth == m:
-            checked += 1
-            for e in range(m):
-                counterexample_out[e] = assign[e]
-            return np.int64(0), checked
-        c = cursor[depth]
-        if c < k:
-            cursor[depth] = c + 1
-            mark[depth] = log_len
-            base = depth * r
-            for j in range(r):
-                idx = c * n + edges_flat[base + j]
-                if parent[idx] == -1:
-                    parent[idx] = idx
-                    size[idx] = 1
-                    comp[c] += 1
-                    inc[c] += 1
-                    log_kind[log_len] = 0
-                    log_c[log_len] = c
-                    log_a[log_len] = idx
-                    log_len += 1
-            ra = c * n + edges_flat[base]
-            while parent[ra] != ra:
-                ra = parent[ra]
-            for j in range(1, r):
-                rb = c * n + edges_flat[base + j]
-                while parent[rb] != rb:
-                    rb = parent[rb]
-                while parent[ra] != ra:
-                    ra = parent[ra]
-                if rb != ra:
-                    if size[ra] < size[rb]:
-                        ra, rb = rb, ra
-                    parent[rb] = ra
-                    size[ra] += size[rb]
-                    comp[c] -= 1
-                    log_kind[log_len] = 1
-                    log_c[log_len] = c
-                    log_a[log_len] = rb
-                    log_b[log_len] = ra
-                    log_len += 1
-            assign[depth] = c
-            if comp[c] == 1 and inc[c] == n:
-                checked += weight[m - 1 - depth]
-            else:
-                depth += 1
-                cursor[depth] = 0
-                continue
-        elif depth == 0:
-            return np.int64(1), checked
-        else:
-            depth -= 1
-        to_mark = mark[depth]
-        while log_len > to_mark:
-            log_len -= 1
-            uc = log_c[log_len]
-            ua = log_a[log_len]
-            if log_kind[log_len] == 0:
-                parent[ua] = -1
-                size[ua] = 0
-                comp[uc] -= 1
-                inc[uc] -= 1
-            else:
-                ub2 = log_b[log_len]
-                size[ub2] -= size[ua]
-                parent[ua] = ua
-                comp[uc] += 1
 
 
 def _bulk_eval_impl(n, r, k, m, edges_flat, colorings, rows_out):
@@ -389,7 +292,7 @@ def _on_lists(fn):
     return run
 
 
-_SOURCES = {"search": _search_impl, "verify_kler": _verify_kler_impl, "bulk_eval": _bulk_eval_impl}
+_SOURCES = {"search": _search_impl, "bulk_eval": _bulk_eval_impl}
 
 IMPLS: dict[str, dict] = {"python": {name: _on_lists(fn) for name, fn in _SOURCES.items()}}
 
@@ -407,5 +310,4 @@ NUMBA_ENABLED = "numba" in IMPLS and os.environ.get("FRACTURE_NUMBA", "1") != "0
 ACTIVE = IMPLS["numba"] if NUMBA_ENABLED else IMPLS["python"]
 
 search_kernel = ACTIVE["search"]
-verify_kler_kernel = ACTIVE["verify_kler"]
 bulk_eval_kernel = ACTIVE["bulk_eval"]

@@ -51,10 +51,15 @@ def _dump(obj, output: str | None) -> None:
 
 
 def _load(path: str | None) -> dict:
-    if path is None or path == "-":
-        return json.load(sys.stdin)
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    # ValueError covers malformed JSON and integers past Python's digit
+    # limit; RecursionError covers arrays nested past the stack
+    try:
+        if path is None or path == "-":
+            return json.load(sys.stdin)
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (ValueError, RecursionError) as exc:
+        raise FractureError(f"unreadable JSON: {exc}") from exc
 
 
 def _payload(coloring: Coloring) -> dict:
@@ -415,7 +420,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (FractureError, OSError, json.JSONDecodeError) as exc:
+    except (FractureError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET if isinstance(exc, search_mod.SearchBudgetError) else EXIT_USAGE
 

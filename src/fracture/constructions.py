@@ -259,15 +259,8 @@ def blow_up(base: BaseColoring, n: int) -> Coloring:
     if n < t:
         raise FractureError(f"blow-up needs n >= t = {t}, got n = {n}")
     shape = HypergraphShape(n, r)
-    parts = equitable_parts(n, t)
-    part_of = [0] * n
-    for i, p in enumerate(parts):
-        for v in p:
-            part_of[v] = i
-
+    parts, part_of, colors_at, absent = _part_plan(base, n)
     base_shape = base.coloring.shape
-    colors_at = _colors_at(base.coloring)
-    absent = [sorted(set(range(k)) - colors_at[i]) for i in range(t)]
 
     # One pass over the edges: an edge meeting several parts takes the
     # color its part pattern maps to, an edge inside part i is bucketed.
@@ -315,6 +308,17 @@ def blow_up(base: BaseColoring, n: int) -> Coloring:
             f"blow-up produced f={got}, below guaranteed {guarantee}"
         )
     return out
+
+
+def _part_plan(base: BaseColoring, n: int) -> tuple[list[range], list[int], list[set[int]], list[list[int]]]:
+    """How a blow-up splits n vertices over the t base vertices: the t
+    equitable parts, the part of each vertex, the colors at each base
+    vertex and the colors absent there."""
+    parts = equitable_parts(n, base.coloring.n)
+    part_of = [i for i, p in enumerate(parts) for _ in p]
+    colors_at = _colors_at(base.coloring)
+    absent = [sorted(set(range(base.coloring.k)) - c) for c in colors_at]
+    return parts, part_of, colors_at, absent
 
 
 def _colors_at(coloring: Coloring) -> list[set[int]]:
@@ -640,13 +644,7 @@ def bipartite_blow_up(base: BaseColoring, n: int) -> Coloring:
     if n < t:
         raise FractureError(f"need n >= t = {t}")
     base_shape = base.coloring.shape
-    parts = equitable_parts(n, t)
-    part_of = [0] * n
-    for i, p in enumerate(parts):
-        for v in p:
-            part_of[v] = i
-    colors_at = _colors_at(base.coloring)
-    absent = [sorted(set(range(k)) - colors_at[i]) for i in range(t)]
+    parts, part_of, colors_at, absent = _part_plan(base, n)
     for i in range(t):
         if len(absent[i]) > len(parts[i]):
             raise FractureError(

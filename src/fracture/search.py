@@ -28,9 +28,17 @@ cap, and no later subtree is run, since none can beat it or win the
 first-index tie.
 
 exact_f and exact_z share one driver and one kernel; they differ only in
-the objective flag passed down and in how the best score is turned into
-a value.  A budget too small to reach any leaf raises SearchBudgetError,
+the objective passed down and in how the best score is turned into a
+value.  A budget too small to reach any leaf raises SearchBudgetError,
 and a host with more than DESK_EDGE_CAP edges raises FractureError.
+
+verify_k_le_r runs the same kernel under its span objective, unsplit
+and unbudgeted, with cap 1: the canonical walk skips every subtree
+below a class that is connected and spans all n vertices and returns at
+the first leaf it reaches.  Counterexamples are closed under
+relabelling colors, so the lexicographically first one is first-use
+canonical and that leaf is it; the colorings checked are those up to
+and including it, its base-k rank plus one.
 """
 
 from __future__ import annotations
@@ -110,7 +118,7 @@ class SearchBudgetError(FractureError):
     """The node budget ran out before the search reached any leaf."""
 
 
-def _exact(n: int, k: int, r: int, options: SearchOptions | None, minimize_z: bool) -> SearchResult:
+def _exact(n: int, k: int, r: int, options: SearchOptions | None, objective: int) -> SearchResult:
     """The exhaustive driver behind exact_f and exact_z.
 
     The kernel scores f as the minimum component count and z as minus
@@ -131,7 +139,7 @@ def _exact(n: int, k: int, r: int, options: SearchOptions | None, minimize_z: bo
         # edge table is built, which a hopeless budget on a huge n would pay for
         raise SearchBudgetError("search found no leaf; budget too small")
     check_desk_edges(n, r, m)
-    if minimize_z:
+    if objective == _kernels.OBJ_Z:
         cap = -r
     else:
         cap = min(n // r, int(f_upper_counting(n, k, r).value))
@@ -143,7 +151,7 @@ def _exact(n: int, k: int, r: int, options: SearchOptions | None, minimize_z: bo
     for p in prefixes:
         found_assign = np.full(m, -1, dtype=np.int64)
         val, exh, nd, found = _kernels.search_kernel(
-            minimize_z, n, r, k, m, ef, np.array(p, dtype=np.int64), per_budget, cap, found_assign
+            objective, n, r, k, m, ef, np.array(p, dtype=np.int64), per_budget, cap, found_assign
         )
         nodes += int(nd)
         if not exh:
@@ -157,7 +165,7 @@ def _exact(n: int, k: int, r: int, options: SearchOptions | None, minimize_z: bo
     if witness_assign is None:
         raise SearchBudgetError("search found no leaf; budget too small")
     witness = Coloring(shape, k, tuple(int(x) for x in witness_assign))
-    if minimize_z:
+    if objective == _kernels.OBJ_Z:
         value, got = Fraction(-best, n), z_value(witness)
     else:
         value, got = best, f_value(witness)
@@ -175,13 +183,33 @@ def exact_f(n: int, k: int, r: int = 2, options: SearchOptions | None = None) ->
     The witness is rechecked through the plain evaluator before being
     returned.
     """
-    return _exact(n, k, r, options, minimize_z=False)
+    return _exact(n, k, r, options, _kernels.OBJ_F)
 
 
 def exact_z(n: int, k: int, r: int = 2, options: SearchOptions | None = None) -> SearchResult:
     """The smallest achievable maximum incidence fraction over colorings
     with at most k colors, as an exact Fraction, with witness."""
-    return _exact(n, k, r, options, minimize_z=True)
+    return _exact(n, k, r, options, _kernels.OBJ_Z)
+
+
+def _first_unspanned(shape: HypergraphShape, k: int) -> ExhaustiveCheck:
+    """The lexicographically first k-coloring of shape with no class that
+    is connected and spans every vertex, if any, from one canonical walk
+    of the search kernel; checked counts the colorings up to and
+    including it, or all k^m of them."""
+    m = shape.edge_count
+    cx = np.full(m, -1, dtype=np.int64)
+    _, _, _, found = _kernels.search_kernel(
+        _kernels.OBJ_SPAN, shape.n, shape.r, k, m, _edges_flat(shape),
+        np.empty(0, dtype=np.int64), _UNLIMITED, 1, cx,
+    )
+    if not found:
+        return ExhaustiveCheck(True, k**m, None)
+    assign = tuple(int(x) for x in cx)
+    rank = 0
+    for c in assign:
+        rank = rank * k + c
+    return ExhaustiveCheck(False, rank + 1, Coloring(shape, k, assign))
 
 
 def verify_k_le_r(n: int, k: int, r: int = 2, limit: int = 10**7) -> ExhaustiveCheck:
@@ -189,10 +217,11 @@ def verify_k_le_r(n: int, k: int, r: int = 2, limit: int = 10**7) -> ExhaustiveC
     a class that is connected and spans all n vertices.
 
     This is the exhaustive ground truth behind treating f as 1 whenever
-    k <= r.  The kernel colors edge by edge and counts a whole subtree
-    as checked once a class spans connected, which no further edge can
-    undo; checked is still k^m when the claim holds.  It refuses
-    instances whose k^m exceeds the enumeration cap.
+    k <= r.  It is the search kernel's canonical span walk (see the
+    module docstring), so checked is the base-k rank plus one of the
+    lexicographically first counterexample, or k^m when the claim
+    holds.  It refuses instances whose k^m exceeds the enumeration cap,
+    without computing k^m when m alone shows it.
     """
     if k > r:
         raise FractureError(f"claim only holds for k <= r, got k={k} > r={r}")
@@ -200,14 +229,10 @@ def verify_k_le_r(n: int, k: int, r: int = 2, limit: int = 10**7) -> ExhaustiveC
         raise FractureError(f"need k >= 1, got k={k}")
     shape = HypergraphShape(n, r)
     m = shape.edge_count
-    if k**m > limit:
+    # k >= 2 and m >= limit.bit_length() give k^m >= 2^m > limit
+    if k >= 2 and (m >= limit.bit_length() or k**m > limit):
         raise FractureError(f"{k}^{m} colorings exceed the cap {limit}")
-    cx = np.full(m, -1, dtype=np.int64)
-    holds, checked = _kernels.verify_kler_kernel(n, r, k, m, _edges_flat(shape), cx)
-    counterexample = None
-    if not holds:
-        counterexample = Coloring(shape, k, tuple(int(x) for x in cx))
-    return ExhaustiveCheck(bool(holds), int(checked), counterexample)
+    return _first_unspanned(shape, k)
 
 
 def bulk_eval(n: int, r: int, k: int, colorings: np.ndarray) -> np.ndarray:

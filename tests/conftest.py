@@ -12,11 +12,8 @@ def warm_kernels():
     edges = _edges_flat(HypergraphShape(3, 2))
     prefix = np.empty(0, dtype=np.int64)
     witness = np.empty(3, dtype=np.int64)
-    counter = np.empty(3, dtype=np.int64)
     colorings = np.zeros((2, 3), dtype=np.int64)
     out = np.empty((2, 2), dtype=np.int64)
     for impl in _kernels.IMPLS.values():
-        impl["search"](False, 3, 2, 2, 3, edges, prefix, 2**62, 1, witness)
-        impl["search"](True, 3, 2, 2, 3, edges, prefix, 2**62, -2, witness)
-        impl["verify_kler"](3, 2, 2, 3, edges, counter)
+        impl["search"](_kernels.OBJ_F, 3, 2, 2, 3, edges, prefix, 2**62, 1, witness)
         impl["bulk_eval"](3, 2, 2, 3, edges, colorings, out)

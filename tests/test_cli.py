@@ -94,6 +94,21 @@ class TestConstructAndEval:
         code, out = run(capsys, "eval", str(path))
         assert code == 2 and out == ""
 
+    @pytest.mark.parametrize("command", ["eval", "verify"])
+    @pytest.mark.parametrize(
+        "text",
+        ['{"v": ' + "9" * 5000 + ', "strength": 2, "block_size": 3, "blocks": []}', "[" * 200000 + "]" * 200000],
+        ids=["5000-digit-int", "deep-nesting"],
+    )
+    def test_hostile_json_exits_2(self, capsys, tmp_path, command, text):
+        # past the int digit limit json raises ValueError, past the stack RecursionError
+        path = tmp_path / "hostile.json"
+        path.write_text(text)
+        code = main([command, str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ")
+
     def test_eval_top_level_list_exits_2(self, capsys, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2, 3]")

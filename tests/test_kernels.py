@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import oracles
-from fracture import _kernels
+from fracture import _kernels, search
 from fracture.core import HypergraphShape
 from fracture.search import _edges_flat
 
@@ -44,7 +44,7 @@ class TestSearchKernels:
         wit = np.zeros(m, dtype=np.int64)
         cap = n // r
         (py, py_args), (nb, nb_args) = run_both(
-            "search", False, n, r, k, m, flat, prefix, 2**62, cap, wit
+            "search", _kernels.OBJ_F, n, r, k, m, flat, prefix, 2**62, cap, wit
         )
         assert py == nb
         np.testing.assert_array_equal(py_args[-1], nb_args[-1])
@@ -56,10 +56,26 @@ class TestSearchKernels:
         prefix = np.empty(0, dtype=np.int64)
         wit = np.zeros(m, dtype=np.int64)
         (py, py_args), (nb, nb_args) = run_both(
-            "search", True, n, r, k, m, flat, prefix, 2**62, -r, wit
+            "search", _kernels.OBJ_Z, n, r, k, m, flat, prefix, 2**62, -r, wit
         )
         assert py == nb
         np.testing.assert_array_equal(py_args[-1], nb_args[-1])
+
+    @pytest.mark.parametrize("n,k,r", [(4, 2, 2), (5, 2, 2), (4, 2, 3), (5, 3, 3)])
+    def test_search_span_identical(self, n, k, r):
+        m = math.comb(n, r)
+        flat = edges_flat(n, r)
+        prefix = np.empty(0, dtype=np.int64)
+        wit = np.full(m, -1, dtype=np.int64)
+        (py, py_args), (nb, nb_args) = run_both(
+            "search", _kernels.OBJ_SPAN, n, r, k, m, flat, prefix, 2**62, 1, wit
+        )
+        assert py == nb
+        np.testing.assert_array_equal(py_args[-1], nb_args[-1])
+        assert not py[3]  # the connectivity claim holds for k <= r
+        assert py_args[-1].tolist() == [-1] * m
+        for got in TestVerifyKernel.run_all(n, r, k):
+            assert got == (True, k**m, None)
 
     def test_search_with_prefix(self):
         n, k, r = 5, 3, 2
@@ -69,7 +85,7 @@ class TestSearchKernels:
             prefix = np.array(pfx, dtype=np.int64)
             wit = np.zeros(m, dtype=np.int64)
             (py, a1), (nb, a2) = run_both(
-                "search", False, n, r, k, m, flat, prefix, 2**62, n // r, wit
+                "search", _kernels.OBJ_F, n, r, k, m, flat, prefix, 2**62, n // r, wit
             )
             assert py == nb
             np.testing.assert_array_equal(a1[-1], a2[-1])
@@ -82,7 +98,7 @@ class TestSearchKernels:
         for budget in [5, 20, 100, 350]:
             wit = np.zeros(m, dtype=np.int64)
             (py, a1), (nb, a2) = run_both(
-                "search", False, n, r, k, m, flat, prefix, budget, n // r, wit
+                "search", _kernels.OBJ_F, n, r, k, m, flat, prefix, budget, n // r, wit
             )
             assert py == nb
             np.testing.assert_array_equal(a1[-1], a2[-1])
@@ -105,19 +121,6 @@ class TestEvalKernels:
                 assert f_got == oracles.f_of(n, r, tuple(row))
                 assert inc_got == oracles.z_of(n, r, tuple(row)) * n
 
-    def test_verify_kernel_identical(self):
-        for n, k, r in [(4, 2, 2), (5, 2, 2), (4, 2, 3), (5, 3, 3)]:
-            m = math.comb(n, r)
-            flat = edges_flat(n, r)
-            c_py = np.zeros(m, dtype=np.int64)
-            c_nb = np.zeros(m, dtype=np.int64)
-            res_py = _kernels.IMPLS["python"]["verify_kler"](n, r, k, m, flat, c_py)
-            res_nb = _kernels.IMPLS["numba"]["verify_kler"](n, r, k, m, flat, c_nb)
-            assert res_py == res_nb
-            np.testing.assert_array_equal(c_py, c_nb)
-            assert res_py[0]  # the connectivity claim holds for k <= r
-            assert res_py[1] == k**m
-
 
 PARITY_SHAPES = [
     (n, r, k) for r in (2, 3) for n in range(r, 7) for k in range(1, min(4, math.comb(n, r)) + 1)
@@ -129,29 +132,20 @@ class TestListBackendParity:
     on numpy arrays."""
 
     @pytest.mark.parametrize("n,r,k", PARITY_SHAPES)
-    @pytest.mark.parametrize("minimize_z", [False, True], ids=["f", "z"])
-    def test_search(self, n, r, k, minimize_z):
+    @pytest.mark.parametrize(
+        "objective", [_kernels.OBJ_F, _kernels.OBJ_Z, _kernels.OBJ_SPAN], ids=["f", "z", "span"]
+    )
+    def test_search(self, n, r, k, objective):
         m = math.comb(n, r)
         flat = edges_flat(n, r)
-        cap = -r if minimize_z else n // r
+        cap = {_kernels.OBJ_F: n // r, _kernels.OBJ_Z: -r, _kernels.OBJ_SPAN: 1}[objective]
         for prefix, budget in [((), 2**62), ((), 50), ((0,), 7)]:
             outs = []
             for fn in (_kernels.IMPLS["python"]["search"], _kernels._search_impl):
                 wit = np.full(m, -1, dtype=np.int64)
-                got = fn(minimize_z, n, r, k, m, flat, np.array(prefix, dtype=np.int64), budget, cap, wit)
+                got = fn(objective, n, r, k, m, flat, np.array(prefix, dtype=np.int64), budget, cap, wit)
                 outs.append((tuple(int(x) for x in got), wit.tolist()))
             assert outs[0] == outs[1], (prefix, budget)
-
-    @pytest.mark.parametrize("n,r,k", [(4, 2, 2), (5, 2, 2), (4, 3, 3), (5, 3, 2)])
-    def test_verify_kler(self, n, r, k):
-        m = math.comb(n, r)
-        flat = edges_flat(n, r)
-        outs = []
-        for fn in (_kernels.IMPLS["python"]["verify_kler"], _kernels._verify_kler_impl):
-            cx = np.full(m, -1, dtype=np.int64)
-            got = fn(n, r, k, m, flat, cx)
-            outs.append((tuple(int(x) for x in got), cx.tolist()))
-        assert outs[0] == outs[1]
 
     @pytest.mark.parametrize("n,r,k", [(5, 3, 2), (6, 4, 2), (6, 5, 3)])
     def test_bulk_eval(self, n, r, k):
@@ -174,22 +168,20 @@ VERIFY_SHAPES = [
 
 
 class TestVerifyKernel:
-    """The pruned walk against lexicographic enumeration: the same
-    verdict, the same count of colorings checked, and the same first
-    counterexample, on every backend."""
+    """The canonical span walk behind verify_k_le_r against lexicographic
+    enumeration: the same verdict, the same count of colorings checked,
+    and the same first counterexample, on every backend."""
 
     @staticmethod
     def run_all(n, r, k):
-        m = math.comb(n, r)
-        flat = edges_flat(n, r)
-        kernels = [impl["verify_kler"] for impl in _kernels.IMPLS.values()]
+        kernels = [impl["search"] for impl in _kernels.IMPLS.values()]
         outs = []
-        for fn in kernels + [_kernels._verify_kler_impl]:
-            cx = np.full(m, -1, dtype=np.int64)
-            holds, checked = fn(n, r, k, m, flat, cx)
-            outs.append((bool(holds), int(checked), None if holds else cx.tolist()))
-            if holds:
-                assert cx.tolist() == [-1] * m
+        for fn in kernels + [_kernels._search_impl]:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(_kernels, "search_kernel", fn)
+                chk = search._first_unspanned(HypergraphShape(n, r), k)
+            cx = None if chk.counterexample is None else list(chk.counterexample.assignment)
+            outs.append((chk.holds, chk.checked, cx))
         return outs
 
     @pytest.mark.parametrize("n,r,k", VERIFY_SHAPES)

@@ -3,6 +3,7 @@ enough to enumerate every coloring."""
 
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -231,6 +232,14 @@ class TestVerifier:
     def test_limit_guard(self):
         with pytest.raises(FractureError):
             verify_k_le_r(8, 2, 2, limit=1000)
+
+    @pytest.mark.parametrize("n,k,r", [(60, 2, 30), (40, 2, 12)])
+    def test_oversized_refused_at_once(self, n, k, r):
+        # 2^C(60, 30) would exhaust memory and 2^C(40, 12) take minutes to build
+        start = time.perf_counter()
+        with pytest.raises(FractureError):
+            verify_k_le_r(n, k, r)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestBulkEval:
