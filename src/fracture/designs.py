@@ -1,12 +1,16 @@
 """Block designs and matching decompositions used by the colorings.
 
 Everything here is constructed explicitly and deterministically at desk
-scale: finite fields up to order 64 (tables built from the smallest
-irreducible polynomial), projective and affine planes of order q <= 8,
-Boolean quadruple systems, small inversive planes, one-factorizations
-and Hamiltonian decompositions of complete graphs, factorizations of
-complete r-uniform hypergraphs into perfect matchings, and decompositions
-of small complete graphs into copies of the diamond K4 minus an edge.
+scale, each object one way: finite fields up to order 64 (tables built
+from the smallest irreducible polynomial), projective and affine planes
+of order q <= 8, Boolean quadruple systems, small inversive planes,
+one-factorizations of K_n by the circle method (near-one-factorizations
+are the same rounds with the hub deleted), Hamiltonian decompositions of
+complete graphs, Baranyai factorizations of complete r-uniform
+hypergraphs into perfect matchings by integral flows, and decompositions
+of K_10 (stored) and K_11 (cyclic) into copies of the diamond K4 minus
+an edge.  Only t disjoint maximum matchings that no factorization can
+supply are searched for, by backtracking.
 
 Invariants:
     - every Design has each strength-subset in exactly one block,
@@ -29,7 +33,6 @@ DESK_PLANE_CAP = 8
 # Design.validate enumerates every strength-subset it covers; the largest
 # design built here, boolean_sqs(5), has C(32, 3) = 4,960 of them
 DESK_SUBSET_CAP = 10**5
-BARANYAI_BACKTRACK_CAP = 200
 
 
 def is_prime(x: int) -> bool:
@@ -215,6 +218,15 @@ class Design:
     blocks: tuple[tuple[int, ...], ...]
 
     def validate(self) -> None:
+        for name in ("v", "strength", "block_size"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise FractureError(f"{name} must be an integer, got {value!r}")
+        if not 1 <= self.strength <= self.block_size <= self.v:
+            raise FractureError(
+                "need 1 <= strength <= block_size <= v, got "
+                f"strength={self.strength}, block_size={self.block_size}, v={self.v}"
+            )
         check_binomial_size(self.v, self.strength)
         expected = comb(self.v, self.strength)
         if expected > DESK_SUBSET_CAP:
@@ -435,14 +447,16 @@ def one_factorization(n: int) -> MatchingDecomposition:
 @functools.lru_cache(maxsize=None)
 def near_one_factorization(n: int) -> MatchingDecomposition:
     """n maximum matchings partitioning K_n for odd n; matching i misses
-    exactly vertex i."""
+    exactly vertex i.
+
+    It is one_factorization(n + 1) with the hub n deleted: round i's hub
+    edge (i, n) is the last edge of its factor in colex order, and
+    dropping it leaves vertex i unmatched.
+    """
     if n < 3 or n % 2 == 0:
         raise FractureError(f"near-one-factorization needs odd n >= 3, got {n}")
-    factors = []
-    for i in range(n):
-        edges = [((i + j) % n, (i - j) % n) for j in range(1, (n + 1) // 2)]
-        factors.append(_normalize_factor(edges))
-    dec = MatchingDecomposition(n, 2, tuple(factors), complete=True)
+    factors = tuple(factor[:-1] for factor in one_factorization(n + 1).factors)
+    dec = MatchingDecomposition(n, 2, factors, complete=True)
     dec.validate()
     return dec
 
@@ -583,48 +597,11 @@ def _baranyai_flow(n: int, r: int) -> list[tuple[tuple[int, ...], ...]]:
     return out
 
 
-def _baranyai_backtrack(n: int, r: int) -> list[tuple[tuple[int, ...], ...]] | None:
-    """Factor-by-factor search: complete the colex-smallest uncovered edge
-    into a perfect matching of uncovered edges, recurse, backtrack."""
-    edges = all_edges(n, r)
-    uncovered = set(edges)
-
-    def perfect_matchings(avail: set[tuple[int, ...]], missing: frozenset[int]):
-        if not missing:
-            yield []
-            return
-        v = min(missing)
-        cands = sorted(
-            (e for e in avail if v in e and missing.issuperset(e)), key=_colex_key
-        )
-        for e in cands:
-            for rest in perfect_matchings(avail, missing - frozenset(e)):
-                yield [e] + rest
-
-    def solve() -> list[tuple[tuple[int, ...], ...]] | None:
-        if not uncovered:
-            return []
-        anchor = min(uncovered, key=_colex_key)
-        full = frozenset(range(n))
-        for matching in perfect_matchings(uncovered, full - frozenset(anchor)):
-            factor = [anchor] + matching
-            for e in factor:
-                uncovered.discard(e)
-            rest = solve()
-            if rest is not None:
-                return [_normalize_factor(factor)] + rest
-            uncovered.update(factor)
-        return None
-
-    return solve()
-
-
 @functools.lru_cache(maxsize=None)
 def baranyai(n: int, r: int) -> MatchingDecomposition:
-    """Partition of all of K_n^r into C(n-1, r-1) perfect matchings, r | n.
-
-    Small instances (C(n, r) <= 200) go through plain backtracking; larger
-    ones use the stage-by-stage integral-flow construction.
+    """Partition of all of K_n^r into C(n-1, r-1) perfect matchings, r | n,
+    by Baranyai's stage-by-stage integral-flow construction (Baranyai, "On
+    the factorization of the complete uniform hypergraph", 1975).
     """
     if r < 2 or n < r:
         raise FractureError(f"invalid ({n}, {r})")
@@ -632,13 +609,7 @@ def baranyai(n: int, r: int) -> MatchingDecomposition:
         raise FractureError(f"factorization needs r | n, got n={n}, r={r}")
     if comb(n, r) > 3000:
         raise FractureError(f"C({n},{r}) above desk cap 3000")
-    if comb(n, r) <= BARANYAI_BACKTRACK_CAP:
-        factors = _baranyai_backtrack(n, r)
-        if factors is None:
-            raise FractureError(f"backtracking failed on ({n}, {r})")
-    else:
-        factors = _baranyai_flow(n, r)
-    dec = MatchingDecomposition(n, r, tuple(factors), complete=True)
+    dec = MatchingDecomposition(n, r, tuple(_baranyai_flow(n, r)), complete=True)
     dec.validate()
     if len(dec.factors) != comb(n - 1, r - 1):
         raise FractureError("wrong factor count")
@@ -726,6 +697,20 @@ DIAMOND_COUNTS = {10: 9, 11: 11}
 # the edge {0, 1}.  Its edges have differences +-2, +-5, +-1, +-4, +-3.
 DIAMOND_BASE_11 = ((0, 2), (0, 5), (1, 2), (1, 5), (2, 5))
 
+# The nine copies of the n = 10 decomposition, each pair (min, max) and
+# each copy's pairs in colex order.
+DIAMONDS_10 = (
+    ((0, 1), (1, 2), (0, 3), (1, 3), (2, 3)),
+    ((0, 2), (2, 4), (0, 5), (2, 5), (4, 5)),
+    ((0, 4), (0, 6), (4, 6), (0, 7), (4, 7)),
+    ((1, 4), (1, 5), (1, 8), (4, 8), (5, 8)),
+    ((3, 4), (3, 5), (3, 9), (4, 9), (5, 9)),
+    ((0, 8), (2, 8), (0, 9), (2, 9), (8, 9)),
+    ((3, 6), (3, 7), (3, 8), (6, 8), (7, 8)),
+    ((1, 6), (1, 7), (1, 9), (6, 9), (7, 9)),
+    ((2, 6), (5, 6), (2, 7), (5, 7), (6, 7)),
+)
+
 
 @functools.lru_cache(maxsize=None)
 def k4minus_decomposition(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -740,17 +725,13 @@ def k4minus_decomposition(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     classes {+-1}, ..., {+-5} mod 11 exactly once, and each class holds 11
     edges of K_11, so the translates cover all 55 edges once.
 
-    n = 10 is found by backtracking (no single base block works there).
-    The search anchors on an uncovered edge with the most depleted
-    endpoints and prunes on local vertex feasibility: a vertex of
-    uncovered degree 1 is stuck, a vertex of degree 2 needs its two
-    neighbors still adjacent (it will sit opposite the missing edge), a
-    vertex of degree 3 needs two uncovered pairs among its neighbors (it
-    must be a hub of one copy).
+    n = 10 is the stored DIAMONDS_10, because no single base block works
+    there: a group of order 9 acting on 10 points fixes a point, and one
+    orbit of 9 copies would give each copy exactly one of that point's 9
+    edges, while every vertex of a diamond has degree >= 2.
 
-    Both paths normalise each pair to (min, max), sort each copy's pairs
-    by (max, min), and check the copy count and that the copies cover
-    every edge exactly once.
+    Both are checked for the copy count and that the copies cover every
+    edge exactly once.
     """
     if n not in DIAMOND_COUNTS:
         raise FractureError(f"diamond decomposition implemented for n in 10..11, got {n}")
@@ -760,90 +741,12 @@ def k4minus_decomposition(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
             shifted = (tuple(sorted(((a + t) % n, (b + t) % n))) for a, b in DIAMOND_BASE_11)
             copies.append(tuple(sorted(shifted, key=_colex_key)))
     else:
-        copies = _diamond_search(n)
-    if copies is None:
-        raise FractureError(f"no diamond decomposition found for n={n}")
+        copies = DIAMONDS_10
     if len(copies) != DIAMOND_COUNTS[n]:
         raise FractureError("unexpected copy count")
     if len({e for copy in copies for e in copy}) != comb(n, 2):
         raise FractureError(f"diamond copies do not partition K_{n}")
     return tuple(copies)
-
-
-def _diamond_search(n: int) -> list[tuple[tuple[int, int], ...]] | None:
-    """Backtracking search for a diamond decomposition of K_n, or None."""
-    uncovered: set[tuple[int, int]] = set()
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for a in range(n):
-        for b in range(a + 1, n):
-            uncovered.add((a, b))
-            adj[a].add(b)
-            adj[b].add(a)
-
-    def candidates(anchor: tuple[int, int]):
-        """Diamonds containing anchor with all five edges uncovered."""
-        u, v = anchor
-        others = [x for x in range(n) if x != u and x != v]
-        out = []
-        for y, z in combinations(others, 2):
-            quad = sorted((u, v, y, z))
-            pairs = [tuple(sorted(p)) for p in combinations(quad, 2)]
-            for missing in pairs:
-                if missing == anchor:
-                    continue
-                five = [p for p in pairs if p != missing]
-                if all(p in uncovered for p in five):
-                    out.append(tuple(sorted(five, key=_colex_key)))
-        return out
-
-    def place(copy):
-        for a, b in copy:
-            uncovered.discard((a, b))
-            adj[a].discard(b)
-            adj[b].discard(a)
-
-    def unplace(copy):
-        for a, b in copy:
-            uncovered.add((a, b))
-            adj[a].add(b)
-            adj[b].add(a)
-
-    def feasible() -> bool:
-        for v in range(n):
-            d = len(adj[v])
-            if d == 1:
-                return False
-            if d == 2:
-                a, b = sorted(adj[v])
-                if (a, b) not in uncovered:
-                    return False
-            elif d == 3:
-                a, b, c = sorted(adj[v])
-                cnt = (
-                    ((a, b) in uncovered)
-                    + ((a, c) in uncovered)
-                    + ((b, c) in uncovered)
-                )
-                if cnt < 2:
-                    return False
-        return True
-
-    def solve():
-        if not uncovered:
-            return []
-        anchor = min(
-            uncovered, key=lambda e: (len(adj[e[0]]) + len(adj[e[1]]), _colex_key(e))
-        )
-        for copy in candidates(anchor):
-            place(copy)
-            if feasible():
-                rest = solve()
-                if rest is not None:
-                    return [copy] + rest
-            unplace(copy)
-        return None
-
-    return solve()
 
 
 def decomposition_to_coloring_edges(n: int, r: int, groups) -> list[int]:

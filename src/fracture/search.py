@@ -220,8 +220,9 @@ def verify_k_le_r(n: int, k: int, r: int = 2, limit: int = 10**7) -> ExhaustiveC
     k <= r.  It is the search kernel's canonical span walk (see the
     module docstring), so checked is the base-k rank plus one of the
     lexicographically first counterexample, or k^m when the claim
-    holds.  It refuses instances whose k^m exceeds the enumeration cap,
-    without computing k^m when m alone shows it.
+    holds.  It refuses hosts above the desk edge cap, for every k, and
+    instances whose k^m exceeds the enumeration cap, without computing
+    k^m when m alone shows it.
     """
     if k > r:
         raise FractureError(f"claim only holds for k <= r, got k={k} > r={r}")
@@ -229,6 +230,7 @@ def verify_k_le_r(n: int, k: int, r: int = 2, limit: int = 10**7) -> ExhaustiveC
         raise FractureError(f"need k >= 1, got k={k}")
     shape = HypergraphShape(n, r)
     m = shape.edge_count
+    check_desk_edges(n, r, m)
     # k >= 2 and m >= limit.bit_length() give k^m >= 2^m > limit
     if k >= 2 and (m >= limit.bit_length() or k**m > limit):
         raise FractureError(f"{k}^{m} colorings exceed the cap {limit}")

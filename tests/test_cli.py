@@ -173,6 +173,25 @@ class TestDesignsCommand:
             code, verdict = run_json(capsys, "verify", str(path))
             assert code == 0 and verdict["valid"] is True
 
+    # sha256 of the outputs, recorded when K_10's diamonds were still found
+    # by backtracking and near-one-factorizations built on their own
+    PINNED = [
+        (
+            ("construct", "base", "diamond(10)"),
+            "c4a47887d3ff9ba9406d2e1b524772a1702764bca1e84d05fac55d7b3c960ceb",
+        ),
+        (
+            ("designs", "near-one-factorization", "--n", "7"),
+            "f718cfbca57551179867b3923119792bb7eb8a8c6c1c538e8fbfa4197d8d20da",
+        ),
+    ]
+
+    @pytest.mark.parametrize("argv,sha", PINNED, ids=["diamond-10", "near-one-factorization-7"])
+    def test_bytes_unchanged(self, capsys, argv, sha):
+        code, text = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == sha
+
     def test_diamonds(self, capsys):
         code, data = run_json(capsys, "designs", "diamonds", "--n", "10")
         assert code == 0
@@ -393,6 +412,23 @@ class TestVerifyRejections:
         code, verdict = self.write_and_verify(capsys, tmp_path, data)
         assert time.perf_counter() - start < 1
         assert code == 4 and verdict["reason"].startswith("FractureError:")
+
+    @pytest.mark.parametrize(
+        "strength,blocks",
+        [(10**20, None), (100, None), (8, [])],
+        ids=["pg2-strength-1e20", "pg2-strength-100", "v7-strength-8-no-blocks"],
+    )
+    def test_rejects_strength_out_of_range(self, capsys, tmp_path, strength, blocks):
+        # strength above block_size covers no subset, and C(7, 8) = 0 asks for none
+        if blocks is None:
+            _, text = run(capsys, "designs", "pg", "--q", "2")
+            data = json.loads(text)
+        else:
+            data = {"v": 7, "block_size": 3, "blocks": blocks}
+        data["strength"] = strength
+        code, verdict = self.write_and_verify(capsys, tmp_path, data)
+        assert code == 4 and verdict["valid"] is False
+        assert verdict["reason"].startswith("FractureError:")
 
     def test_rejects_unknown_shape(self, capsys, tmp_path):
         code, verdict = self.write_and_verify(capsys, tmp_path, {"what": 1})

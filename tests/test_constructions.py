@@ -181,8 +181,11 @@ class TestMatchingColorings:
             assert len(cls) == per_factor // t
             assert oracles.is_matching(cls)
 
+    # (8, 2, 14) needs one-step repair moves and (16, 2, 30) the two-step
+    # move; the greedy pass alone is equitable on the others
     @pytest.mark.parametrize(
-        "n,r,k", [(5, 2, 7), (5, 2, 8), (8, 2, 13), (6, 3, 20), (6, 2, 11)]
+        "n,r,k",
+        [(5, 2, 7), (5, 2, 8), (8, 2, 13), (6, 3, 20), (6, 2, 11), (8, 2, 14), (16, 2, 30)],
     )
     def test_equitable(self, n, r, k):
         c = coloring_equitable(n, r, k)

@@ -168,9 +168,11 @@ class TestFactorizations:
         with pytest.raises(FractureError):
             baranyai(7, 3)
 
+    # r does not divide n in (10, 3, 6) and (11, 4, 7), so no factorization
+    # supplies them and the backtracking construction runs
     @pytest.mark.parametrize(
         "n,r,t",
-        [(5, 2, 2), (6, 2, 3), (7, 2, 3), (6, 3, 2), (9, 3, 4), (5, 2, 0)],
+        [(5, 2, 2), (6, 2, 3), (7, 2, 3), (6, 3, 2), (9, 3, 4), (5, 2, 0), (10, 3, 6), (11, 4, 7)],
     )
     def test_disjoint_max_matchings(self, n, r, t):
         dec = disjoint_max_matchings(n, r, t)

@@ -241,6 +241,20 @@ class TestVerifier:
             verify_k_le_r(n, k, r)
         assert time.perf_counter() - start < 1.0
 
+    def test_one_color_refused_above_desk_cap(self, monkeypatch):
+        # 1^m = 1 passes the enumeration cap, so only the desk edge cap
+        # keeps C(22, 6) = 74,613 edges from being listed
+        def no_table(shape):
+            raise AssertionError(f"edge table built for {shape}")
+
+        monkeypatch.setattr(search_mod, "_edges_flat", no_table)
+        with pytest.raises(FractureError, match="desk cap"):
+            verify_k_le_r(22, 1, 6)
+
+    def test_one_color_holds(self):
+        chk = verify_k_le_r(6, 1, 2)
+        assert chk.holds and chk.checked == 1 and chk.counterexample is None
+
 
 class TestBulkEval:
     def test_matches_single_eval(self):
