@@ -25,7 +25,12 @@ The subtrees run one after another in prefix order, each with an
 equal share of the node budget.  The search stops at its cap, a score
 no coloring can beat: a subtree returns at its first leaf that scores
 cap, and no later subtree is run, since none can beat it or win the
-first-index tie.
+first-index tie.  Under a node budget an earlier subtree can run out of
+its share before its best leaf while a later one reaches cap.  The value
+is then still proved, but the witness is an optimal coloring, not
+necessarily the lexicographically smallest: budgeted exact_f(10, 4,
+budget=5,000,000) proves 3 with a witness other than the unbudgeted
+run's.  Without a budget the witness is always the smallest.
 
 exact_f and exact_z share one driver and one kernel; they differ only in
 the objective passed down and in how the best score is turned into a
@@ -72,7 +77,13 @@ class SearchOptions:
 
 @dataclass(frozen=True)
 class SearchResult:
-    """value is exact when exhausted is True, otherwise a best-found."""
+    """value is exact when exhausted is True, otherwise a best-found.
+
+    The witness evaluates to value.  Unbudgeted and exhausted, it is the
+    lexicographically smallest optimal coloring; under a node budget it
+    is an optimal coloring when exhausted, not necessarily the smallest
+    (see the module docstring).
+    """
 
     value: object
     witness: Coloring | None
@@ -239,12 +250,23 @@ def verify_k_le_r(n: int, k: int, r: int = 2, limit: int = 10**7) -> ExhaustiveC
 
 def bulk_eval(n: int, r: int, k: int, colorings: np.ndarray) -> np.ndarray:
     """Rows of (min components, max incident count), one per coloring in
-    the (num, C(n,r)) int array."""
+    the (num, C(n,r)) integer array, each color in [0, k).
+
+    k must lie in [1, C(n, r)], as for a Coloring: a color outside
+    [0, k) would land in another row's union-find.
+    """
     shape = HypergraphShape(n, r)
     m = shape.edge_count
-    if colorings.ndim != 2 or colorings.shape[1] != m:
+    arr = np.asarray(colorings)
+    if arr.ndim != 2 or arr.shape[1] != m:
         raise FractureError(f"colorings must be (num, {m})")
-    arr = np.ascontiguousarray(colorings, dtype=np.int64)
+    if not np.issubdtype(arr.dtype, np.integer):
+        raise FractureError(f"colorings must be integers, got {arr.dtype}")
+    if not 1 <= k <= m:
+        raise FractureError(f"need 1 <= k <= {m}, got k={k}")
+    if arr.size and (arr.min() < 0 or arr.max() >= k):
+        raise FractureError(f"colors must lie in [0, {k})")
+    arr = np.ascontiguousarray(arr, dtype=np.int64)
     out = np.zeros((arr.shape[0], 2), dtype=np.int64)
     _kernels.bulk_eval_kernel(n, r, k, m, _edges_flat(shape), arr, out)
     return out
@@ -269,6 +291,8 @@ def randomized_improve(
     random edge, keeping the move when the objective does not drop.
     Deterministic for a fixed seed; never claims exactness.
     """
+    if restarts < 1 or steps < 1:
+        raise FractureError(f"need restarts >= 1 and steps >= 1, got {restarts} and {steps}")
     shape = HypergraphShape(n, r)
     m = shape.edge_count
     if not 1 <= k <= m:

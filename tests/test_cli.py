@@ -315,6 +315,13 @@ class TestSearchCommand:
         assert code == 0
         assert data["value"] >= 1
 
+    @pytest.mark.parametrize("restarts", ["0", "-1"])
+    def test_improve_without_restarts_exits_2(self, capsys, restarts):
+        code = main(["search", "improve", "--n", "6", "--k", "3", "--restarts", restarts])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: need restarts >= 1 and steps >= 1, got {restarts} and 2000\n"
+
     def test_stale_threads_env_ignored(self, capsys, monkeypatch):
         # the search reads no FRACTURE_THREADS any more, whatever its value
         monkeypatch.setenv("FRACTURE_THREADS", "x")

@@ -1,5 +1,5 @@
-"""Both executions of the one kernel source must agree exactly: same
-values, same node counts, same witnesses, bit for bit.  The pure-Python
+"""Both executions of the one search kernel source must agree exactly:
+same values, same node counts, same witnesses, bit for bit.  The pure-Python
 backend runs the code objects on lists and ints; the raw functions
 called on numpy int64 arrays are what numba compiles, and the jitted
 kernels are compared against the pure-Python ones where numba imports."""
@@ -104,24 +104,6 @@ class TestSearchKernels:
             np.testing.assert_array_equal(a1[-1], a2[-1])
 
 
-@needs_numba
-class TestEvalKernels:
-    def test_bulk_eval_identical_and_correct(self):
-        rng = np.random.default_rng(7)
-        for n, k, r in [(5, 3, 2), (6, 4, 2), (6, 5, 3)]:
-            m = math.comb(n, r)
-            flat = edges_flat(n, r)
-            colorings = rng.integers(0, k, size=(50, m)).astype(np.int64)
-            out_py = np.zeros((50, 2), dtype=np.int64)
-            out_nb = np.zeros((50, 2), dtype=np.int64)
-            _kernels.IMPLS["python"]["bulk_eval"](n, r, k, m, flat, colorings, out_py)
-            _kernels.IMPLS["numba"]["bulk_eval"](n, r, k, m, flat, colorings, out_nb)
-            np.testing.assert_array_equal(out_py, out_nb)
-            for row, (f_got, inc_got) in zip(colorings, out_py):
-                assert f_got == oracles.f_of(n, r, tuple(row))
-                assert inc_got == oracles.z_of(n, r, tuple(row)) * n
-
-
 PARITY_SHAPES = [
     (n, r, k) for r in (2, 3) for n in range(r, 7) for k in range(1, min(4, math.comb(n, r)) + 1)
 ]
@@ -146,18 +128,6 @@ class TestListBackendParity:
                 got = fn(objective, n, r, k, m, flat, np.array(prefix, dtype=np.int64), budget, cap, wit)
                 outs.append((tuple(int(x) for x in got), wit.tolist()))
             assert outs[0] == outs[1], (prefix, budget)
-
-    @pytest.mark.parametrize("n,r,k", [(5, 3, 2), (6, 4, 2), (6, 5, 3)])
-    def test_bulk_eval(self, n, r, k):
-        m = math.comb(n, r)
-        flat = edges_flat(n, r)
-        colorings = np.random.default_rng(n * 100 + k).integers(0, k, size=(40, m)).astype(np.int64)
-        rows = []
-        for fn in (_kernels.IMPLS["python"]["bulk_eval"], _kernels._bulk_eval_impl):
-            out = np.zeros((40, 2), dtype=np.int64)
-            fn(n, r, k, m, flat, colorings, out)
-            rows.append(out)
-        np.testing.assert_array_equal(rows[0], rows[1])
 
 
 # (n, r, k): k > r shapes end at a first counterexample, k <= r shapes hold

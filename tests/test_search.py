@@ -11,6 +11,7 @@ import pytest
 
 import oracles
 from fracture import _kernels
+from fracture.core import HypergraphShape
 from fracture import search as search_mod
 from fracture import (
     FractureError,
@@ -257,20 +258,81 @@ class TestVerifier:
 
 
 class TestBulkEval:
+    @staticmethod
+    def check_rows(n, r, colorings, out):
+        assert out.shape == (len(colorings), 2)
+        for row, (f_got, inc) in zip(colorings.tolist(), out.tolist()):
+            assert f_got == oracles.f_of(n, r, tuple(row))
+            assert Fraction(inc, n) == oracles.z_of(n, r, tuple(row))
+
     def test_matches_single_eval(self):
         rng = np.random.default_rng(11)
         n, k, r = 6, 4, 2
         m = math.comb(n, r)
         colorings = rng.integers(0, k, size=(200, m)).astype(np.int64)
-        out = bulk_eval(n, r, k, colorings)
-        assert out.shape == (200, 2)
-        for row, (f_got, inc) in zip(colorings, out):
-            assert f_got == oracles.f_of(n, r, tuple(row))
-            assert Fraction(int(inc), n) == oracles.z_of(n, r, tuple(row))
+        self.check_rows(n, r, colorings, bulk_eval(n, r, k, colorings))
 
     def test_shape_checked(self):
         with pytest.raises(FractureError):
             bulk_eval(5, 2, 3, np.zeros((4, 3), dtype=np.int64))
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_matches_oracles(self, r, k):
+        n = r + 3
+        m = math.comb(n, r)
+        colorings = np.random.default_rng(10 * r + k).integers(0, k, size=(60, m))
+        colorings[0] = 0
+        colorings[1] = np.arange(m) % k
+        self.check_rows(n, r, colorings, bulk_eval(n, r, k, colorings))
+
+    @pytest.mark.parametrize("rows", [0, 1, 511, 512, 513, 1543])
+    def test_block_edges(self, rows):
+        # rows are evaluated 512 at a time: every row of every block, the
+        # last partial one included, must land in its own output row
+        n, r, k = 6, 3, 4
+        colorings = np.random.default_rng(rows).integers(0, k, size=(rows, math.comb(n, r)))
+        self.check_rows(n, r, colorings, bulk_eval(n, r, k, colorings))
+
+    @pytest.mark.parametrize("n,r,k", [(10, 2, 3), (12, 2, 2), (8, 3, 2)])
+    def test_any_edge_order(self, n, r, k):
+        # components do not depend on the order edges are merged in; a
+        # shuffled order builds deeper union-find chains than colex order
+        m = math.comb(n, r)
+        rng = np.random.default_rng(n * r * k)
+        colorings = rng.integers(0, k, size=(300, m))
+        perm = rng.permutation(m)
+        edges = search_mod._edges_flat(HypergraphShape(n, r)).reshape(m, r)[perm]
+        out = np.zeros((300, 2), dtype=np.int64)
+        _kernels.bulk_eval_kernel(n, r, k, m, edges.reshape(-1), colorings[:, perm], out)
+        self.check_rows(n, r, colorings, out)
+
+    def test_three_deep_chain(self):
+        # 6 -> 5 -> 1 -> 0 after four edges: (2, 6) must find root 0
+        # three jumps up from 6, or 2 and 0 stay two components
+        edges = np.array([5, 6, 1, 3, 1, 5, 0, 1, 2, 6], dtype=np.int64)
+        out = np.zeros((1, 2), dtype=np.int64)
+        _kernels.bulk_eval_kernel(7, 2, 1, 5, edges, np.zeros((1, 5), dtype=np.int64), out)
+        assert out.tolist() == [[1, 6]]
+
+    @pytest.mark.parametrize("color", [5, 2, -1])
+    def test_color_out_of_range_refused(self, color):
+        with pytest.raises(FractureError, match="colors must lie in"):
+            bulk_eval(4, 2, 2, [[0, 0, 0, 0, 0, color]])
+
+    def test_list_of_ints_accepted(self):
+        assert bulk_eval(4, 2, 2, [[0, 0, 0, 0, 0, 1]]).tolist() == [[1, 4]]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.bool_])
+    def test_non_integer_dtype_refused(self, dtype):
+        with pytest.raises(FractureError, match="integers"):
+            bulk_eval(4, 2, 2, np.zeros((2, 6), dtype=dtype))
+
+    @pytest.mark.parametrize("k", [0, -1, 7])
+    def test_k_out_of_range_refused(self, k):
+        # as for a Coloring: 1 <= k <= C(4, 2) = 6
+        with pytest.raises(FractureError, match="need 1 <= k <= 6"):
+            bulk_eval(4, 2, k, np.zeros((2, 6), dtype=np.int64))
 
 
 class TestRandomizedImprove:
@@ -281,6 +343,11 @@ class TestRandomizedImprove:
         assert f_value(a.witness) == a.value
         assert a.value == exact_f(6, 3, 2).value
         assert not a.exhausted  # a heuristic never proves optimality
+
+    @pytest.mark.parametrize("restarts,steps", [(0, 10), (-1, 10), (3, 0), (3, -5)])
+    def test_no_restart_or_step_refused(self, restarts, steps):
+        with pytest.raises(FractureError, match="restarts >= 1 and steps >= 1"):
+            randomized_improve(6, 3, 2, restarts=restarts, steps=steps)
 
     def test_different_seeds_allowed_to_differ(self):
         a = randomized_improve(6, 3, 2, seed=1, restarts=3)
