@@ -14,7 +14,6 @@ from .core import (
     ColorClassStats,
     FractureError,
     HypergraphShape,
-    all_edges,
     class_stats,
     coloring_from_dict,
     coloring_from_json,

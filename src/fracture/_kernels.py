@@ -4,16 +4,18 @@ blocks of rows on every backend.
 
 The environment variable FRACTURE_NUMBA picks the active search
 backend: unset or "1" compiles when numba is importable, "0" forces the
-pure interpreter.  Both backends live in IMPLS so the benchmark can
-race one against the other on identical inputs.
+pure interpreter.  IMPLS maps each available backend to its search
+kernel so the benchmark can race one against the other on identical
+inputs; search_kernel is the active one.
 
 Search state is flat int64 arrays.  Union-find is by size with no path
 compression so every merge is a single reversible write; an undo log of
-(kind, color, a, b) records rewinds one edge assignment exactly.
+(kind, color, a, b) records rewinds one edge assignment exactly: a
+vertex entering a class, a merge, or a lex-leader flag cleared.
 
 numba compiles _search_impl on numpy arrays.  The pure-Python backend
 runs the same code object with np bound to _ListNumpy, whose int64,
-full, zeros and empty give Python ints and lists, and with every
+full and zeros give Python ints and lists, and with every
 read-only array argument passed as a list: indexing an ndarray from the
 interpreter boxes a fresh np.int64 on every read and every += 1, and the
 same search on lists runs about five times as many nodes per second.
@@ -23,11 +25,13 @@ One search kernel serves three objectives, each scored so that higher
 is better: f is the minimum component count over used colors, z is
 minus the maximum incident-vertex count, and span finds the first
 coloring in which no class is connected and spans every vertex (the
-exhaustive k <= r check).  Its edge-apply and undo blocks are each
-written once, forced prefix edges included, and inlined rather than
-factored into inner functions: the jit compiler mishandles branching
-closures that mutate enclosing state, producing silently wrong counts,
-and flat bodies compile the same as they interpret.
+exhaustive k <= r check).  One unsplit walk breaks both symmetries of
+the host: colors by first-use order, vertices by lex-leader constraints
+on adjacent transpositions.  Its edge-apply and undo blocks are each
+written once and inlined rather than factored into inner functions: the
+jit compiler mishandles branching closures that mutate enclosing state,
+producing silently wrong counts, and flat bodies compile the same as
+they interpret.
 
 bulk_eval_kernel evaluates many colorings at once without a loop per
 row: every row colors the same edge at each step, so one union-find
@@ -50,7 +54,7 @@ import numpy as np
 OBJ_F, OBJ_Z, OBJ_SPAN = 0, 1, 2
 
 
-def _search_impl(objective, n, r, k, m, edges_flat, prefix, budget, cap, witness_out):
+def _search_impl(objective, n, r, k, m, edges_flat, twins, budget, cap, witness_out):
     """Exhaustive search over canonical colorings for the best score
     under objective: the minimum component count over used colors
     (OBJ_F), minus the maximum incident-vertex count (OBJ_Z), or, under
@@ -60,12 +64,25 @@ def _search_impl(objective, n, r, k, m, edges_flat, prefix, budget, cap, witness
     Colors are introduced in first-use order (an edge may use color c
     only if colors below c already appear earlier), which enumerates one
     representative per color-relabeling class in lexicographic order.
-    The first len(prefix) edges take their colors from prefix as forced
-    levels that count no nodes and are never pruned.  Every other edge
-    assignment counts one node; the budget is tested before the count,
-    so nodes never exceeds budget.  Returns (best score, exhausted,
-    nodes, found); the lexicographically smallest optimal assignment is
-    copied into witness_out.
+    Every edge assignment counts one node; the budget is tested before
+    the count, so nodes never exceeds budget.  Returns (best score,
+    exhausted, nodes, found); the lexicographically smallest optimal
+    assignment is copied into witness_out.
+
+    Vertex symmetry is broken by one lex-leader constraint per adjacent
+    transposition (v-1 v) (Crawford, Ginsberg, Luks and Roy, KR 1996): a
+    coloring must be no larger than its image under the swap.  The swap
+    exchanges each edge S+{v} with S+{v-1}, which precedes it in colex
+    order, and the pairs fall in the same order whichever member they are
+    sorted by, so the first pair whose colors differ decides the
+    constraint, when the later member is colored.  twins[i*r + j] is the
+    rank of edge i with its vertex j = edges_flat[i*r + j] lowered by
+    one, or -1 when that vertex is 0 or its predecessor is in the edge.
+    tied[v-1] stays 1 while every pair so far agrees; coloring the later
+    edge below its twin prunes the node, above it clears the flag.  The
+    lexicographically smallest member of every vertex-and-color orbit
+    passes every constraint, so the smallest optimal coloring, and under
+    OBJ_SPAN the first counterexample, is still reached.
 
     cap is a score no coloring can beat (n // r or less for f, -r for
     z, 1 for span), and a leaf scores at most cap.  The search returns
@@ -84,8 +101,10 @@ def _search_impl(objective, n, r, k, m, edges_flat, prefix, budget, cap, witness
     size = np.zeros(k * n, np.int64)
     comp = np.zeros(k, np.int64)
     inc = np.zeros(k, np.int64)
+    tied = np.full(n, 1, np.int64)
 
-    log_cap = (m + 1) * (2 * r + 2)
+    # per edge at most r vertex entries and r - 1 merges; each flag clears once
+    log_cap = (m + 1) * (2 * r + 2) + n
     log_kind = np.zeros(log_cap, np.int64)
     log_c = np.zeros(log_cap, np.int64)
     log_a = np.zeros(log_cap, np.int64)
@@ -101,7 +120,6 @@ def _search_impl(objective, n, r, k, m, edges_flat, prefix, budget, cap, witness
     found = np.int64(0)
     exhausted = np.int64(1)
     nodes = np.int64(0)
-    p = len(prefix)
 
     depth = 0
     while True:
@@ -123,11 +141,7 @@ def _search_impl(objective, n, r, k, m, edges_flat, prefix, budget, cap, witness
                     witness_out[i] = assign[i]
                 if best >= cap:
                     break
-            if depth == p:
-                break
             depth -= 1
-        elif depth < p:
-            c = prefix[depth]
         else:
             limit = used[depth]
             if limit > k - 1:
@@ -139,7 +153,7 @@ def _search_impl(objective, n, r, k, m, edges_flat, prefix, budget, cap, witness
                 c = cursor[depth]
                 cursor[depth] = c + 1
                 nodes += 1
-            elif depth == p:
+            elif depth == 0:
                 break
             else:
                 depth -= 1
@@ -147,77 +161,93 @@ def _search_impl(objective, n, r, k, m, edges_flat, prefix, budget, cap, witness
             mark[depth] = log_len
             base = depth * r
             for j in range(r):
-                idx = c * n + edges_flat[base + j]
-                if parent[idx] == -1:
-                    parent[idx] = idx
-                    size[idx] = 1
-                    comp[c] += 1
-                    inc[c] += 1
-                    log_kind[log_len] = 0
-                    log_c[log_len] = c
-                    log_a[log_len] = idx
-                    log_len += 1
-            ra = c * n + edges_flat[base]
-            while parent[ra] != ra:
-                ra = parent[ra]
-            for j in range(1, r):
-                rb = c * n + edges_flat[base + j]
-                while parent[rb] != rb:
-                    rb = parent[rb]
+                tw = twins[base + j]
+                if tw >= 0:
+                    t = edges_flat[base + j] - 1
+                    if tied[t] == 1 and c != assign[tw]:
+                        if c < assign[tw]:
+                            c = -1  # not a lex-leader: prune
+                            break
+                        tied[t] = 0
+                        log_kind[log_len] = 2
+                        log_a[log_len] = t
+                        log_len += 1
+            if c >= 0:
+                for j in range(r):
+                    idx = c * n + edges_flat[base + j]
+                    if parent[idx] == -1:
+                        parent[idx] = idx
+                        size[idx] = 1
+                        comp[c] += 1
+                        inc[c] += 1
+                        log_kind[log_len] = 0
+                        log_c[log_len] = c
+                        log_a[log_len] = idx
+                        log_len += 1
+                ra = c * n + edges_flat[base]
                 while parent[ra] != ra:
                     ra = parent[ra]
-                if rb != ra:
-                    if size[ra] < size[rb]:
-                        ra, rb = rb, ra
-                    parent[rb] = ra
-                    size[ra] += size[rb]
-                    comp[c] -= 1
-                    log_kind[log_len] = 1
-                    log_c[log_len] = c
-                    log_a[log_len] = rb
-                    log_b[log_len] = ra
-                    log_len += 1
-            assign[depth] = c
-            newu = used[depth]
-            if c == newu:
-                newu += 1
-            bound = cap
-            if objective == OBJ_Z:
-                for cc in range(newu):
-                    if -inc[cc] < bound:
-                        bound = -inc[cc]
-            elif objective == OBJ_F:
-                for cc in range(newu):
-                    ub = comp[cc] + (n - inc[cc]) // r
-                    if ub < bound:
-                        bound = ub
-            elif comp[c] == 1 and inc[c] == n:
-                bound = 0
-            if bound > best or depth < p:
-                depth += 1
-                used[depth] = newu
-                cursor[depth] = 0
-                continue
+                for j in range(1, r):
+                    rb = c * n + edges_flat[base + j]
+                    while parent[rb] != rb:
+                        rb = parent[rb]
+                    while parent[ra] != ra:
+                        ra = parent[ra]
+                    if rb != ra:
+                        if size[ra] < size[rb]:
+                            ra, rb = rb, ra
+                        parent[rb] = ra
+                        size[ra] += size[rb]
+                        comp[c] -= 1
+                        log_kind[log_len] = 1
+                        log_c[log_len] = c
+                        log_a[log_len] = rb
+                        log_b[log_len] = ra
+                        log_len += 1
+                assign[depth] = c
+                newu = used[depth]
+                if c == newu:
+                    newu += 1
+                bound = cap
+                if objective == OBJ_Z:
+                    for cc in range(newu):
+                        if -inc[cc] < bound:
+                            bound = -inc[cc]
+                elif objective == OBJ_F:
+                    for cc in range(newu):
+                        ub = comp[cc] + (n - inc[cc]) // r
+                        if ub < bound:
+                            bound = ub
+                elif comp[c] == 1 and inc[c] == n:
+                    bound = 0
+                if bound > best:
+                    depth += 1
+                    used[depth] = newu
+                    cursor[depth] = 0
+                    continue
         to_mark = mark[depth]
         while log_len > to_mark:
             log_len -= 1
+            kind = log_kind[log_len]
             uc = log_c[log_len]
             ua = log_a[log_len]
-            if log_kind[log_len] == 0:
+            if kind == 0:
                 parent[ua] = -1
                 size[ua] = 0
                 comp[uc] -= 1
                 inc[uc] -= 1
-            else:
+            elif kind == 1:
                 ub2 = log_b[log_len]
                 size[ub2] -= size[ua]
                 parent[ua] = ua
                 comp[uc] += 1
+            else:
+                tied[ua] = 1
     return best, exhausted, nodes, found
 
 
 class _ListNumpy:
-    """The part of numpy the kernel bodies call, over Python lists and
+    """The part of numpy the search kernel calls, over Python lists and
     ints: what the interpreted backend binds to the name np."""
 
     int64 = int
@@ -230,17 +260,13 @@ class _ListNumpy:
     def zeros(size, dtype=None):
         return [0] * size
 
-    @staticmethod
-    def empty(size, dtype=None):
-        return [0] * size
-
 
 def _on_lists(fn):
     """Run fn's code object with np bound to _ListNumpy, on lists.
 
     Every ndarray argument whose parameter name does not end in _out is
-    passed as a (nested) list; _out arrays stay numpy, since the kernels
-    write them only on an improvement or once per row.
+    passed as a list; _out arrays stay numpy, since the kernel writes
+    them only on an improvement.
     """
     code = fn.__code__
     body = types.FunctionType(code, {**fn.__globals__, "np": _ListNumpy})
@@ -257,9 +283,7 @@ def _on_lists(fn):
     return run
 
 
-_SOURCES = {"search": _search_impl}
-
-IMPLS: dict[str, dict] = {"python": {name: _on_lists(fn) for name, fn in _SOURCES.items()}}
+IMPLS = {"python": _on_lists(_search_impl)}
 
 try:
     from numba import njit as _njit
@@ -267,14 +291,11 @@ except ImportError:
     _njit = None
 
 if _njit is not None:
-    _jit = _njit(cache=True)
-    IMPLS["numba"] = {name: _jit(fn) for name, fn in _SOURCES.items()}
+    IMPLS["numba"] = _njit(cache=True)(_search_impl)
 
 NUMBA_ENABLED = "numba" in IMPLS and os.environ.get("FRACTURE_NUMBA", "1") != "0"
 
-ACTIVE = IMPLS["numba"] if NUMBA_ENABLED else IMPLS["python"]
-
-search_kernel = ACTIVE["search"]
+search_kernel = IMPLS["numba" if NUMBA_ENABLED else "python"]
 
 
 # at most this many rows share one union-find array, and at most

@@ -256,8 +256,10 @@ def _verify_payload(data: dict) -> tuple[bool, str]:
                 return False, f"{key} is {data[key]}, the witness has {getattr(witness, key)}"
         if data["metric"] == "f":
             got = f_value(witness)
-        else:
+        elif data["metric"] == "z":
             got = fraction_str(z_value(witness))
+        else:
+            return False, f"metric must be \"f\" or \"z\", got {data['metric']!r}"
         if got != data["value"]:
             return False, f"witness evaluates to {got}, claim was {data['value']}"
         if data["report"] != report_dict(witness):

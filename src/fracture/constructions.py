@@ -32,7 +32,6 @@ from .core import (
     Coloring,
     FractureError,
     HypergraphShape,
-    all_edges,
     check_desk_edges,
     class_stats,
     edge_rank,
@@ -517,7 +516,7 @@ def coloring_equitable(n: int, r: int, k: int) -> Coloring:
         raise FractureError(f"need k >= {need}, got k={k}")
     if k > m:
         raise FractureError(f"need k <= C(n,r)={m}, got k={k}")
-    edges = all_edges(n, r)
+    edges = edge_table(n, r)
     classes: list[list[tuple[int, ...]]] = [[] for _ in range(k)]
     used: list[set[int]] = [set() for _ in range(k)]
     for e in edges:

@@ -221,13 +221,6 @@ class Coloring:
     def r(self) -> int:
         return self.shape.r
 
-    def class_edges(self, color: int) -> list[tuple[int, ...]]:
-        """Edges of one color class, in index order."""
-        return [e for e, c in zip(self.shape.edges(), self.assignment) if c == color]
-
-    def used_colors(self) -> list[int]:
-        return sorted(set(self.assignment))
-
     def to_dict(self) -> dict:
         """The JSON form; ``"bipartite": true`` marks the K_{n,n} host."""
         out = {
@@ -379,8 +372,3 @@ def report_dict(coloring: Coloring) -> dict:
             for s in stats
         ],
     }
-
-
-def all_edges(n: int, r: int) -> list[tuple[int, ...]]:
-    """All r-subsets of range(n) in colex order, as a fresh list."""
-    return list(edge_table(n, r))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .core import FractureError, HypergraphShape, all_edges, check_binomial_size, edge_rank
+from .core import FractureError, HypergraphShape, check_binomial_size, edge_rank, edge_table
 
 DESK_FIELD_CAP = 64
 DESK_PLANE_CAP = 8
@@ -652,7 +652,7 @@ def disjoint_max_matchings(n: int, r: int, t: int) -> MatchingDecomposition:
 
 def _disjoint_matchings_backtrack(n: int, r: int, t: int):
     size = n // r
-    edges = all_edges(n, r)
+    edges = edge_table(n, r)
 
     used: set[tuple[int, ...]] = set()
 

@@ -1,48 +1,33 @@
 """Exact optimization drivers over the kernel layer.
 
-The exhaustive searches enumerate colorings canonically (colors appear
-in first-use order) and split the tree after the first r + 1 colex
-ranks, which are the edges of K_{r+1}^r on {0, ..., r}.  A permutation
-of those r + 1 vertices that fixes the rest maps these edges onto
-themselves in any order wanted, and neither it nor a relabelling of
-colors changes f or z.  So one prefix per S_{r+1} x S_k
-orbit is searched: 0^a 1^b 2^c ... for each partition a >= b >= c ...
-of r + 1 into at most k parts, 3 subtrees for graphs (McKay's
-isomorph rejection, J. Algorithms 1998).  The lexicographically
-smallest optimal coloring has the smallest prefix in its orbit, or
-relabelling it would give a smaller one, so the witness is the one an
-unsplit search returns.  The split stops at K_{r+1}^r because every
-subtree starts its incumbent from zero: splitting exact_f(9, 5) at K_4
-into 24 orbit subtrees took 327,435 nodes against 45,277 at K_3.  It
-also stops after _MAX_SPLIT_DEPTH edges, at most p(9) = 30 subtrees:
-any d <= r + 1 of those edges are still interchangeable (permute the
-vertices they omit), and without the bound r = 100 would list p(101),
-about 2e8, prefixes.  Within K_{r+1}^r a deeper split pays on z:
-exact_z(8, 6, 6) takes 572,704 nodes split at 7 edges against
-2,455,303 at 5.
-
-The subtrees run one after another in prefix order, each with an
-equal share of the node budget.  The search stops at its cap, a score
-no coloring can beat: a subtree returns at its first leaf that scores
-cap, and no later subtree is run, since none can beat it or win the
-first-index tie.  Under a node budget an earlier subtree can run out of
-its share before its best leaf while a later one reaches cap.  The value
-is then still proved, but the witness is an optimal coloring, not
-necessarily the lexicographically smallest: budgeted exact_f(10, 4,
-budget=5,000,000) proves 3 with a witness other than the unbudgeted
-run's.  Without a budget the witness is always the smallest.
+The exhaustive searches are one walk of the search kernel over the
+colorings in lexicographic order, with both symmetries of the host
+broken inside it.  Colors appear in first-use order, and the vertex
+symmetry is cut by a lex-leader constraint for each adjacent vertex
+transposition (Crawford, Ginsberg, Luks and Roy, KR 1996): a coloring
+that a swap of v - 1 and v would make lexicographically smaller is
+pruned as soon as the first edge pair it exchanges decides it.  Neither a
+relabelling of vertices nor one of colors changes f or z, and the
+lexicographically smallest coloring of each orbit passes every
+constraint, so the smallest optimal coloring is always reached.  The
+walk stops at its cap, a score no coloring can beat, at the first leaf
+that scores it.  So an exhausted search, budgeted or not, returns the
+lexicographically smallest optimal coloring as its witness, and a budget
+only decides whether the walk gets that far.  Unbudgeted exact_f(9, 4)
+takes 281,222 nodes and exact_f(10, 4) 4,521,888.
 
 exact_f and exact_z share one driver and one kernel; they differ only in
 the objective passed down and in how the best score is turned into a
-value.  A budget too small to reach any leaf raises SearchBudgetError,
-and a host with more than DESK_EDGE_CAP edges raises FractureError.
+value.  The first leaf lies m = C(n, r) nodes down, so a budget below m
+raises SearchBudgetError, and a host with more than DESK_EDGE_CAP edges
+raises FractureError.
 
-verify_k_le_r runs the same kernel under its span objective, unsplit
-and unbudgeted, with cap 1: the canonical walk skips every subtree
-below a class that is connected and spans all n vertices and returns at
-the first leaf it reaches.  Counterexamples are closed under
-relabelling colors, so the lexicographically first one is first-use
-canonical and that leaf is it; the colorings checked are those up to
+verify_k_le_r runs the same kernel under its span objective,
+unbudgeted, with cap 1: the walk skips every subtree below a class that
+is connected and spans all n vertices and returns at the first leaf it
+reaches.  Counterexamples are closed under relabelling vertices and
+colors, so the lexicographically first one is first-use canonical and a
+lex-leader, and that leaf is it; the colorings checked are those up to
 and including it, its base-k rank plus one.
 """
 
@@ -50,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 
@@ -67,7 +53,6 @@ from .core import (
 )
 
 _UNLIMITED = 2**62
-_MAX_SPLIT_DEPTH = 9
 
 
 @dataclass(frozen=True)
@@ -79,10 +64,8 @@ class SearchOptions:
 class SearchResult:
     """value is exact when exhausted is True, otherwise a best-found.
 
-    The witness evaluates to value.  Unbudgeted and exhausted, it is the
-    lexicographically smallest optimal coloring; under a node budget it
-    is an optimal coloring when exhausted, not necessarily the smallest
-    (see the module docstring).
+    The witness evaluates to value.  When exhausted, with or without a
+    node budget, it is the lexicographically smallest optimal coloring.
     """
 
     value: object
@@ -104,25 +87,19 @@ def _edges_flat(shape: HypergraphShape) -> np.ndarray:
     return np.array(edge_table(shape.n, shape.r), dtype=np.int64).reshape(-1)
 
 
-def _orbit_prefixes(k: int, depth: int) -> list[tuple[int, ...]]:
-    """The smallest first-use-canonical coloring in each orbit of colorings
-    of depth interchangeable edges under edge permutations and color
-    relabellings: 0^a 1^b ... for each partition a >= b >= ... of depth
-    into at most k parts, in lexicographic order so the merge's
-    first-index tie-break keeps the smallest witness."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(parts: list[int], left: int) -> None:
-        if left == 0:
-            out.append(tuple(c for c, part in enumerate(parts) for _ in range(part)))
-            return
-        if len(parts) == k:
-            return
-        for part in range(min(left, parts[-1] if parts else left), 0, -1):
-            rec(parts + [part], left - part)
-
-    rec([], depth)
-    return sorted(out)
+def _twins(shape: HypergraphShape) -> np.ndarray:
+    """The kernel's lex-leader partners, aligned with _edges_flat: at
+    index i*r + j, the colex rank of edge i with its vertex j lowered by
+    one, or -1 when that vertex is 0 or its predecessor is in the edge.
+    Lowering vertex v at position j lowers the rank by C(v - 1, j)."""
+    return np.array(
+        [
+            i - comb(v - 1, j) if v > 0 and (j == 0 or edge[j - 1] != v - 1) else -1
+            for i, edge in enumerate(edge_table(shape.n, shape.r))
+            for j, v in enumerate(edge)
+        ],
+        dtype=np.int64,
+    )
 
 
 class SearchBudgetError(FractureError):
@@ -130,59 +107,40 @@ class SearchBudgetError(FractureError):
 
 
 def _exact(n: int, k: int, r: int, options: SearchOptions | None, objective: int) -> SearchResult:
-    """The exhaustive driver behind exact_f and exact_z.
+    """The exhaustive search behind exact_f and exact_z: one kernel call
+    with the whole budget.
 
     The kernel scores f as the minimum component count and z as minus
-    the maximum incident count, so both are maximized here.  A score
-    equal to cap is optimal without exhausting the tree: no subtree
-    after the first that reaches it is run.
+    the maximum incident count, so both are maximized here.
     """
     shape = HypergraphShape(n, r)
     m = shape.edge_count
     if not 1 <= k <= m:
         raise FractureError(f"need 1 <= k <= {m}, got k={k}")
-    depth = min(m, r + 1, _MAX_SPLIT_DEPTH)
-    prefixes = _orbit_prefixes(k, depth)
-    total_budget = _UNLIMITED if options is None or options.node_budget is None else options.node_budget
-    per_budget = max(1, total_budget // len(prefixes)) if total_budget < _UNLIMITED else _UNLIMITED
-    if per_budget < m - depth:
-        # a leaf lies m - depth nodes below every prefix: fail before the
-        # edge table is built, which a hopeless budget on a huge n would pay for
+    budget = _UNLIMITED
+    if options is not None and options.node_budget is not None:
+        budget = min(options.node_budget, _UNLIMITED)
+    if budget < m:
+        # the first leaf lies m nodes down: fail before the edge table is
+        # built, which a hopeless budget on a huge n would pay for
         raise SearchBudgetError("search found no leaf; budget too small")
     check_desk_edges(n, r, m)
     if objective == _kernels.OBJ_Z:
         cap = -r
     else:
         cap = min(n // r, int(f_upper_counting(n, k, r).value))
-    ef = _edges_flat(shape)
-    best = -n - 1  # below every score a leaf can have
-    witness_assign = None
-    nodes = 0
-    all_exhausted = True
-    for p in prefixes:
-        found_assign = np.full(m, -1, dtype=np.int64)
-        val, exh, nd, found = _kernels.search_kernel(
-            objective, n, r, k, m, ef, np.array(p, dtype=np.int64), per_budget, cap, found_assign
-        )
-        nodes += int(nd)
-        if not exh:
-            all_exhausted = False
-        if found and int(val) > best:
-            best = int(val)
-            witness_assign = found_assign
-        if best == cap:
-            # no later subtree can beat cap or win the first-index tie
-            break
-    if witness_assign is None:
-        raise SearchBudgetError("search found no leaf; budget too small")
-    witness = Coloring(shape, k, tuple(int(x) for x in witness_assign))
+    assign = np.full(m, -1, dtype=np.int64)
+    best, exhausted, nodes, _ = _kernels.search_kernel(
+        objective, n, r, k, m, _edges_flat(shape), _twins(shape), budget, cap, assign
+    )
+    witness = Coloring(shape, k, tuple(int(x) for x in assign))
     if objective == _kernels.OBJ_Z:
-        value, got = Fraction(-best, n), z_value(witness)
+        value, got = Fraction(-int(best), n), z_value(witness)
     else:
-        value, got = best, f_value(witness)
+        value, got = int(best), f_value(witness)
     if got != value:
         raise FractureError("witness does not evaluate to the reported value")
-    return SearchResult(value, witness, all_exhausted or best == cap, nodes)
+    return SearchResult(value, witness, bool(exhausted), int(nodes))
 
 
 def exact_f(n: int, k: int, r: int = 2, options: SearchOptions | None = None) -> SearchResult:
@@ -211,8 +169,7 @@ def _first_unspanned(shape: HypergraphShape, k: int) -> ExhaustiveCheck:
     m = shape.edge_count
     cx = np.full(m, -1, dtype=np.int64)
     _, _, _, found = _kernels.search_kernel(
-        _kernels.OBJ_SPAN, shape.n, shape.r, k, m, _edges_flat(shape),
-        np.empty(0, dtype=np.int64), _UNLIMITED, 1, cx,
+        _kernels.OBJ_SPAN, shape.n, shape.r, k, m, _edges_flat(shape), _twins(shape), _UNLIMITED, 1, cx
     )
     if not found:
         return ExhaustiveCheck(True, k**m, None)

@@ -108,6 +108,29 @@ def first_unspanned(n, k, r, limit=10**6):
     return True, checked, None
 
 
+def lex_leaders(n, k, r, limit=10**6):
+    """Every k-coloring of K_n^r, in lexicographic order, whose colors
+    first appear in the order 0, 1, 2, ... and which no swap of two
+    adjacent vertices v - 1, v turns into a lexicographically smaller
+    coloring.  Tiny inputs only."""
+    edges = colex_edges(n, r)
+    if k ** len(edges) > limit:
+        raise AssertionError("oracle is exponential; keep it tiny")
+    index = {e: i for i, e in enumerate(edges)}
+    swaps = []
+    for v in range(1, n):
+        moved = {v - 1: v, v: v - 1}
+        swaps.append([index[tuple(sorted(moved.get(u, u) for u in e))] for e in edges])
+    out = []
+    for colors in product(range(k), repeat=len(edges)):
+        first_use = list(dict.fromkeys(colors))
+        if first_use != list(range(len(first_use))):
+            continue
+        if all(colors <= tuple(colors[j] for j in swap) for swap in swaps):
+            out.append(colors)
+    return out
+
+
 def subset_coverage(blocks, t):
     """How many blocks contain each t-subset of the points seen."""
     cover = {}

@@ -250,32 +250,28 @@ class TestSearchCommand:
         assert data["value"] == "3/5"
 
     def test_budget_exit_3(self, capsys):
+        # f(8, 4) takes 27,309 nodes to prove; 100 reach a leaf but not the end
         code, data = run_json(
-            capsys, "search", "f", "--n", "6", "--k", "3", "--budget", "100"
+            capsys, "search", "f", "--n", "8", "--k", "4", "--budget", "100"
         )
         assert code == 3
         assert data["exhausted"] is False
 
     def test_wide_edges_return_at_once(self, capsys, monkeypatch):
-        # n = r + 1: listing all p(101) orbit prefixes, or passing through the
-        # C(101, 50) subset level, would not fit in memory; fail fast instead
-        listed, level = search_mod._orbit_prefixes, core._colex_level
-
-        def few_prefixes(k, depth):
-            assert depth <= 9, "split depth unbounded"
-            return listed(k, depth)
+        # n = r + 1: passing through the C(101, 50) subset level would not
+        # fit in memory; a budget below the m = 101 edges fails fast instead
+        level = core._colex_level
 
         def narrow_level(n, j):
             assert j <= 1, f"built the {j}-subset level of range({n})"
             return level(n, j)
 
-        monkeypatch.setattr(search_mod, "_orbit_prefixes", few_prefixes)
         monkeypatch.setattr(core, "_colex_level", narrow_level)
         argv = ["search", "f", "--n", "101", "--r", "100", "--k", "101"]
         code, data = run_json(capsys, *argv)
         assert code == 0
         assert data["value"] == 1 and data["exhausted"] is True
-        code = main(argv + ["--budget", "1000"])
+        code = main(argv + ["--budget", "100"])
         captured = capsys.readouterr()
         assert code == 3 and captured.out == ""
         assert captured.err == "error: search found no leaf; budget too small\n"
@@ -637,6 +633,18 @@ class TestArtifactFuzz:
         out = tmp_path_factory.getbasetemp() / "artifact-fuzz.out.json"
         path.write_text(json.dumps(mutated))
         assert main(["verify", str(path), "--output", str(out)]) in (0, 4)
+
+    @pytest.mark.parametrize("metric", ["banana", "F", "", None, 0, ["z"]])
+    def test_unknown_metric_rejected(self, capsys, tmp_path, metric):
+        # anything but "f" and "z" was scored as z and passed
+        path = tmp_path / "search.json"
+        assert main(["search", "z", "--n", "5", "--k", "4", "--output", str(path)]) == 0
+        artifact = json.loads(path.read_text())
+        artifact["metric"] = metric
+        path.write_text(json.dumps(artifact))
+        code, verdict = run_json(capsys, "verify", str(path))
+        assert code == 4 and verdict["valid"] is False
+        assert "metric" in verdict["reason"]
 
 
 def _readme_cli_lines():

@@ -206,7 +206,10 @@ class TestMatchingColorings:
 
 
 def class_edge_lists(coloring):
-    return {c: coloring.class_edges(c) for c in coloring.used_colors()}
+    classes = {}
+    for e, c in zip(coloring.shape.edges(), coloring.assignment):
+        classes.setdefault(c, []).append(e)
+    return dict(sorted(classes.items()))
 
 
 class TestBipartite:

@@ -17,7 +17,6 @@ from fracture import (
     Coloring,
     FractureError,
     HypergraphShape,
-    all_edges,
     class_stats,
     coloring_from_dict,
     coloring_from_json,
@@ -69,10 +68,6 @@ class TestEdgeRanking:
         big = HypergraphShape(9, 2)
         for edge in oracles.colex_edges(5, 2):
             assert edge_rank(edge, small) == edge_rank(edge, big)
-
-    def test_all_edges_order(self):
-        assert all_edges(4, 2) == oracles.colex_edges(4, 2)
-        assert all_edges(5, 3) == oracles.colex_edges(5, 3)
 
     def test_bad_edges_rejected(self):
         shape = HypergraphShape(5, 2)
@@ -162,7 +157,7 @@ class TestBipartiteHost:
         c = Coloring(BipartiteShape(2), 2, (0, 1, 1, 0))
         assert f_value(c) == 2
         assert z_value(c) == 1
-        assert c.class_edges(0) == [(0, 2), (1, 3)]
+        assert [c.shape.edges()[i] for i in (0, 3)] == [(0, 2), (1, 3)]
         # a single star at a_0 touches 3 of the 4 vertices
         c = Coloring(BipartiteShape(2), 2, (0, 0, 1, 1))
         assert z_value(c) == Fraction(3, 4)

@@ -12,22 +12,24 @@ import pytest
 import oracles
 from fracture import _kernels, search
 from fracture.core import HypergraphShape
-from fracture.search import _edges_flat
+from fracture.search import _edges_flat, _twins
 
 HAVE_NUMBA = "numba" in _kernels.IMPLS
 
 needs_numba = pytest.mark.skipif(not HAVE_NUMBA, reason="numba backend not importable here")
 
 
-def edges_flat(n, r):
-    return _edges_flat(HypergraphShape(n, r))
+def tables(n, r):
+    """The kernel's edge list and lex-leader partners for K_n^r."""
+    shape = HypergraphShape(n, r)
+    return _edges_flat(shape), _twins(shape)
 
 
-def run_both(kernel_name, *args):
+def run_both(*args):
     results = {}
-    for name, impl in _kernels.IMPLS.items():
+    for name, kernel in _kernels.IMPLS.items():
         copied = [np.copy(a) if isinstance(a, np.ndarray) else a for a in args]
-        results[name] = (impl[kernel_name](*copied), copied)
+        results[name] = (kernel(*copied), copied)
     return results["python"], results["numba"]
 
 
@@ -39,37 +41,28 @@ class TestSearchKernels:
     @pytest.mark.parametrize("n,k,r", SEARCH_CASES)
     def test_search_f_identical(self, n, k, r):
         m = math.comb(n, r)
-        flat = edges_flat(n, r)
-        prefix = np.empty(0, dtype=np.int64)
+        flat, twins = tables(n, r)
         wit = np.zeros(m, dtype=np.int64)
         cap = n // r
-        (py, py_args), (nb, nb_args) = run_both(
-            "search", _kernels.OBJ_F, n, r, k, m, flat, prefix, 2**62, cap, wit
-        )
+        (py, py_args), (nb, nb_args) = run_both(_kernels.OBJ_F, n, r, k, m, flat, twins, 2**62, cap, wit)
         assert py == nb
         np.testing.assert_array_equal(py_args[-1], nb_args[-1])
 
     @pytest.mark.parametrize("n,k,r", SEARCH_CASES)
     def test_search_z_identical(self, n, k, r):
         m = math.comb(n, r)
-        flat = edges_flat(n, r)
-        prefix = np.empty(0, dtype=np.int64)
+        flat, twins = tables(n, r)
         wit = np.zeros(m, dtype=np.int64)
-        (py, py_args), (nb, nb_args) = run_both(
-            "search", _kernels.OBJ_Z, n, r, k, m, flat, prefix, 2**62, -r, wit
-        )
+        (py, py_args), (nb, nb_args) = run_both(_kernels.OBJ_Z, n, r, k, m, flat, twins, 2**62, -r, wit)
         assert py == nb
         np.testing.assert_array_equal(py_args[-1], nb_args[-1])
 
     @pytest.mark.parametrize("n,k,r", [(4, 2, 2), (5, 2, 2), (4, 2, 3), (5, 3, 3)])
     def test_search_span_identical(self, n, k, r):
         m = math.comb(n, r)
-        flat = edges_flat(n, r)
-        prefix = np.empty(0, dtype=np.int64)
+        flat, twins = tables(n, r)
         wit = np.full(m, -1, dtype=np.int64)
-        (py, py_args), (nb, nb_args) = run_both(
-            "search", _kernels.OBJ_SPAN, n, r, k, m, flat, prefix, 2**62, 1, wit
-        )
+        (py, py_args), (nb, nb_args) = run_both(_kernels.OBJ_SPAN, n, r, k, m, flat, twins, 2**62, 1, wit)
         assert py == nb
         np.testing.assert_array_equal(py_args[-1], nb_args[-1])
         assert not py[3]  # the connectivity claim holds for k <= r
@@ -77,29 +70,13 @@ class TestSearchKernels:
         for got in TestVerifyKernel.run_all(n, r, k):
             assert got == (True, k**m, None)
 
-    def test_search_with_prefix(self):
-        n, k, r = 5, 3, 2
-        m = math.comb(n, r)
-        flat = edges_flat(n, r)
-        for pfx in [[0], [0, 0], [0, 1], [0, 1, 2], [0, 0, 1, 1]]:
-            prefix = np.array(pfx, dtype=np.int64)
-            wit = np.zeros(m, dtype=np.int64)
-            (py, a1), (nb, a2) = run_both(
-                "search", _kernels.OBJ_F, n, r, k, m, flat, prefix, 2**62, n // r, wit
-            )
-            assert py == nb
-            np.testing.assert_array_equal(a1[-1], a2[-1])
-
     def test_search_with_budget(self):
         n, k, r = 5, 3, 2
         m = math.comb(n, r)
-        flat = edges_flat(n, r)
-        prefix = np.empty(0, dtype=np.int64)
+        flat, twins = tables(n, r)
         for budget in [5, 20, 100, 350]:
             wit = np.zeros(m, dtype=np.int64)
-            (py, a1), (nb, a2) = run_both(
-                "search", _kernels.OBJ_F, n, r, k, m, flat, prefix, budget, n // r, wit
-            )
+            (py, a1), (nb, a2) = run_both(_kernels.OBJ_F, n, r, k, m, flat, twins, budget, n // r, wit)
             assert py == nb
             np.testing.assert_array_equal(a1[-1], a2[-1])
 
@@ -119,15 +96,15 @@ class TestListBackendParity:
     )
     def test_search(self, n, r, k, objective):
         m = math.comb(n, r)
-        flat = edges_flat(n, r)
+        flat, twins = tables(n, r)
         cap = {_kernels.OBJ_F: n // r, _kernels.OBJ_Z: -r, _kernels.OBJ_SPAN: 1}[objective]
-        for prefix, budget in [((), 2**62), ((), 50), ((0,), 7)]:
+        for budget in [2**62, 50, 7]:
             outs = []
-            for fn in (_kernels.IMPLS["python"]["search"], _kernels._search_impl):
+            for fn in (_kernels.IMPLS["python"], _kernels._search_impl):
                 wit = np.full(m, -1, dtype=np.int64)
-                got = fn(objective, n, r, k, m, flat, np.array(prefix, dtype=np.int64), budget, cap, wit)
+                got = fn(objective, n, r, k, m, flat, twins, budget, cap, wit)
                 outs.append((tuple(int(x) for x in got), wit.tolist()))
-            assert outs[0] == outs[1], (prefix, budget)
+            assert outs[0] == outs[1], budget
 
 
 # (n, r, k): k > r shapes end at a first counterexample, k <= r shapes hold
@@ -144,9 +121,8 @@ class TestVerifyKernel:
 
     @staticmethod
     def run_all(n, r, k):
-        kernels = [impl["search"] for impl in _kernels.IMPLS.values()]
         outs = []
-        for fn in kernels + [_kernels._search_impl]:
+        for fn in [*_kernels.IMPLS.values(), _kernels._search_impl]:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(_kernels, "search_kernel", fn)
                 chk = search._first_unspanned(HypergraphShape(n, r), k)
@@ -175,5 +151,5 @@ class TestVerifyKernel:
 
 class TestBackendFlag:
     def test_active_points_at_known_backend(self):
-        assert _kernels.ACTIVE in _kernels.IMPLS.values()
-        assert _kernels.NUMBA_ENABLED == (_kernels.ACTIVE is _kernels.IMPLS.get("numba"))
+        assert _kernels.search_kernel in _kernels.IMPLS.values()
+        assert _kernels.NUMBA_ENABLED == (_kernels.search_kernel is _kernels.IMPLS.get("numba"))

@@ -1,9 +1,9 @@
 """Exact searches checked against raw enumeration on instances small
 enough to enumerate every coloring."""
 
-import itertools
 import math
 import time
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +22,6 @@ from fracture import (
     exact_z,
     f_value,
     randomized_improve,
-    relabel_canonical,
     verify_k_le_r,
     z_value,
 )
@@ -55,7 +54,7 @@ class TestExactF:
         assert res.witness.assignment == (0, 1, 2, 2, 1, 0)
 
     def test_budget_reported(self):
-        # f(7, 2) = 1 is below its cap, so the full search walks every subtree
+        # f(7, 2) = 1 is below its cap, so the full search walks the whole tree
         full = exact_f(7, 2, 2)
         capped = exact_f(7, 2, 2, SearchOptions(node_budget=full.nodes // 3))
         assert not capped.exhausted
@@ -66,25 +65,44 @@ class TestExactF:
         with pytest.raises(SearchBudgetError):
             exact_f(6, 3, 2, SearchOptions(node_budget=4))
 
-    def test_cap_in_later_subtree(self):
-        # f(8, 4) = 3 = cap: subtree (0,0,0) spends its 10,000-node share
-        # below cap, (0,0,1) reaches cap, and (0,1,2) must not count
-        res = exact_f(8, 4, 2, SearchOptions(node_budget=30_000))
-        assert (res.value, res.exhausted) == (3, True)
-        assert 10_000 < res.nodes < 20_000
+    def test_budgeted_witness_is_unbudgeted(self):
+        # one walk in lexicographic order: any budget that lets it finish
+        # returns the same smallest optimal coloring, and one node less does not
+        full = exact_f(8, 4, 2)
+        assert (full.value, full.exhausted) == (3, True)
+        for budget in (full.nodes, full.nodes + 1, 30_000):
+            res = exact_f(8, 4, 2, SearchOptions(node_budget=budget))
+            assert (res.value, res.exhausted, res.nodes) == (3, True, full.nodes)
+            assert res.witness == full.witness
+        short = exact_f(8, 4, 2, SearchOptions(node_budget=full.nodes - 1))
+        assert not short.exhausted and short.nodes == full.nodes - 1
 
-    def test_serial_merge_stops_at_cap(self, monkeypatch):
-        calls = []
+    def test_one_kernel_call_with_whole_budget(self, monkeypatch):
+        budgets = []
         kernel = _kernels.search_kernel
 
         def counted(*args):
-            calls.append(tuple(args[6].tolist()))
+            budgets.append(args[7])
             return kernel(*args)
 
         monkeypatch.setattr(_kernels, "search_kernel", counted)
         res = exact_f(8, 4, 2, SearchOptions(node_budget=30_000))
-        assert calls == [(0, 0, 0), (0, 0, 1)]
+        assert budgets == [30_000]
         assert (res.value, res.exhausted) == (3, True)
+
+    def test_single_edge_host(self):
+        res = exact_f(3, 1, 3)
+        assert (res.value, res.exhausted, res.nodes) == (1, True, 1)
+
+    def test_wide_host(self):
+        # n = r + 1: a leaf lies m = 101 nodes down, and the first one
+        # reaches cap 1, so a budget of m proves it and m - 1 finds no leaf
+        res = exact_f(101, 101, 100)
+        budgeted = exact_f(101, 101, 100, SearchOptions(node_budget=101))
+        with pytest.raises(SearchBudgetError):
+            exact_f(101, 101, 100, SearchOptions(node_budget=100))
+        assert (res.value, res.exhausted, res.nodes) == (1, True, 101)
+        assert (budgeted.value, budgeted.exhausted, budgeted.nodes) == (1, True, 101)
 
     def test_bad_k_rejected(self):
         with pytest.raises(FractureError):
@@ -109,81 +127,93 @@ class TestExactZ:
         assert z_value(res.witness) == res.value
 
     def test_prefix_covers_whole_space(self):
-        # m <= prefix depth: the kernel only evaluates leaves
+        # the whole host is one triangle: every leaf lies three nodes down
         res = exact_z(3, 3, 2)
         assert res.exhausted
         assert res.value == Fraction(2, 3)
 
 
-class TestOrbitPrefixes:
-    @pytest.mark.parametrize("r", [2, 3, 4, 5])
-    def test_one_smallest_prefix_per_orbit(self, r):
-        # K_{r+1}^r under every vertex permutation, colors read in first-use order
-        edges = oracles.colex_edges(r + 1, r)
-        rank = {e: i for i, e in enumerate(edges)}
-        moves = [
-            [rank[tuple(sorted(sigma[v] for v in e))] for e in edges]
-            for sigma in itertools.permutations(range(r + 1))
-        ]
+def walked_leaves(n, k, r):
+    """Every leaf the search kernel reaches on K_n^r with k colors, in
+    walk order, with only its symmetry breaking left to prune.
 
-        def orbit_min(colors):
-            # moves is a group, so reading colors through each move covers the orbit
-            return min(relabel_canonical([colors[j] for j in move]) for move in moves)
+    The kernel body runs on lists under the f objective with a vertex
+    count padded past n: no vertex at or above n is ever touched, so
+    each bound comp + (padded - inc) // r stays above every leaf score,
+    and cap is out of reach.  Each leaf reads used[m] once while it is
+    scored, with the walk's assignment in the one array of m -1s."""
+    shape = HypergraphShape(n, r)
+    m = shape.edge_count
+    padded = n + r * (n + 1)
+    leaves, arrays = [], {}
 
-        canonical = {
-            relabel_canonical(colors)
-            for colors in itertools.product(range(r + 1), repeat=r + 1)
-        }
-        orbit_of = {colors: orbit_min(colors) for colors in canonical}
-        for k in range(1, 8):
-            listed = search_mod._orbit_prefixes(k, r + 1)
-            assert listed == sorted(listed)
-            assert all(orbit_of[p] == p for p in listed)
-            for colors, least in orbit_of.items():
-                if max(colors) < k:
-                    assert listed.count(least) == 1, (k, colors)
+    class Used(list):
+        def __getitem__(self, i):
+            if i == m:
+                leaves.append(tuple(arrays["assign"]))
+            return list.__getitem__(self, i)
 
-    def test_single_edge_host(self):
-        assert search_mod._orbit_prefixes(3, 1) == [(0,)]
-        res = exact_f(3, 1, 3)
-        assert (res.value, res.exhausted, res.nodes) == (1, True, 0)
+    class Spy(_kernels._ListNumpy):
+        @staticmethod
+        def full(size, value, dtype=None):
+            out = [value] * size
+            if (size, value) == (m, -1):
+                arrays["assign"] = out
+            return out
 
-    def test_split_depth_is_bounded(self, monkeypatch):
-        # n = r + 1 is a single K_{r+1}^r: splitting at all of it would list
-        # p(101), about 2e8, prefixes before any node is searched
-        depths = []
-        listed = search_mod._orbit_prefixes
+        @staticmethod
+        def zeros(size, dtype=None):
+            return Used([0] * size) if size == m + 2 else [0] * size
 
-        def recorded(k, depth):
-            depths.append(depth)
-            assert depth <= 9, "split depth unbounded"
-            return listed(k, depth)
+    fn = _kernels._search_impl
+    body = types.FunctionType(fn.__code__, {**fn.__globals__, "np": Spy})
+    flat = search_mod._edges_flat(shape).tolist()
+    twins = search_mod._twins(shape).tolist()
+    body(_kernels.OBJ_F, padded, r, k, m, flat, twins, 2**62, padded, [0] * m)
+    return leaves
 
-        monkeypatch.setattr(search_mod, "_orbit_prefixes", recorded)
-        res = exact_f(101, 101, 100)
-        budgeted = exact_f(101, 101, 100, SearchOptions(node_budget=5000))
-        with pytest.raises(SearchBudgetError):
-            # 30 subtrees share the budget, 33 nodes each, and a leaf lies 92 deep
-            exact_f(101, 101, 100, SearchOptions(node_budget=1000))
-        assert depths == [9, 9, 9]
-        assert (res.value, res.exhausted) == (1, True)
-        assert (budgeted.value, budgeted.exhausted) == (1, True)
-        assert budgeted.nodes <= 5000
+
+LEX_SHAPES = {
+    2: [(4, 2), (4, 3), (4, 4), (5, 2), (5, 3)],
+    3: [(4, 2), (4, 4), (5, 2), (5, 3)],
+    4: [(5, 2), (5, 5), (6, 2)],
+    5: [(6, 3), (6, 6)],
+}
+
+
+class TestLexLeader:
+    @pytest.mark.parametrize("r", sorted(LEX_SHAPES))
+    def test_leaves_are_lex_leaders(self, r):
+        # the walk keeps exactly the first-use-canonical colorings that no
+        # adjacent vertex swap makes smaller, in lexicographic order
+        for n, k in LEX_SHAPES[r]:
+            assert walked_leaves(n, k, r) == oracles.lex_leaders(n, k, r), (n, k)
+
+    def test_twins_lower_one_vertex(self):
+        for n, r in [(6, 2), (6, 3), (7, 4), (5, 5)]:
+            edges = oracles.colex_edges(n, r)
+            twins = search_mod._twins(HypergraphShape(n, r)).reshape(-1, r)
+            for edge, row in zip(edges, twins):
+                for j, v in enumerate(edge):
+                    if v == 0 or v - 1 in edge:
+                        assert row[j] == -1
+                    else:
+                        assert edges[row[j]] == tuple(sorted(set(edge) - {v} | {v - 1}))
 
 
 # (objective, n, k, node budget, value, exhausted, nodes, witness): the search
 # must give exactly these until the enumeration order or a prune rule changes
 NODE_PINS = [
-    ("f", 6, 3, None, 2, True, 40, (0, 0, 0, 0, 0, 0, 1, 1, 1, 2, 2, 2, 2, 1, 0)),
-    ("f", 7, 3, None, 2, True, 53,
+    ("f", 6, 3, None, 2, True, 43, (0, 0, 0, 0, 0, 0, 1, 1, 1, 2, 2, 2, 2, 1, 0)),
+    ("f", 7, 3, None, 2, True, 56,
      (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 2, 1, 0)),
-    ("f", 7, 4, None, 2, True, 53,
+    ("f", 7, 4, None, 2, True, 56,
      (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 2, 1, 0)),
-    ("z", 5, 4, None, Fraction(3, 5), True, 159, (0, 0, 0, 1, 1, 2, 3, 3, 2, 2)),
-    ("z", 6, 4, None, Fraction(2, 3), True, 1168,
+    ("z", 5, 4, None, Fraction(3, 5), True, 61, (0, 0, 0, 1, 1, 2, 3, 3, 2, 2)),
+    ("z", 6, 4, None, Fraction(2, 3), True, 417,
      (0, 0, 0, 0, 0, 0, 1, 1, 1, 2, 2, 3, 3, 2, 2)),
-    ("z", 3, 3, None, Fraction(2, 3), True, 0, (0, 1, 2)),
-    ("f", 8, 4, 2000, 2, False, 1998,
+    ("z", 3, 3, None, Fraction(2, 3), True, 8, (0, 1, 2)),
+    ("f", 8, 4, 2000, 2, False, 2000,
      (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 1, 0)),
 ]
 
