@@ -21,19 +21,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from math import comb, isqrt
 
 from .core import FractureError, z_value
 from . import constructions
 
 
+@total_ordering
 @dataclass(frozen=True)
 class RootValue:
     """The e-th root of a positive rational, kept exact.
 
     Comparisons against Fraction/int/RootValue cross-power both sides to
-    integers, so ordering never goes through floats.
+    integers, so ordering never goes through floats; ``total_ordering``
+    derives <=, > and >= from ``__lt__`` and ``__eq__``.
     """
 
     base: Fraction
@@ -59,18 +61,6 @@ class RootValue:
     def __lt__(self, other):
         c = self._cmp(other)
         return NotImplemented if c is NotImplemented else c < 0
-
-    def __le__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c <= 0
-
-    def __gt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c > 0
-
-    def __ge__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c >= 0
 
     def __eq__(self, other):
         c = self._cmp(other)

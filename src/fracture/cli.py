@@ -5,7 +5,10 @@ its recomputed report, eval recomputes the report for any coloring JSON,
 designs builds and validates block designs and factorizations, bounds
 and table print exact bound records, search runs the exhaustive or
 randomized optimizers, and verify re-derives whatever a JSON artifact
-claims and fails loudly on any mismatch.
+claims and fails loudly on any mismatch.  Each construct and designs
+subcommand is declared once, in ``_CONSTRUCT`` / ``_DESIGNS``: one table
+entry gives its help, its arguments and its builder, and drives both the
+parser and the dispatch.
 
 Exit codes: 0 success, 2 bad arguments, unreadable or malformed input,
 or infeasible construction, 3 search stopped by budget before proving
@@ -26,13 +29,7 @@ from . import constructions as cons
 from . import designs as designs_mod
 from . import search as search_mod
 from .core import (
-    Coloring,
-    FractureError,
-    coloring_from_dict,
-    f_value,
-    fraction_str,
-    report_dict,
-    z_value,
+    Coloring, FractureError, coloring_from_dict, f_value, fraction_str, report_dict, z_value,
 )
 
 EXIT_OK = 0
@@ -41,13 +38,16 @@ EXIT_BUDGET = 3
 EXIT_INVALID = 4
 
 
-def _dump(obj, output: str | None) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+def _write(text: str, output: str | None) -> None:
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _dump(obj, output: str | None) -> None:
+    _write(json.dumps(obj, sort_keys=True, indent=2) + "\n", output)
 
 
 def _load(path: str | None) -> dict:
@@ -67,32 +67,7 @@ def _payload(coloring: Coloring) -> dict:
 
 
 def _cmd_construct(args) -> int:
-    what = args.what
-    if what == "base":
-        payload = _payload(cons.base_registry(args.name).coloring)
-    elif what == "blow-up":
-        payload = _payload(cons.blow_up(cons.base_registry(args.base), args.n))
-    elif what == "matching-split":
-        payload = _payload(cons.coloring_tk2(args.n, args.k))
-    elif what == "factor-split":
-        payload = _payload(cons.coloring_baranyai_split(args.n, args.r, args.t))
-    elif what == "equitable":
-        payload = _payload(cons.coloring_equitable(args.n, args.r, args.k))
-    elif what == "nminus1":
-        payload = _payload(cons.coloring_nminus1(args.n))
-    elif what == "ncolors":
-        payload = _payload(cons.coloring_n(args.n))
-    elif what == "trivial":
-        payload = _payload(cons.trivial_coloring(args.n, args.r))
-    elif what == "bipartite-double":
-        base = cons.base_registry(args.base)
-        payload = _payload(cons.bipartite_from_clique(base.coloring))
-    elif what == "bipartite-blow-up":
-        base = cons.base_registry(args.base)
-        payload = _payload(cons.bipartite_blow_up(base, args.n))
-    else:
-        raise FractureError(f"unknown construction {what!r}")
-    _dump(payload, args.output)
+    _dump(_payload(_CONSTRUCT[args.what][2](args)), args.output)
     return EXIT_OK
 
 
@@ -104,37 +79,14 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_designs(args) -> int:
-    kind = args.kind
-    if kind == "pg":
-        out = designs_mod.projective_plane(args.q).to_dict()
-    elif kind == "ag":
-        out = designs_mod.affine_plane(args.q).to_dict()
-    elif kind == "sqs":
-        out = designs_mod.boolean_sqs(args.m).to_dict()
-    elif kind == "inversive":
-        out = designs_mod.inversive_plane(args.q).to_dict()
-    elif kind == "baranyai":
-        out = designs_mod.baranyai(args.n, args.r).to_dict()
-    elif kind == "one-factorization":
-        out = designs_mod.one_factorization(args.n).to_dict()
-    elif kind == "near-one-factorization":
-        out = designs_mod.near_one_factorization(args.n).to_dict()
-    elif kind == "diamonds":
-        groups = designs_mod.k4minus_decomposition(args.n)
-        out = {"n": args.n, "groups": [[list(e) for e in g] for g in groups]}
-    else:
-        raise FractureError(f"unknown design kind {kind!r}")
-    out["valid"] = True  # constructors validate before returning
-    _dump(out, args.output)
+    # constructors validate before returning
+    _dump({**_DESIGNS[args.kind][2](args), "valid": True}, args.output)
     return EXIT_OK
 
 
 def _record_dict(rec: bounds_mod.BoundRecord) -> dict:
     v = rec.value
-    if isinstance(v, Fraction):
-        rendered = fraction_str(v)
-    else:
-        rendered = str(v)
+    rendered = fraction_str(v) if isinstance(v, Fraction) else str(v)
     return {"value": rendered, "float": float(rec), "provenance": rec.provenance}
 
 
@@ -188,12 +140,7 @@ def _cmd_table(args) -> int:
         lines.append(
             f"{row.k:>3} {zl:>9} {zu:>9} {mark:>6} {row.f_rate_lower_str:>11} {row.f_rate_upper_str:>11}"
         )
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args.output)
     return EXIT_OK
 
 
@@ -288,8 +235,70 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_INVALID
 
 
+# name -> (help, {argument: default, None meaning required}, builder of the
+# parsed args); "name" is construct base's positional, --base is a string,
+# and every other argument is an int.
+_CONSTRUCT = {
+    "base": ("a registry base coloring", {"name": None},
+             lambda a: cons.base_registry(a.name).coloring),
+    "blow-up": ("lift a base coloring to n vertices", {"--base": None, "--n": None},
+                lambda a: cons.blow_up(cons.base_registry(a.base), a.n)),
+    "matching-split": ("k equal matchings when k divides C(n,2)", {"--n": None, "--k": None},
+                       lambda a: cons.coloring_tk2(a.n, a.k)),
+    "factor-split": ("split each perfect-matching factor into t colors",
+                     {"--n": None, "--r": None, "--t": None},
+                     lambda a: cons.coloring_baranyai_split(a.n, a.r, a.t)),
+    "equitable": ("k near-equal matchings for large k", {"--n": None, "--r": 2, "--k": None},
+                  lambda a: cons.coloring_equitable(a.n, a.r, a.k)),
+    "nminus1": ("n-1 colors, each splitting into floor(n/2) pieces", {"--n": None},
+                lambda a: cons.coloring_nminus1(a.n)),
+    "ncolors": ("n colors, each splitting into floor((n-1)/2) pieces", {"--n": None},
+                lambda a: cons.coloring_n(a.n)),
+    "trivial": ("every edge its own color", {"--n": None, "--r": 2},
+                lambda a: cons.trivial_coloring(a.n, a.r)),
+    "bipartite-double": ("transfer a base coloring to K_{n,n}", {"--base": None},
+                         lambda a: cons.bipartite_from_clique(cons.base_registry(a.base).coloring)),
+    "bipartite-blow-up": ("blow a base coloring up to K_{n,n}", {"--base": None, "--n": None},
+                          lambda a: cons.bipartite_blow_up(cons.base_registry(a.base), a.n)),
+}
+
+_DESIGNS = {
+    "pg": ("projective plane of prime-power order", {"--q": None},
+           lambda a: designs_mod.projective_plane(a.q).to_dict()),
+    "ag": ("affine plane of prime-power order", {"--q": None},
+           lambda a: designs_mod.affine_plane(a.q).to_dict()),
+    "sqs": ("quadruple system on 2^m points", {"--m": None},
+            lambda a: designs_mod.boolean_sqs(a.m).to_dict()),
+    "inversive": ("3-design from a projective line", {"--q": None},
+                  lambda a: designs_mod.inversive_plane(a.q).to_dict()),
+    "baranyai": ("partition all r-sets into perfect matchings", {"--n": None, "--r": None},
+                 lambda a: designs_mod.baranyai(a.n, a.r).to_dict()),
+    "one-factorization": ("perfect matchings of an even clique", {"--n": None},
+                          lambda a: designs_mod.one_factorization(a.n).to_dict()),
+    "near-one-factorization": ("maximum matchings of an odd clique", {"--n": None},
+                               lambda a: designs_mod.near_one_factorization(a.n).to_dict()),
+    "diamonds": ("partition a clique into 4-vertex 5-edge pieces", {"--n": None},
+                 lambda a: {"n": a.n, "groups": [[list(e) for e in g] for g in
+                                                 designs_mod.k4minus_decomposition(a.n)]}),
+}
+
+
 def _add_output(p) -> None:
     p.add_argument("--output", help="write JSON here instead of stdout")
+
+
+def _add_table(sub, command: str, text: str, dest: str, table: dict) -> None:
+    group = sub.add_parser(command, help=text).add_subparsers(dest=dest, required=True)
+    for name, (help_text, arguments, _) in table.items():
+        p = group.add_parser(name, help=help_text)
+        for arg, default in arguments.items():
+            if arg == "name":
+                p.add_argument(arg, help="one of: " + ", ".join(cons.base_registry_names()))
+            elif default is None:
+                p.add_argument(arg, type=None if arg == "--base" else int, required=True)
+            else:
+                p.add_argument(arg, type=int, default=default)
+        _add_output(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -300,78 +309,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    pc = sub.add_parser("construct", help="build a named coloring")
-    pcs = pc.add_subparsers(dest="what", required=True)
-    p = pcs.add_parser("base", help="a registry base coloring")
-    p.add_argument("name", help="one of: " + ", ".join(cons.base_registry_names()))
-    _add_output(p)
-    p = pcs.add_parser("blow-up", help="lift a base coloring to n vertices")
-    p.add_argument("--base", required=True)
-    p.add_argument("--n", type=int, required=True)
-    _add_output(p)
-    p = pcs.add_parser("matching-split", help="k equal matchings when k divides C(n,2)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    _add_output(p)
-    p = pcs.add_parser("factor-split", help="split each perfect-matching factor into t colors")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    _add_output(p)
-    p = pcs.add_parser("equitable", help="k near-equal matchings for large k")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, default=2)
-    p.add_argument("--k", type=int, required=True)
-    _add_output(p)
-    p = pcs.add_parser("nminus1", help="n-1 colors, each splitting into floor(n/2) pieces")
-    p.add_argument("--n", type=int, required=True)
-    _add_output(p)
-    p = pcs.add_parser("ncolors", help="n colors, each splitting into floor((n-1)/2) pieces")
-    p.add_argument("--n", type=int, required=True)
-    _add_output(p)
-    p = pcs.add_parser("trivial", help="every edge its own color")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, default=2)
-    _add_output(p)
-    p = pcs.add_parser("bipartite-double", help="transfer a base coloring to K_{n,n}")
-    p.add_argument("--base", required=True)
-    _add_output(p)
-    p = pcs.add_parser("bipartite-blow-up", help="blow a base coloring up to K_{n,n}")
-    p.add_argument("--base", required=True)
-    p.add_argument("--n", type=int, required=True)
-    _add_output(p)
+    _add_table(sub, "construct", "build a named coloring", "what", _CONSTRUCT)
 
     p = sub.add_parser("eval", help="recompute the report for a coloring JSON")
     p.add_argument("file", nargs="?", help="path or - for stdin")
     _add_output(p)
 
-    pd = sub.add_parser("designs", help="build and validate a design")
-    pds = pd.add_subparsers(dest="kind", required=True)
-    p = pds.add_parser("pg", help="projective plane of prime-power order")
-    p.add_argument("--q", type=int, required=True)
-    _add_output(p)
-    p = pds.add_parser("ag", help="affine plane of prime-power order")
-    p.add_argument("--q", type=int, required=True)
-    _add_output(p)
-    p = pds.add_parser("sqs", help="quadruple system on 2^m points")
-    p.add_argument("--m", type=int, required=True)
-    _add_output(p)
-    p = pds.add_parser("inversive", help="3-design from a projective line")
-    p.add_argument("--q", type=int, required=True)
-    _add_output(p)
-    p = pds.add_parser("baranyai", help="partition all r-sets into perfect matchings")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    _add_output(p)
-    p = pds.add_parser("one-factorization", help="perfect matchings of an even clique")
-    p.add_argument("--n", type=int, required=True)
-    _add_output(p)
-    p = pds.add_parser("near-one-factorization", help="maximum matchings of an odd clique")
-    p.add_argument("--n", type=int, required=True)
-    _add_output(p)
-    p = pds.add_parser("diamonds", help="partition a clique into 4-vertex 5-edge pieces")
-    p.add_argument("--n", type=int, required=True)
-    _add_output(p)
+    _add_table(sub, "designs", "build and validate a design", "kind", _DESIGNS)
 
     pb = sub.add_parser("bounds", help="exact bound records")
     pbs = pb.add_subparsers(dest="quantity", required=True)

@@ -33,6 +33,7 @@ from .core import (
     FractureError,
     HypergraphShape,
     check_desk_edges,
+    check_host_edges,
     class_stats,
     edge_rank,
     edge_table,
@@ -139,6 +140,7 @@ def _k6r3_six() -> Coloring:
 def trivial_coloring(n: int, r: int) -> Coloring:
     """Every edge its own color: k = C(n, r), incidence fraction r/n."""
     shape = HypergraphShape(n, r)
+    check_host_edges(shape)
     return Coloring(shape, shape.edge_count, tuple(range(shape.edge_count)))
 
 
@@ -258,6 +260,7 @@ def blow_up(base: BaseColoring, n: int) -> Coloring:
     if n < t:
         raise FractureError(f"blow-up needs n >= t = {t}, got n = {n}")
     shape = HypergraphShape(n, r)
+    check_host_edges(shape)
     parts, part_of, colors_at, absent = _part_plan(base, n)
     base_shape = base.coloring.shape
 
@@ -339,6 +342,7 @@ def coloring_nminus1(n: int) -> Coloring:
     cycle contributes a maximum matching and its complement."""
     if n < 3:
         raise FractureError(f"need n >= 3, got {n}")
+    check_host_edges(HypergraphShape(n, 2))
     classes: list[list[tuple[int, ...]]] = []
     if n % 2 == 0:
         classes = [list(f) for f in one_factorization(n).factors]
@@ -358,6 +362,7 @@ def coloring_n(n: int) -> Coloring:
     even n, delete the extra vertex from the (n+1)-vertex coloring."""
     if n < 3:
         raise FractureError(f"need n >= 3, got {n}")
+    check_host_edges(HypergraphShape(n, 2))
     if n % 2 == 1:
         classes = [list(f) for f in near_one_factorization(n).factors]
     else:
@@ -445,10 +450,10 @@ def _equalize_matchings(
 def coloring_tk2(n: int, k: int) -> Coloring:
     """k classes, each a matching of exactly t = C(n,2)/k edges.
 
-    Preference order: slice a one-factorization (n even, t divides n/2),
-    slice a near-one-factorization (n odd, t divides (n-1)/2), slice
-    Hamiltonian cycles by stride (n odd, t divides n), else equalize the
-    factorization over k classes by alternating-path swaps.
+    Preference order: slice the factors of the one-factorization (n even)
+    or near-one-factorization (n odd) when t divides their floor(n/2)
+    edges, slice Hamiltonian cycles by stride (n odd, t divides n), else
+    equalize that factorization over k classes by alternating-path swaps.
     """
     m = comb(n, 2)
     if k < n - 1:
@@ -459,12 +464,9 @@ def coloring_tk2(n: int, k: int) -> Coloring:
         raise FractureError(f"n={n} above desk cap 14")
     t = m // k
     classes: list[list[tuple[int, int]]] = []
-    if n % 2 == 0 and (n // 2) % t == 0:
-        for factor in one_factorization(n).factors:
-            for j in range(0, len(factor), t):
-                classes.append(list(factor[j : j + t]))
-    elif n % 2 == 1 and ((n - 1) // 2) % t == 0:
-        for factor in near_one_factorization(n).factors:
+    base = one_factorization(n) if n % 2 == 0 else near_one_factorization(n)
+    if (n // 2) % t == 0:
+        for factor in base.factors:
             for j in range(0, len(factor), t):
                 classes.append(list(factor[j : j + t]))
     elif n % 2 == 1 and n % t == 0 and n // t >= 2:
@@ -473,7 +475,6 @@ def coloring_tk2(n: int, k: int) -> Coloring:
             for j in range(stride):
                 classes.append([cycle[i] for i in range(j, n, stride)])
     else:
-        base = one_factorization(n) if n % 2 == 0 else near_one_factorization(n)
         classes = _equalize_matchings(n, k, [list(f) for f in base.factors])
     for cl in classes:
         used = set()
@@ -509,7 +510,9 @@ def coloring_equitable(n: int, r: int, k: int) -> Coloring:
     Greedy colex pass choosing the emptiest compatible class, then local
     moves until sizes are within one of each other.
     """
-    m = comb(n, r)
+    shape = HypergraphShape(n, r)
+    check_host_edges(shape)  # first: the desk cap's message prints C(n, r)
+    m = shape.edge_count
     check_desk_edges(n, r, m)
     need = m - comb(n - r, r)
     if k < need:
@@ -642,6 +645,8 @@ def bipartite_blow_up(base: BaseColoring, n: int) -> Coloring:
     k = base.coloring.k
     if n < t:
         raise FractureError(f"need n >= t = {t}")
+    shape = BipartiteShape(n)
+    check_host_edges(shape)
     base_shape = base.coloring.shape
     parts, part_of, colors_at, absent = _part_plan(base, n)
     for i in range(t):
@@ -671,7 +676,7 @@ def bipartite_blow_up(base: BaseColoring, n: int) -> Coloring:
             for b in group:
                 if assignment[a * n + b] == -1:
                     assignment[a * n + b] = fallback
-    out = Coloring(BipartiteShape(n), k, tuple(assignment))
+    out = Coloring(shape, k, tuple(assignment))
     guarantee = (n // t) * _ceil_frac(t * (1 - base.realized_z)) - t + 1
     got = f_value(out)
     if got < guarantee:

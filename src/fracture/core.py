@@ -50,6 +50,18 @@ def check_desk_edges(n: int, r: int, m: int) -> None:
         raise FractureError(f"C({n},{r})={m} above desk cap {DESK_EDGE_CAP}")
 
 
+HOST_EDGE_CAP = 100_000
+
+
+def check_host_edges(shape: HypergraphShape | BipartiteShape) -> None:
+    """Refuse to build a coloring or factorization of a host with more than
+    HOST_EDGE_CAP edges (C(n, r), or n^2 on K_{n,n}), before anything is
+    allocated per edge.  The message leaves the count out: it can have more
+    digits than Python will print."""
+    if shape.edge_count > HOST_EDGE_CAP:
+        raise FractureError(f"{shape} has more than the host cap of {HOST_EDGE_CAP} edges")
+
+
 def check_binomial_size(n: int, r: int) -> None:
     """Refuse C(n, r) before anything computes it when it is at least 2^64.
 

@@ -26,7 +26,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .core import FractureError, HypergraphShape, check_binomial_size, edge_rank, edge_table
+from .core import (
+    FractureError, HypergraphShape, check_binomial_size, check_host_edges, edge_rank, edge_table,
+)
 
 DESK_FIELD_CAP = 64
 DESK_PLANE_CAP = 8
@@ -165,8 +167,9 @@ def _is_irreducible(poly: list[int], p: int) -> bool:
 def gf(q: int) -> FiniteField:
     """The finite field of order q, for prime powers q <= 64.
 
-    For composite q the modulus is the irreducible monic polynomial of
-    degree m whose coefficient encoding sum(c_i * p**i) is smallest.
+    The modulus is the irreducible monic polynomial of degree m whose
+    coefficient encoding sum(c_i * p**i) is smallest; for a prime q that
+    is x, and the tables are arithmetic mod q.
     """
     if q > DESK_FIELD_CAP:
         raise FractureError(f"field order {q} above desk cap {DESK_FIELD_CAP}")
@@ -174,11 +177,6 @@ def gf(q: int) -> FiniteField:
     if pm is None:
         raise FractureError(f"{q} is not a prime power")
     p, m = pm
-    if m == 1:
-        modulus = [0, 1]  # x, unused for prime fields
-        add = tuple(tuple((a + b) % p for b in range(p)) for a in range(p))
-        mul = tuple(tuple((a * b) % p for b in range(p)) for a in range(p))
-        return FiniteField(p, m, q, tuple(modulus), add, mul)
     modulus = None
     for enc in range(p**m):
         cand = _to_digits(enc, p, m) + [1]
@@ -433,6 +431,7 @@ def one_factorization(n: int) -> MatchingDecomposition:
     round i pairs the hub n-1 with i and j-rotations around the circle."""
     if n < 2 or n % 2:
         raise FractureError(f"one-factorization needs even n >= 2, got {n}")
+    check_host_edges(HypergraphShape(n, 2))
     factors = []
     for i in range(n - 1):
         edges = [(n - 1, i)]
@@ -470,6 +469,7 @@ def hamiltonian_decomposition(n: int) -> tuple[tuple[tuple[int, int], ...], ...]
     """
     if n < 3 or n % 2 == 0:
         raise FractureError(f"Hamiltonian decomposition needs odd n >= 3, got {n}")
+    check_host_edges(HypergraphShape(n, 2))
     hub = n - 1
     ring = n - 1
     cycles = []
@@ -607,6 +607,7 @@ def baranyai(n: int, r: int) -> MatchingDecomposition:
         raise FractureError(f"invalid ({n}, {r})")
     if n % r:
         raise FractureError(f"factorization needs r | n, got n={n}, r={r}")
+    check_binomial_size(n, r)
     if comb(n, r) > 3000:
         raise FractureError(f"C({n},{r}) above desk cap 3000")
     dec = MatchingDecomposition(n, r, tuple(_baranyai_flow(n, r)), complete=True)

@@ -52,6 +52,9 @@ class TestRootValue:
         assert Fraction(2, 3) < half_sqrt < Fraction(3, 4)
         assert half_sqrt < root_value(Fraction(3, 4), 2)
         assert root_value(Fraction(1, 2), 3) > half_sqrt  # cube root is larger
+        assert half_sqrt <= RootValue(Fraction(1, 2), 2) <= half_sqrt
+        assert Fraction(3, 4) >= half_sqrt >= Fraction(2, 3)
+        assert not half_sqrt >= Fraction(3, 4) and not half_sqrt <= Fraction(2, 3)
 
     @given(
         st.fractions(min_value="1/100", max_value=1),
@@ -71,6 +74,17 @@ class TestRootValue:
     def test_degenerate_degree_rejected(self):
         with pytest.raises(Exception):
             RootValue(Fraction(1, 2), 1)
+
+    @pytest.mark.parametrize("other", [0.5, "1/2", None])
+    def test_non_number_comparison_raises(self, other):
+        x = root_value(Fraction(1, 2), 2)
+        for compare in (
+            lambda: x < other, lambda: x <= other, lambda: x > other, lambda: x >= other,
+            lambda: other < x, lambda: other >= x,
+        ):
+            with pytest.raises(TypeError):
+                compare()
+        assert x != other
 
 
 class TestIntegerRoot:

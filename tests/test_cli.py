@@ -14,9 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracture import BipartiteShape, Coloring, base_registry, bipartite_from_clique, report_dict
+from fracture import constructions as cons
 from fracture import core
+from fracture import designs as designs_mod
 from fracture import search as search_mod
-from fracture.cli import main
+from fracture.cli import _CONSTRUCT, _DESIGNS, build_parser, main
 
 
 def run(capsys, *argv):
@@ -139,6 +141,51 @@ class TestConstructAndEval:
         code, verdict = run_json(capsys, "verify", str(path))
         assert code == 4 and verdict["valid"] is False
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "construct trivial --n 100000 --r 3",
+            "construct nminus1 --n 5001",
+            "construct trivial --n 3000",
+            "construct ncolors --n 4000",
+            "construct bipartite-blow-up --base k5-four --n 5000",
+            "designs one-factorization --n 3000",
+            "designs near-one-factorization --n 3001",
+            "construct blow-up --base rainbow-triangle --n 1000000",
+            "construct base trivial(3000,2)",
+            "construct trivial --n " + "1" + "0" * 100 + " --r 60",
+            "construct equitable --n 1000000 --r 500000 --k 1",
+            "designs baranyai --n 1000000 --r 500000",
+        ],
+    )
+    def test_hostile_sizes_exit_2_before_per_edge_work(self, capsys, monkeypatch, line):
+        def no_work(*args):
+            raise AssertionError("per-edge work started")
+
+        for module, name in [
+            (cons, "edge_table"),
+            (cons, "_part_plan"),
+            (cons, "one_factorization"),
+            (cons, "near_one_factorization"),
+            (cons, "hamiltonian_decomposition"),
+            (designs_mod, "_normalize_factor"),
+            (designs_mod, "_baranyai_flow"),
+        ]:
+            monkeypatch.setattr(module, name, no_work)
+        coloring = cons.Coloring
+
+        def small_coloring(shape, k, assignment):
+            assert shape.edge_count <= core.HOST_EDGE_CAP, "per-edge work started"
+            return coloring(shape, k, assignment)
+
+        monkeypatch.setattr(cons, "Coloring", small_coloring)
+        start = time.perf_counter()
+        code = main(line.split())
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_output_flag(self, capsys, tmp_path):
         target = tmp_path / "out.json"
         code, text = run(
@@ -147,6 +194,29 @@ class TestConstructAndEval:
         assert code == 0
         assert text == ""
         assert json.loads(target.read_text())["report"]["z"] == "3/5"
+
+
+class TestSubcommandTables:
+    def test_tables_drive_parser(self, capsys):
+        commands = build_parser()._subparsers._group_actions[0].choices
+        groups = {
+            command: commands[command]._subparsers._group_actions[0].choices
+            for command in ("construct", "designs")
+        }
+        assert list(groups["construct"]) == list(_CONSTRUCT)
+        assert list(groups["designs"]) == list(_DESIGNS)
+        for command in ("construct", "designs"):
+            for name in groups[command]:
+                with pytest.raises(SystemExit) as exit_:
+                    main([command, name, "--help"])
+                assert exit_.value.code == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_:
+            main(["construct", "factor-split", "--n", "6", "--t", "2"])
+        assert exit_.value.code == 2
+        assert "--r" in capsys.readouterr().err
+        code, data = run_json(capsys, "construct", "equitable", "--n", "5", "--k", "7")
+        assert code == 0 and data["coloring"]["r"] == 2
 
 
 class TestDesignsCommand:

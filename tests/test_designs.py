@@ -34,11 +34,18 @@ class TestFiniteField:
         assert prime_power_decompose(12) is None
         assert prime_power_decompose(1) is None
 
-    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+    @pytest.mark.parametrize("q", [4, 8, 9] + [p for p in range(2, 64) if is_prime(p)])
     def test_field_axioms(self, q):
         field = gf(q)
         assert field.q == q
         elems = range(q)
+        if is_prime(q):
+            # the general construction picks the modulus x: arithmetic mod q
+            assert field.modulus == (0, 1)
+            for a in elems:
+                for b in elems:
+                    assert field.mul_table[a][b] == a * b % q
+                    assert field.add_table[a][b] == (a + b) % q
         for a in elems:
             assert field.add(a, 0) == a
             assert field.mul(a, 1) == a
