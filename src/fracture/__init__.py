@@ -19,8 +19,10 @@ from .core import (
     coloring_from_json,
     coloring_to_dict,
     coloring_to_json,
+    edge_array,
     edge_list_stats,
     edge_rank,
+    edge_ranks,
     edge_table,
     edge_unrank,
     f_value,

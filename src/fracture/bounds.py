@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache, total_ordering
 from math import comb, isqrt
 
-from .core import FractureError, z_value
+from .core import FractureError, check_binomial_size, z_value
 from . import constructions
 
 
@@ -240,12 +240,23 @@ def f_upper_counting(n: int, k: int, r: int) -> BoundRecord:
         raise FractureError(f"need 1 <= r <= n, got n={n}, r={r}")
     if k < 1:
         raise FractureError(f"need k >= 1, got k={k}")
+    check_binomial_size(n, r)
     total = comb(n, r)
-    for t in range(n // r, 0, -1):
-        reachable = comb(n - r * (t - 1), r) + (t - 1)
-        if k * reachable >= total:
-            return BoundRecord(Fraction(t), "counting")
-    return BoundRecord(Fraction(1), "counting")
+
+    def passes(t: int) -> bool:
+        return k * (comb(n - r * (t - 1), r) + t - 1) >= total
+
+    # reachable(t) = C(n - r(t-1), r) + t - 1 never grows with t, as
+    # C(a, r) - C(a - r, r) >= 1 for a >= r, so the passing t form a
+    # prefix of 1..n // r: bisect for its end (t = 1 when none passes)
+    lo, hi = 1, n // r
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if passes(mid):
+            lo = mid
+        else:
+            hi = mid - 1
+    return BoundRecord(Fraction(lo), "counting")
 
 
 def f_upper_trivial(n: int, k: int, r: int) -> BoundRecord:
@@ -255,6 +266,7 @@ def f_upper_trivial(n: int, k: int, r: int) -> BoundRecord:
         raise FractureError(f"need 1 <= r <= n, got n={n}, r={r}")
     if k < 1:
         raise FractureError(f"need k >= 1, got k={k}")
+    check_binomial_size(n, r)
     return BoundRecord(Fraction(min(n // r, comb(n, r) // k)), "trivial_ratio")
 
 

@@ -17,6 +17,10 @@ edge count minus the count of edges disjoint from a fixed edge.
 
 Every claimed value is recomputed from class stats before being returned;
 no constructor is trusted.
+
+The blow-ups build their assignments as numpy array operations over the
+host's edge array; like core, this module imports numpy inside the
+functions that use it.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import ceil, comb
+from typing import TYPE_CHECKING
 
 from .core import (
     BipartiteShape,
@@ -36,6 +41,7 @@ from .core import (
     check_host_edges,
     class_stats,
     edge_rank,
+    edge_ranks,
     edge_table,
     f_value,
     relabel_canonical,
@@ -56,6 +62,9 @@ from .designs import (
     one_factorization,
     projective_plane,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -84,8 +93,14 @@ def _coloring_from_classes(n: int, r: int, classes: list[list[tuple[int, ...]]])
 def _checked_classes(n: int, r: int, classes: list[list[tuple[int, ...]]], f: int, what: str) -> Coloring:
     """The coloring giving class i color i, relabelled into first-use color
     order, once its f is checked to be the claimed f."""
-    assignment = relabel_canonical(decomposition_to_coloring_edges(n, r, classes))
-    out = Coloring(HypergraphShape(n, r), len(classes), assignment)
+    assignment = decomposition_to_coloring_edges(n, r, classes)
+    return _checked(HypergraphShape(n, r), len(classes), assignment, f, what)
+
+
+def _checked(shape: HypergraphShape, k: int, assignment, f: int, what: str) -> Coloring:
+    """The k-coloring relabelled into first-use color order, once its f is
+    checked to be the claimed f."""
+    out = Coloring(shape, k, relabel_canonical(assignment))
     if f_value(out) != f:
         raise FractureError(f"{what} has f != {f}")
     return out
@@ -256,53 +271,11 @@ def blow_up(base: BaseColoring, n: int) -> Coloring:
     _require_complete_host(base.coloring, "blow-up")
     t = base.coloring.n
     r = base.coloring.r
-    k = base.coloring.k
     if n < t:
         raise FractureError(f"blow-up needs n >= t = {t}, got n = {n}")
     shape = HypergraphShape(n, r)
     check_host_edges(shape)
-    parts, part_of, colors_at, absent = _part_plan(base, n)
-    base_shape = base.coloring.shape
-
-    # One pass over the edges: an edge meeting several parts takes the
-    # color its part pattern maps to, an edge inside part i is bucketed.
-    assignment = [-1] * shape.edge_count
-    inside: list[list[int]] = [[] for _ in range(t)]
-    pattern_color: dict[tuple[int, ...], int] = {}
-    for rank, f in enumerate(edge_table(n, r)):
-        pattern = tuple([part_of[v] for v in f])
-        if pattern[0] == pattern[-1]:  # parts are contiguous, f is sorted
-            inside[pattern[0]].append(rank)
-            continue
-        color = pattern_color.get(pattern)
-        if color is None:
-            e = _colex_smallest_superset(tuple(sorted(set(pattern))), t, r)
-            color = pattern_color[pattern] = base.coloring.assignment[edge_rank(e, base_shape)]
-        assignment[rank] = color
-
-    for i in range(t):
-        part = list(parts[i])
-        size = len(part)
-        if size < r:
-            continue
-        # constructive feasibility: the matchings must actually exist
-        dec = disjoint_max_matchings(size, r, len(absent[i]))
-        offset = part[0]
-        fallback = min(colors_at[i])
-        placed = set()
-        for color, factor in zip(absent[i], dec.factors):
-            for e in factor:
-                ge = tuple(v + offset for v in e)
-                rank = edge_rank(ge, shape)
-                assignment[rank] = color
-                placed.add(rank)
-        for rank in inside[i]:
-            if rank not in placed:
-                assignment[rank] = fallback
-
-    if -1 in assignment:
-        raise FractureError("blow-up left an edge uncolored")
-    out = Coloring(shape, k, tuple(assignment))
+    out = Coloring(shape, base.coloring.k, _blow_up_assignment(base, shape))
     guarantee = (n // (r * t)) * _ceil_frac(t * (1 - base.realized_z)) + 1
     got = f_value(out)
     if got < guarantee:
@@ -310,6 +283,48 @@ def blow_up(base: BaseColoring, n: int) -> Coloring:
             f"blow-up produced f={got}, below guaranteed {guarantee}"
         )
     return out
+
+
+def _blow_up_assignment(base: BaseColoring, shape: HypergraphShape) -> tuple[int, ...]:
+    """The blow-up's colors in colex order, as array operations over the
+    host's edge array."""
+    import numpy as np
+
+    t, r = base.coloring.n, shape.r
+    parts, part_of, colors_at, absent = _part_plan(base, shape.n)
+    # The parts of each edge's vertices, nondecreasing (parts are
+    # contiguous, edges sorted): an edge inside part i starts and ends in
+    # i, every other edge takes the color its part pattern maps to.
+    pattern = np.asarray(part_of, dtype=np.int32)[shape.edge_array()]
+    inside = pattern[:, 0] == pattern[:, -1]
+    cross = np.flatnonzero(~inside)
+    # number the distinct cross patterns one column at a time, so no code
+    # exceeds m * t; first holds one edge of each pattern
+    which = np.zeros(len(cross), dtype=np.int64)
+    for j in range(r):
+        _, first, which = np.unique(which * t + pattern[cross, j], return_index=True, return_inverse=True)
+    covers = [
+        edge_rank(_colex_smallest_superset(tuple(sorted(set(p))), t, r), base.coloring.shape)
+        for p in pattern[cross[first]].tolist()
+    ]
+    assignment = np.full(shape.edge_count, -1, dtype=np.int64)
+    assignment[cross] = np.array(base.coloring.assignment)[covers][which]
+    # Inside edges take the smallest color at their part's base vertex,
+    # then the planted matchings overwrite theirs; a part smaller than r
+    # has no inside edges.
+    fallback = np.array([min(c) for c in colors_at])
+    assignment[inside] = fallback[pattern[inside, 0]]
+    for i, part in enumerate(parts):
+        if len(part) < r:
+            continue
+        # constructive feasibility: the matchings must actually exist
+        dec = disjoint_max_matchings(len(part), r, len(absent[i]))
+        for color, factor in zip(absent[i], dec.factors):
+            local = np.array(factor, dtype=np.int64).reshape(-1, r)
+            assignment[edge_ranks(local + part.start, shape)] = color
+    if (assignment < 0).any():
+        raise FractureError("blow-up left an edge uncolored")
+    return tuple(assignment.tolist())
 
 
 def _part_plan(base: BaseColoring, n: int) -> tuple[list[range], list[int], list[set[int]], list[list[int]]]:
@@ -325,10 +340,13 @@ def _part_plan(base: BaseColoring, n: int) -> tuple[list[range], list[int], list
 
 def _colors_at(coloring: Coloring) -> list[set[int]]:
     """The set of colors on the edges through each vertex."""
+    import numpy as np
+
+    k = coloring.k
+    colors = np.array(coloring.assignment, dtype=np.int64)
     out: list[set[int]] = [set() for _ in range(coloring.shape.vertex_count)]
-    for e, c in zip(coloring.shape.edges(), coloring.assignment):
-        for v in e:
-            out[v].add(c)
+    for key in np.unique(coloring.shape.edge_array() * k + colors[:, None]).tolist():
+        out[key // k].add(key % k)
     return out
 
 
@@ -365,15 +383,14 @@ def coloring_n(n: int) -> Coloring:
     check_host_edges(HypergraphShape(n, 2))
     if n % 2 == 1:
         classes = [list(f) for f in near_one_factorization(n).factors]
-    else:
-        bigger = coloring_nminus1(n + 1)
-        classes = [[] for _ in range(bigger.k)]
-        for e, c in zip(edge_table(n + 1, 2), bigger.assignment):
-            if n not in e:
-                classes[c].append(e)
-        if any(not cl for cl in classes):
-            raise FractureError("vertex deletion emptied a class")
-    return _checked_classes(n, 2, classes, (n - 1) // 2, f"n-coloring of K_{n}")
+        return _checked_classes(n, 2, classes, (n - 1) // 2, f"n-coloring of K_{n}")
+    bigger = coloring_nminus1(n + 1)
+    # the C(n, 2) edges avoiding vertex n come first in colex order, with
+    # the same ranks in K_n
+    assignment = bigger.assignment[: comb(n, 2)]
+    if len(set(assignment)) < bigger.k:
+        raise FractureError("vertex deletion emptied a class")
+    return _checked(HypergraphShape(n, 2), bigger.k, assignment, (n - 1) // 2, f"n-coloring of K_{n}")
 
 
 def _kempe_swap_path(
@@ -600,6 +617,18 @@ def coloring_equitable(n: int, r: int, k: int) -> Coloring:
 bipartite_report_dict = report_dict
 
 
+def _pair_colors(coloring: Coloring) -> np.ndarray:
+    """The (n, n) array of the color of {i, j} in a graph coloring of K_n,
+    at [i, j] and [j, i], with -1 on the diagonal."""
+    import numpy as np
+
+    out = np.full((coloring.n, coloring.n), -1, dtype=np.int64)
+    edges = coloring.shape.edge_array()
+    out[edges[:, 0], edges[:, 1]] = coloring.assignment
+    out[edges[:, 1], edges[:, 0]] = coloring.assignment
+    return out
+
+
 def bipartite_from_clique(base: Coloring) -> Coloring:
     """Transfer a complete-graph coloring to the complete bipartite double
     cover: (a_i, b_j) copies the color of {i, j}, and each diagonal
@@ -609,16 +638,9 @@ def bipartite_from_clique(base: Coloring) -> Coloring:
     if base.r != 2:
         raise FractureError("bipartite transfer needs a graph coloring")
     n = base.n
-    shape = base.shape
-    smallest_at = [min(cs) for cs in _colors_at(base)]
-    assignment = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                assignment.append(smallest_at[i])
-            else:
-                assignment.append(base.assignment[edge_rank((min(i, j), max(i, j)), shape)])
-    out = Coloring(BipartiteShape(n), base.k, tuple(assignment))
+    grid = _pair_colors(base)
+    grid[range(n), range(n)] = [min(cs) for cs in _colors_at(base)]
+    out = Coloring(BipartiteShape(n), base.k, tuple(grid.reshape(-1).tolist()))
     base_inc = {s.color: s.incident_vertices for s in class_stats(base)}
     for s in class_stats(out):
         if s.incident_vertices != 2 * base_inc[s.color]:
@@ -638,6 +660,8 @@ def bipartite_blow_up(base: BaseColoring, n: int) -> Coloring:
     Checked guarantee: every color splits into at least
     floor(n/t) * ceil(t * (1 - realized_z)) - t + 1 components.
     """
+    import numpy as np
+
     _require_complete_host(base.coloring, "bipartite blow-up")
     if base.coloring.r != 2:
         raise FractureError("bipartite blow-up needs a graph base")
@@ -647,7 +671,6 @@ def bipartite_blow_up(base: BaseColoring, n: int) -> Coloring:
         raise FractureError(f"need n >= t = {t}")
     shape = BipartiteShape(n)
     check_host_edges(shape)
-    base_shape = base.coloring.shape
     parts, part_of, colors_at, absent = _part_plan(base, n)
     for i in range(t):
         if len(absent[i]) > len(parts[i]):
@@ -656,27 +679,15 @@ def bipartite_blow_up(base: BaseColoring, n: int) -> Coloring:
                 f"{len(absent[i])} disjoint perfect matchings"
             )
 
-    assignment = [-1] * (n * n)
-    for a in range(n):
-        for b in range(n):
-            i, j = part_of[a], part_of[b]
-            if i != j:
-                e = (min(i, j), max(i, j))
-                assignment[a * n + b] = base.coloring.assignment[edge_rank(e, base_shape)]
-    for i in range(t):
-        group = list(parts[i])
+    group_of = np.asarray(part_of)
+    grid = _pair_colors(base.coloring)[group_of[:, None], group_of[None, :]]
+    for i, group in enumerate(parts):
         g = len(group)
-        fallback = min(colors_at[i])
+        grid[group.start : group.stop, group.start : group.stop] = min(colors_at[i])
+        x = np.arange(g)
         for ell, color in enumerate(absent[i]):
-            for x in range(g):
-                a = group[x]
-                b = group[(x + ell) % g]
-                assignment[a * n + b] = color
-        for a in group:
-            for b in group:
-                if assignment[a * n + b] == -1:
-                    assignment[a * n + b] = fallback
-    out = Coloring(shape, k, tuple(assignment))
+            grid[group.start + x, group.start + (x + ell) % g] = color
+    out = Coloring(shape, k, tuple(grid.reshape(-1).tolist()))
     guarantee = (n // t) * _ceil_frac(t * (1 - base.realized_z)) - t + 1
     got = f_value(out)
     if got < guarantee:

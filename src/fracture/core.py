@@ -7,8 +7,8 @@ order, so a coloring is just a flat tuple of color indices.  The second
 host is the complete bipartite graph K_{n,n} (``BipartiteShape``), with
 sides {0, ..., n-1} and {n, ..., 2n-1} and the edge (i, n + j) at index
 i*n + j.  Every metric and serializer below reads the host only through
-``shape.edges()`` and ``shape.vertex_count``, so both hosts share one
-path.  Two quantities are measured per color class:
+``shape.edge_array()`` and ``shape.vertex_count``, so both hosts share
+one path.  Two quantities are measured per color class:
 
 * the number of connected components the class induces (vertices touched
   by no edge of the class never count), and
@@ -19,9 +19,16 @@ path.  Two quantities are measured per color class:
 ``z_value`` is the maximum incidence fraction.  Empty classes are ignored
 by both.
 
+Edge tables and class stats are numpy on every backend.  numpy is
+imported inside the functions that use it, so importing this module
+alone does not load it.
+
 Invariants:
     - edge_rank and edge_unrank are mutual inverses on valid inputs.
-    - edge_table(n, r)[i] == edge_unrank(i, HypergraphShape(n, r)).
+    - edge_array(n, r)[i] == edge_unrank(i, HypergraphShape(n, r)), and
+      edge_table(n, r) is the same table as tuples.
+    - edge_ranks inverts edge_array: edge_ranks(edge_array(n, r), shape)
+      is 0, 1, ..., C(n, r) - 1.
     - components <= incident_vertices // r for every class.
     - class edge counts over a coloring sum to shape.edge_count.
 """
@@ -33,7 +40,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class FractureError(Exception):
@@ -47,7 +57,9 @@ def check_desk_edges(n: int, r: int, m: int) -> None:
     """Refuse a host whose C(n, r) = m edges exceed DESK_EDGE_CAP, before
     a tool that walks or allocates per edge starts on it."""
     if m > DESK_EDGE_CAP:
-        raise FractureError(f"C({n},{r})={m} above desk cap {DESK_EDGE_CAP}")
+        # past 2^64 the count can have more digits than Python will print
+        count = f"={m}" if m < 2**64 else " >= 2^64"
+        raise FractureError(f"C({n},{r}){count} above desk cap {DESK_EDGE_CAP}")
 
 
 HOST_EDGE_CAP = 100_000
@@ -99,6 +111,10 @@ class HypergraphShape:
         """All edges in colexicographic order."""
         return edge_table(self.n, self.r)
 
+    def edge_array(self) -> np.ndarray:
+        """All edges in colexicographic order, one per row."""
+        return edge_array(self.n, self.r)
+
 
 @dataclass(frozen=True)
 class BipartiteShape:
@@ -123,41 +139,65 @@ class BipartiteShape:
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges in index order, built per call (n^2 pairs)."""
-        n = self.n
-        return [(i, n + j) for i in range(n) for j in range(n)]
+        return list(map(tuple, self.edge_array().tolist()))
+
+    def edge_array(self) -> np.ndarray:
+        """All edges in index order, one per row: (i, n + j) at i*n + j."""
+        import numpy as np
+
+        index = np.arange(self.n * self.n, dtype=np.int64)
+        return np.stack([index // self.n, self.n + index % self.n], axis=1)
 
 
 @lru_cache(maxsize=1)
-def edge_table(n: int, r: int) -> tuple[tuple[int, ...], ...]:
-    """All r-subsets of range(n) in colex order: ``edge_table(n, r)[rank]``
-    is the edge with that colex rank.
+def edge_array(n: int, r: int) -> np.ndarray:
+    """All r-subsets of range(n) in colex order, as a read-only
+    (C(n, r), r) int64 array: row ``rank`` is the edge with that colex
+    rank, its vertices increasing.
 
     Built directly in colex order: the j-subsets with largest vertex v are
-    the (j-1)-subsets of range(v), which are the first C(v, j-1) entries
-    of the (j-1)-level, each extended by v.  For 2r > n the table is the
+    the (j-1)-subsets of range(v), which are the first C(v, j-1) rows of
+    the (j-1)-level, each extended by v.  For 2r > n the table is the
     complements of the (n - r)-level read backwards (S precedes T in
     colex order exactly when the complement of T precedes that of S), so
     no level wider than C(n, r) is built.  The cache holds the last
     shape only, so a long-lived process keeps at most one table.
     """
+    import numpy as np
+
     shape = HypergraphShape(n, r)
     if 2 * shape.r <= shape.n:
-        return tuple(_colex_level(shape.n, shape.r))
-    holes = _colex_level(shape.n, shape.n - shape.r)
-    return tuple(
-        tuple(v for v in range(shape.n) if v not in hole) for hole in reversed(holes)
-    )
+        out = _colex_level(shape.n, shape.r)
+    else:
+        holes = _colex_level(shape.n, shape.n - shape.r)[::-1]
+        keep = np.ones((len(holes), shape.n), dtype=bool)
+        keep[np.arange(len(holes))[:, None], holes] = False
+        out = np.nonzero(keep)[1].reshape(len(holes), shape.r)
+    out.flags.writeable = False
+    return out
 
 
-def _colex_level(n: int, j: int) -> list[tuple[int, ...]]:
-    """All j-subsets of range(n) in colex order, for 0 <= j <= n."""
-    level: list[tuple[int, ...]] = [()]
+@lru_cache(maxsize=1)
+def edge_table(n: int, r: int) -> tuple[tuple[int, ...], ...]:
+    """``edge_array(n, r)`` as a tuple of int tuples, for the desk-sized
+    callers that walk edges one at a time in Python; the cache holds the
+    last shape only."""
+    return tuple(map(tuple, edge_array(n, r).tolist()))
+
+
+def _colex_level(n: int, j: int) -> np.ndarray:
+    """All j-subsets of range(n) in colex order, one per row, for
+    0 <= j <= n."""
+    import numpy as np
+
+    level = np.zeros((1, 0), dtype=np.int64)
     for i in range(1, j + 1):
-        level = [
-            prefix + (top,)
-            for top in range(i - 1, n)
-            for prefix in level[: comb(top, i - 1)]
-        ]
+        tops = np.arange(i - 1, n, dtype=np.int64)
+        counts = np.array([comb(top, i - 1) for top in range(i - 1, n)], dtype=np.int64)
+        # row p of the new level extends row prefix[p] of the old one
+        starts = np.cumsum(counts) - counts
+        prefix = np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(starts, counts)
+        level = np.concatenate([level[prefix], np.repeat(tops, counts)[:, None]], axis=1)
     return level
 
 
@@ -197,6 +237,31 @@ def edge_unrank(rank: int, shape: HypergraphShape) -> tuple[int, ...]:
         v -= 1
     out.reverse()
     return tuple(out)
+
+
+def edge_ranks(vertices: np.ndarray, shape: HypergraphShape) -> np.ndarray:
+    """Colex ranks of many edges at once, one per row of the (num, r)
+    integer array ``vertices``; ``edge_rank`` of each row, with the same
+    checks: every row strictly increasing inside range(shape.n)."""
+    import numpy as np
+
+    vs = np.asarray(vertices)
+    if vs.ndim != 2 or vs.shape[1] != shape.r:
+        raise FractureError(f"edges need {shape.r} vertices each, got an array of shape {vs.shape}")
+    if vs.size and not np.issubdtype(vs.dtype, np.integer):
+        raise FractureError(f"vertices must be integers, got {vs.dtype}")
+    if vs.size and (vs.min() < 0 or vs.max() >= shape.n):
+        raise FractureError(f"vertex out of range for n={shape.n}")
+    if (np.diff(vs, axis=1) <= 0).any():
+        raise FractureError("vertices must be strictly increasing")
+    if shape.edge_count > 2**63:
+        raise FractureError(f"ranks of {shape} do not fit in int64")
+    ranks = np.zeros(len(vs), dtype=np.int64)
+    for i in range(shape.r):
+        values, where = np.unique(vs[:, i], return_inverse=True)
+        terms = np.array([comb(v, i + 1) for v in values.tolist()], dtype=np.int64)
+        ranks += terms[where.reshape(-1)]
+    return ranks
 
 
 @dataclass(frozen=True)
@@ -292,16 +357,70 @@ def edge_list_stats(edges: Sequence[Sequence[int]], n_vertices: int) -> tuple[in
 
 
 def class_stats(coloring: Coloring) -> list[ColorClassStats]:
-    """Stats for every nonempty color class, ordered by color index."""
-    buckets: dict[int, list[tuple[int, ...]]] = {}
-    for e, c in zip(coloring.shape.edges(), coloring.assignment):
-        buckets.setdefault(c, []).append(e)
-    out = []
-    for c in sorted(buckets):
-        edges = buckets[c]
-        comps, incident = edge_list_stats(edges, coloring.shape.vertex_count)
-        out.append(ColorClassStats(c, len(edges), comps, incident))
-    return out
+    """Stats for every nonempty color class, ordered by color index.
+
+    One union-find over the (color, vertex) slots, in numpy:
+    ``_slot_components`` links the slots of each edge.  When there are
+    more slots (k*n) than edge entries (m*r), the touched ones are
+    numbered by ``np.unique`` first, so memory follows m*r and never
+    k*n.  A class's incident vertices are its touched slots and its
+    components the touched slots left as roots.
+    """
+    import numpy as np
+
+    shape = coloring.shape
+    k, n = coloring.k, shape.vertex_count
+    slots = np.array(coloring.assignment, dtype=np.int64)[:, None] * n + shape.edge_array()
+    sizes = np.bincount(slots[:, 0] // n, minlength=k)
+    if k * n > slots.size:
+        keys, slots = np.unique(slots.reshape(-1), return_inverse=True)
+        slots = slots.reshape(-1, shape.r)
+    else:
+        keys = np.arange(k * n)
+    parent = _slot_components(slots, len(keys))[0]
+    touched = np.zeros(len(keys), dtype=bool)
+    touched[slots] = True
+    slot_color = keys // n
+    incident = np.bincount(slot_color[touched], minlength=k)
+    comps = np.bincount(slot_color[touched & (parent == np.arange(len(keys)))], minlength=k)
+    used = np.flatnonzero(sizes)
+    return [
+        ColorClassStats(c, e, p, i)
+        for c, e, p, i in zip(
+            used.tolist(), sizes[used].tolist(), comps[used].tolist(), incident[used].tolist()
+        )
+    ]
+
+
+def _slot_components(slots: np.ndarray, count: int) -> tuple[np.ndarray, int]:
+    """Connected components of the slots 0..count-1 linked by each row of
+    ``slots``, by hooking and pointer jumping (Shiloach and Vishkin, J.
+    Algorithms 1982): returns (parent, hooking rounds), parent[s] being
+    the smallest slot of s's component.
+
+    Each round finds every row's roots, hooks each root to the smallest
+    root in a row it shares (np.minimum.at), then jumps pointers until
+    every tree is a star.  Hooks only point to smaller slots, so no cycle
+    forms, and every root that is not the smallest of its neighbourhood
+    merges in its round.  It stops when every row lies in one tree.
+    """
+    import numpy as np
+
+    # slot ids below 2^31 fit int32, which halves the arrays of each round
+    parent = np.arange(count, dtype=np.int32 if count < 2**31 else np.int64)
+    rounds = 0
+    while True:
+        roots = parent[slots]
+        low = roots.min(axis=1)
+        if (roots == low[:, None]).all():
+            return parent, rounds
+        rounds += 1
+        np.minimum.at(parent, roots, low[:, None])
+        while True:
+            up = parent[parent]
+            if np.array_equal(up, parent):
+                break
+            parent = up
 
 
 def f_value(coloring: Coloring) -> int:

@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 from .core import (
-    FractureError, HypergraphShape, check_binomial_size, check_host_edges, edge_rank, edge_table,
+    FractureError, HypergraphShape, check_binomial_size, check_host_edges, edge_ranks, edge_table,
 )
 
 DESK_FIELD_CAP = 64
@@ -753,14 +753,24 @@ def k4minus_decomposition(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
 def decomposition_to_coloring_edges(n: int, r: int, groups) -> list[int]:
     """Color assignment (colex order) giving group i color i; groups must
     partition all edges."""
+    import numpy as np
+
     shape = HypergraphShape(n, r)
-    assignment = [-1] * shape.edge_count
-    for color, group in enumerate(groups):
-        for e in group:
-            rank = edge_rank(tuple(sorted(e)), shape)
-            if assignment[rank] != -1:
-                raise FractureError(f"edge {e} colored twice")
-            assignment[rank] = color
-    if -1 in assignment:
+    groups = [list(group) for group in groups]
+    edges = [e for group in groups for e in group]
+    if any(len(e) != r for e in edges):
+        raise FractureError(f"every edge needs {r} vertices")
+    colors = np.repeat(np.arange(len(groups)), [len(group) for group in groups])
+    vertices = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=len(edges) * r)
+    vertices = vertices.reshape(len(edges), r)
+    vertices.sort(axis=1)
+    ranks = edge_ranks(vertices, shape)
+    order = np.argsort(ranks, kind="stable")
+    repeat = order[1:][ranks[order[1:]] == ranks[order[:-1]]]
+    if len(repeat):
+        raise FractureError(f"edge {edges[repeat.min()]} colored twice")
+    assignment = np.full(shape.edge_count, -1, dtype=np.int64)
+    assignment[ranks] = colors
+    if (assignment < 0).any():
         raise FractureError("groups do not cover all edges")
-    return assignment
+    return assignment.tolist()

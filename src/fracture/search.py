@@ -46,7 +46,8 @@ from .core import (
     FractureError,
     HypergraphShape,
     check_desk_edges,
-    class_stats,
+    edge_array,
+    edge_list_stats,
     edge_table,
     f_value,
     z_value,
@@ -84,7 +85,7 @@ class ExhaustiveCheck:
 def _edges_flat(shape: HypergraphShape) -> np.ndarray:
     """The kernels' edge list: vertex j of the edge with colex rank i at
     index i*r + j."""
-    return np.array(edge_table(shape.n, shape.r), dtype=np.int64).reshape(-1)
+    return edge_array(shape.n, shape.r).reshape(-1)
 
 
 def _twins(shape: HypergraphShape) -> np.ndarray:
@@ -120,10 +121,10 @@ def _exact(n: int, k: int, r: int, options: SearchOptions | None, objective: int
     budget = _UNLIMITED
     if options is not None and options.node_budget is not None:
         budget = min(options.node_budget, _UNLIMITED)
-    if budget < m:
-        # the first leaf lies m nodes down: fail before the edge table is
-        # built, which a hopeless budget on a huge n would pay for
-        raise SearchBudgetError("search found no leaf; budget too small")
+        if budget < m:
+            # the first leaf lies m nodes down: fail before the edge table
+            # is built, which a hopeless budget on a huge n would pay for
+            raise SearchBudgetError("search found no leaf; budget too small")
     check_desk_edges(n, r, m)
     if objective == _kernels.OBJ_Z:
         cap = -r
@@ -229,11 +230,6 @@ def bulk_eval(n: int, r: int, k: int, colorings: np.ndarray) -> np.ndarray:
     return out
 
 
-def _objective(coloring: Coloring) -> tuple[int, int]:
-    stats = class_stats(coloring)
-    return min(s.components for s in stats), sum(s.components for s in stats)
-
-
 def randomized_improve(
     n: int,
     k: int,
@@ -245,7 +241,9 @@ def randomized_improve(
     """Seeded stochastic hill climb on (min components, total components).
 
     Each restart draws a uniform coloring and repeatedly recolors one
-    random edge, keeping the move when the objective does not drop.
+    random edge, keeping the move when the objective does not drop.  A
+    move changes two classes only, so it re-scores those two with
+    edge_list_stats and keeps the other classes' component counts.
     Deterministic for a fixed seed; never claims exactness.
     """
     if restarts < 1 or steps < 1:
@@ -256,26 +254,45 @@ def randomized_improve(
         raise FractureError(f"need 1 <= k <= {m}, got k={k}")
     check_desk_edges(n, r, m)
     rng = np.random.Generator(np.random.PCG64(seed))
+    edges = edge_table(n, r)
+
+    def components(members: set[int]) -> int:
+        return edge_list_stats([edges[i] for i in members], n)[0]
+
+    def objective(classes: list[set[int]], comps: list[int]) -> tuple[int, int]:
+        # (min, total) components over the nonempty classes
+        return min(comps[c] for c in range(k) if classes[c]), sum(comps)
+
     best_obj = (-1, -1)
     best_assign: tuple[int, ...] | None = None
     evals = 0
     for _ in range(restarts):
         assign = rng.integers(0, k, size=m).tolist()
-        cur = _objective(Coloring(shape, k, tuple(assign)))
+        classes: list[set[int]] = [set() for _ in range(k)]
+        for i, c in enumerate(assign):
+            classes[c].add(i)
+        comps = [components(members) for members in classes]
+        cur = objective(classes, comps)
         evals += 1
         for _ in range(steps):
             e = int(rng.integers(0, m))
             c = int(rng.integers(0, k))
-            if assign[e] == c:
-                continue
             old = assign[e]
-            assign[e] = c
-            cand = _objective(Coloring(shape, k, tuple(assign)))
+            if old == c:
+                continue
+            saved = comps[old], comps[c]
+            classes[old].remove(e)
+            classes[c].add(e)
+            comps[old], comps[c] = components(classes[old]), components(classes[c])
+            cand = objective(classes, comps)
             evals += 1
             if cand >= cur:
+                assign[e] = c
                 cur = cand
             else:
-                assign[e] = old
+                classes[c].remove(e)
+                classes[old].add(e)
+                comps[old], comps[c] = saved
         if cur > best_obj:
             best_obj = cur
             best_assign = tuple(assign)

@@ -6,6 +6,7 @@ verification.
 """
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracture import (
+    FractureError,
     SqrtRate,
     decimal_ceil,
     decimal_floor,
@@ -219,6 +221,34 @@ class TestFUpper:
         assert f_upper_counting(12, 3, 2).value == 3
         for n in [5, 9, 14]:
             assert f_upper_counting(n, 1, 2).value == 1
+
+    def test_bisection_matches_scan(self):
+        def scan(n, k, r):
+            total = math.comb(n, r)
+            for t in range(n // r, 0, -1):
+                if k * (math.comb(n - r * (t - 1), r) + t - 1) >= total:
+                    return t
+            return 1
+
+        for n in range(1, 41):
+            for r in range(1, min(n, 5) + 1):
+                for k in range(1, 13):
+                    assert f_upper_counting(n, k, r).value == scan(n, k, r), (n, k, r)
+
+    def test_huge_n_is_fast(self):
+        start = time.perf_counter()
+        value = f_upper_counting(10**12, 3, 2).value
+        assert time.perf_counter() - start < 1
+        # k classes of at most C(n - 2(t-1), 2) + t - 1 edges cover C(n, 2)
+        t = int(value)
+        n = 10**12
+        assert 3 * (math.comb(n - 2 * (t - 1), 2) + t - 1) >= math.comb(n, 2)
+        assert 3 * (math.comb(n - 2 * t, 2) + t) < math.comb(n, 2)
+
+    def test_binomials_past_2_64_refused(self):
+        for bound in (f_upper_counting, f_upper_trivial, f_upper_best):
+            with pytest.raises(FractureError, match="exceeds 2"):
+                bound(10**6, 2, 5 * 10**5)
 
     def test_trivial_formula(self):
         for n, k, r in [(12, 3, 2), (10, 5, 2), (9, 4, 3), (8, 2, 4)]:

@@ -5,6 +5,7 @@ artifacts are rejected, and exit codes follow the contract
 import copy
 import hashlib
 import json
+import math
 import shlex
 import time
 from pathlib import Path
@@ -179,6 +180,14 @@ class TestConstructAndEval:
             return coloring(shape, k, assignment)
 
         monkeypatch.setattr(cons, "Coloring", small_coloring)
+        table = core.edge_array
+
+        def small_table(n, r):
+            # the base colorings are evaluated before the host cap runs
+            assert math.comb(n, r) <= core.HOST_EDGE_CAP, "per-edge work started"
+            return table(n, r)
+
+        monkeypatch.setattr(core, "edge_array", small_table)
         start = time.perf_counter()
         code = main(line.split())
         assert time.perf_counter() - start < 1
@@ -287,6 +296,25 @@ class TestBoundsAndTable:
         assert data["upper_trivial"]["value"] == "6"
         assert data["upper"]["value"] == "3"
 
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["--n", "1000000000000", "--k", "3", "--r", "2"], 0),
+            (["--n", "1" + "0" * 100, "--k", "2", "--r", "60"], 0),
+            (["--n", "1000000", "--k", "2", "--r", "500000"], 2),
+        ],
+    )
+    def test_f_bounds_on_huge_hosts_return_at_once(self, capsys, argv, code):
+        start = time.perf_counter()
+        got = main(["bounds", "f", *argv])
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert got == code
+        if code == 2:
+            assert captured.out == "" and captured.err == "error: C(1000000,500000) exceeds 2^64\n"
+        else:
+            assert int(json.loads(captured.out)["upper"]["value"]) >= 1
+
     def test_table_text(self, capsys):
         code, text = run(capsys, "table")
         assert code == 0
@@ -364,15 +392,26 @@ class TestSearchCommand:
 
     @pytest.mark.parametrize("mode", ["f", "z", "improve"])
     def test_above_desk_cap_exits_2_before_edge_table(self, capsys, monkeypatch, mode):
-        def no_work(arg):
-            raise AssertionError(f"per-edge work started on {arg}")
+        def no_work(*args):
+            raise AssertionError(f"per-edge work started on {args}")
 
-        monkeypatch.setattr(search_mod, "_edges_flat", no_work)
-        monkeypatch.setattr(search_mod, "_objective", no_work)
+        # _edges_flat feeds the exact searches; randomized_improve scores
+        # its classes from edge_table through edge_list_stats
+        for name in ("_edges_flat", "edge_table", "edge_list_stats"):
+            monkeypatch.setattr(search_mod, name, no_work)
         code = main(["search", mode, "--n", "100000", "--k", "3"])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err == "error: C(100000,2)=4999950000 above desk cap 2000\n"
+
+    @pytest.mark.parametrize("mode", ["f", "z"])
+    def test_unbudgeted_huge_host_exits_2(self, capsys, mode):
+        # no budget was given, so no budget can be too small
+        n = "1" + "0" * 100
+        code = main(["search", mode, "--n", n, "--k", "2", "--r", "60"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: C({n},60) >= 2^64 above desk cap 2000\n"
 
     def test_improve(self, capsys):
         code, data = run_json(

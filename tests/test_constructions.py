@@ -1,11 +1,15 @@
 """Constructions checked against the z/f oracles and their own guarantees."""
 
+import hashlib
+import json
 import math
 from fractions import Fraction
 
 import pytest
 
 import oracles
+from fracture import constructions as cons
+from fracture import core, designs
 from fracture import (
     BaseColoring,
     BipartiteShape,
@@ -121,6 +125,103 @@ class TestBlowUp:
         # parts of size one reproduce the base exactly
         base = base_registry("rainbow-triangle")
         assert blow_up(base, 3).assignment == base.coloring.assignment
+
+
+# sha256 (first 16 hex digits) of json.dumps(coloring.assignment), recorded
+# from the per-edge loop builds these array builds replaced
+ASSIGNMENT_PINS = {
+    (blow_up, "rainbow-triangle"): {3: "1d226b8db3e15d55", 46: "9e951d3dd3b3e74a", 89: "deac888080a4247d"},
+    (blow_up, "k5-four"): {5: "030357a62ad2736a", 81: "05bd01412154a1b4", 149: "94e3aca0e611a39b"},
+    (blow_up, "k9-five"): {9: "0d3b91f0565469be", 91: "1a59d390c19ab595", 155: "ea118840cadfc17d"},
+    (blow_up, "k6r3-six"): {6: "1b1348d25f6a2c7e", 30: "f9f0312f8d3aae5c", 42: "75743274cdeb2a07"},
+    (blow_up, "trivial(5,2)"): {5: "a28bb79aa5ca8a5e", 92: "3cd8d1f2abec8c7a", 149: "366f521ae94e98c3"},
+    (blow_up, "trivial(6,3)"): {6: "8950b1ba43b8cd0a", 33: "e3dec6ab9db17533", 42: "98392041b37da497"},
+    (blow_up, "diamond(10)"): {10: "cf3f2df8496980eb", 112: "f9d5c251f7ae6e36", 155: "8e79ece4a35afbd5"},
+    (blow_up, "diamond(11)"): {11: "c6a6e3baa29e736a", 116: "11373c91560063d6", 155: "046e450e671d3bee"},
+    (blow_up, "design(pg(2))"): {7: "ff06b00fe37c53b2", 95: "b94584f1a4fb1eb8", 155: "3574ad9b900d59fb"},
+    (blow_up, "design(ag(3))"): {9: "a35334d8826eba0f", 118: "5a7823a57dd532f3", 155: "f2be23bf7525aa30"},
+    (blow_up, "design(sqs(3))"): {8: "db761b65f2cf54ea", 14: "013182e0a93fa117", 42: "42a6216c261a3765"},
+    (blow_up, "design(inversive(3))"): {10: "944b07d284fdb7d9", 15: "8ea5550450052987", 20: "9e5e245fd17c6483"},
+    (bipartite_blow_up, "rainbow-triangle"): {3: "77bbd917d8c90684", 46: "db78dd783e01acff", 89: "3ceeef2054a922f9"},
+    (bipartite_blow_up, "k5-four"): {8: "0bada1056cd93611", 59: "b05e4c995c0cd0cf", 109: "f69c91cf301131fc"},
+    (bipartite_blow_up, "k9-five"): {23: "f67d586478b7c1fd", 66: "f11acf8e36957fc6", 109: "7d7dffd43bbd6848"},
+    (bipartite_blow_up, "trivial(5,2)"): {30: "5e904e2d3f0c6573", 70: "7b39a56de8e42c2e", 109: "804cf630f602f510"},
+    (bipartite_blow_up, "diamond(10)"): {60: "dafbd01563ae6284", 85: "a29223c020f67ce2", 109: "575f70d53cea92ae"},
+    (bipartite_blow_up, "diamond(11)"): {77: "8c623e605a900f5b", 93: "3e35bb79399d77b6", 109: "93b66001ba814976"},
+    (bipartite_blow_up, "design(pg(2))"): {28: "21a6f80dce1ce184", 69: "327ab92c73d89e55", 109: "d144375886f95bbe"},
+    (bipartite_blow_up, "design(ag(3))"): {72: "d82bf44f5050337f", 91: "3640e8f63be18d91", 109: "9a9064246f5cbbe6"},
+}
+
+
+class TestArrayBuilds:
+    @pytest.mark.parametrize(
+        "build,name,n,pin",
+        [(b, name, n, pin) for (b, name), pins in ASSIGNMENT_PINS.items() for n, pin in pins.items()],
+    )
+    def test_assignments_unchanged(self, build, name, n, pin):
+        c = build(base_registry(name), n)
+        assert hashlib.sha256(json.dumps(c.assignment).encode()).hexdigest()[:16] == pin
+
+    @pytest.mark.parametrize(
+        "build,pin",
+        [
+            (lambda: base_registry("k5-four").coloring, "68619888f6bcb39d"),
+            (lambda: base_registry("diamond(10)").coloring, "b7f654faf3805dc5"),
+            (lambda: base_registry("design(pg(2))").coloring, "ee1e6096dc6eee2a"),
+            (lambda: coloring_nminus1(8), "c70c04681d3dace8"),
+            (lambda: coloring_nminus1(31), "028ed1cc5312e1f4"),
+        ],
+    )
+    def test_double_cover_unchanged(self, build, pin):
+        c = bipartite_from_clique(build())
+        assert hashlib.sha256(json.dumps(c.assignment).encode()).hexdigest()[:16] == pin
+
+    def test_pins_cover_every_registry_base(self):
+        kinds = {name.split("(")[0] for _, name in ASSIGNMENT_PINS}
+        for entry in base_registry_names():
+            assert entry.split("(")[0] in kinds
+        for kind in ("pg", "ag", "sqs", "inversive"):
+            assert any(f"design({kind}(" in name for _, name in ASSIGNMENT_PINS)
+
+    @pytest.mark.parametrize("n", range(4, 21, 2))
+    def test_even_ncolors_is_the_vertex_deletion(self, n):
+        # the per-edge deletion: drop every edge at vertex n of the
+        # (n-1)-coloring of K_{n+1}, keep each class's color
+        bigger = coloring_nminus1(n + 1)
+        kept = [c for e, c in zip(oracles.colex_edges(n + 1, 2), bigger.assignment) if n not in e]
+        assert coloring_n(n).assignment == core.relabel_canonical(kept)
+
+    def test_decomposition_refuses_bad_groups(self):
+        edges = oracles.colex_edges(4, 2)
+        assert designs.decomposition_to_coloring_edges(4, 2, [edges[:3], edges[3:]]) == [0, 0, 0, 1, 1, 1]
+        # edges may come unsorted
+        assert designs.decomposition_to_coloring_edges(4, 2, [[e[::-1] for e in edges]]) == [0] * 6
+        with pytest.raises(FractureError, match=r"edge \(0, 1\) colored twice"):
+            designs.decomposition_to_coloring_edges(4, 2, [edges, edges[:1]])
+        with pytest.raises(FractureError, match="do not cover"):
+            designs.decomposition_to_coloring_edges(4, 2, [edges[1:]])
+        for bad in ([(0, 1, 2)], [(0, 4)], [(1, 1)], [(0,)]):
+            with pytest.raises(FractureError):
+                designs.decomposition_to_coloring_edges(4, 2, [edges[1:], bad])
+
+    def test_no_tuple_table_above_desk_cap(self, monkeypatch):
+        table = core.edge_table
+
+        def desk_table(n, r):
+            assert math.comb(n, r) <= core.DESK_EDGE_CAP, f"tuple edge table of K_{n}^{r}"
+            return table(n, r)
+
+        for module in (core, cons, designs):
+            monkeypatch.setattr(module, "edge_table", desk_table)
+        for c in [
+            blow_up(base_registry("rainbow-triangle"), 240),
+            blow_up(base_registry("k6r3-six"), 60),
+            coloring_nminus1(201),
+            coloring_n(120),
+            bipartite_blow_up(base_registry("k5-four"), 100),
+            bipartite_from_clique(coloring_nminus1(101)),
+        ]:
+            core.report_dict(c)
 
 
 class TestMatchingColorings:

@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -108,6 +109,7 @@ class TestEdgeTable:
             return level(n, j)
 
         monkeypatch.setattr(core, "_colex_level", narrow_level)
+        core.edge_array.cache_clear()
         edge_table.cache_clear()
         table = edge_table(101, 100)
         assert table == tuple(
@@ -140,6 +142,158 @@ class TestEdgeTable:
         constructions.coloring_n(8)
         constructions.bipartite_from_clique(constructions._k5_four())
         assert container_sizes() == before
+
+
+class TestEdgeArray:
+    # wide shapes (2r > n) come from complements, narrow ones directly
+    SHAPES = [(n, r) for n in range(2, 10) for r in range(2, n + 1)] + [(12, 9), (13, 11), (14, 5), (20, 3)]
+
+    @pytest.mark.parametrize("n,r", SHAPES)
+    def test_rows_are_unranked_edges(self, n, r):
+        shape = HypergraphShape(n, r)
+        array = core.edge_array(n, r)
+        assert array.dtype == np.int64 and array.shape == (shape.edge_count, r)
+        assert not array.flags.writeable
+        for i in range(shape.edge_count):
+            assert tuple(array[i].tolist()) == edge_unrank(i, shape)
+        assert edge_table(n, r) == tuple(map(tuple, array.tolist()))
+
+    @pytest.mark.parametrize("n,r", SHAPES)
+    def test_ranks_invert_array(self, n, r):
+        shape = HypergraphShape(n, r)
+        ranks = core.edge_ranks(core.edge_array(n, r), shape)
+        assert ranks.tolist() == list(range(shape.edge_count))
+
+    def test_ranks_agree_with_edge_rank(self):
+        rng = random.Random(7)
+        for n, r in [(30, 2), (25, 4), (12, 7)]:
+            shape = HypergraphShape(n, r)
+            rows = [sorted(rng.sample(range(n), r)) for _ in range(200)]
+            got = core.edge_ranks(np.array(rows), shape).tolist()
+            assert got == [edge_rank(row, shape) for row in rows]
+        assert core.edge_ranks(np.zeros((0, 3), dtype=np.int64), HypergraphShape(5, 3)).tolist() == []
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[0, 1, 2]],  # wrong width
+            [[0, 5]],  # vertex out of range
+            [[-1, 2]],  # negative vertex
+            [[2, 1]],  # not increasing
+            [[1, 1]],  # repeated vertex
+            [[0.0, 1.0]],  # not integers
+        ],
+    )
+    def test_ranks_refuse_bad_rows(self, rows):
+        with pytest.raises(FractureError):
+            core.edge_ranks(np.array(rows), HypergraphShape(5, 2))
+
+    def test_bipartite_array_closed_form(self):
+        for n in range(1, 7):
+            shape = BipartiteShape(n)
+            assert shape.edge_array().tolist() == [[i, n + j] for i in range(n) for j in range(n)]
+            assert shape.edges() == [(i, n + j) for i in range(n) for j in range(n)]
+
+
+def oracle_stats(shape, colors):
+    """color -> (edges, components, incident vertices) from the DFS oracle."""
+    edges = shape.edges()
+    by_color = {}
+    for e, c in zip(edges, colors):
+        by_color.setdefault(c, []).append(e)
+    return {
+        c: (len(cls), oracles.components_dfs(shape.vertex_count, cls), len({v for e in cls for v in e}))
+        for c, cls in sorted(by_color.items())
+    }
+
+
+def stats_dict(coloring):
+    return {s.color: (s.edge_count, s.components, s.incident_vertices) for s in class_stats(coloring)}
+
+
+class TestClassStatsSlots:
+    """class_stats is one union-find over the (color, vertex) slots that
+    edges touch, by hooking and pointer jumping."""
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
+    def test_seeded_colorings_match_oracle(self, r):
+        rng = random.Random(100 + r)
+        for _ in range(40):
+            n = rng.randrange(r, r + 6)
+            shape = HypergraphShape(n, r)
+            m = shape.edge_count
+            k = rng.randrange(1, min(m, 9) + 1)
+            colors = [rng.randrange(k) for _ in range(m)]
+            assert stats_dict(Coloring(shape, k, tuple(colors))) == oracle_stats(shape, colors)
+
+    def test_bipartite_matches_oracle(self):
+        rng = random.Random(5)
+        for _ in range(40):
+            n = rng.randrange(1, 8)
+            shape = BipartiteShape(n)
+            k = rng.randrange(1, n * n + 1)
+            colors = [rng.randrange(k) for _ in range(n * n)]
+            assert stats_dict(Coloring(shape, k, tuple(colors))) == oracle_stats(shape, colors)
+
+    def test_empty_classes_skipped(self):
+        # colors 0, 2 and 5 of 7 are unused
+        shape = HypergraphShape(6, 2)
+        rng = random.Random(3)
+        colors = [rng.choice([1, 3, 4, 6]) for _ in range(shape.edge_count)]
+        stats = stats_dict(Coloring(shape, 7, tuple(colors)))
+        assert stats == oracle_stats(shape, colors)
+        assert sorted(stats) == sorted(set(colors))
+
+    @pytest.mark.parametrize("n,r", [(7, 2), (7, 3), (8, 5)])
+    def test_every_edge_its_own_class(self, n, r):
+        shape = HypergraphShape(n, r)
+        colors = list(range(shape.edge_count))
+        random.Random(n * r).shuffle(colors)
+        stats = class_stats(Coloring(shape, shape.edge_count, tuple(colors)))
+        assert [(s.color, s.edge_count, s.components, s.incident_vertices) for s in stats] == [
+            (c, 1, 1, r) for c in range(shape.edge_count)
+        ]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_long_path_class_shuffled_labels(self, seed):
+        # a Hamiltonian path of K_60 on shuffled vertices in color 0, the
+        # rest split over colors 1 and 2
+        n = 60
+        shape = HypergraphShape(n, 2)
+        order = list(range(n))
+        random.Random(seed).shuffle(order)
+        colors = [1 + (i % 2) for i in range(shape.edge_count)]
+        for a, b in zip(order, order[1:]):
+            colors[edge_rank(sorted((a, b)), shape)] = 0
+        stats = stats_dict(Coloring(shape, 3, tuple(colors)))
+        assert stats == oracle_stats(shape, colors)
+        assert stats[0] == (n - 1, 1, n)
+
+    @pytest.mark.parametrize("length", [10, 1000, 100_000])
+    def test_hooking_rounds_on_shuffled_paths(self, length):
+        # one path over the slots in shuffled order takes the most rounds;
+        # measured 2-3 rounds at length 10, 6-7 at 1000, 10-11 at 100,000
+        for seed in range(3):
+            order = np.random.default_rng(seed).permutation(length)
+            parent, rounds = core._slot_components(np.stack([order[:-1], order[1:]], axis=1), length)
+            assert (parent == 0).all()
+            assert 1 <= rounds <= math.ceil(math.log2(length))
+
+    def test_memory_follows_edges_not_slots(self):
+        # k = C(447, 2) = 99,681 classes on 447 vertices: a k*n array of
+        # bools alone would take 44.6 MB, of int64 357 MB
+        import tracemalloc
+
+        coloring = constructions.trivial_coloring(447, 2)
+        core.edge_array(447, 2)
+        tracemalloc.start()
+        try:
+            stats = class_stats(coloring)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(stats) == coloring.k
+        assert peak < coloring.k * 447
 
 
 class TestBipartiteHost:

@@ -1,6 +1,8 @@
 """Exact searches checked against raw enumeration on instances small
 enough to enumerate every coloring."""
 
+import hashlib
+import json
 import math
 import time
 import types
@@ -272,6 +274,13 @@ class TestVerifier:
             verify_k_le_r(n, k, r)
         assert time.perf_counter() - start < 1.0
 
+    def test_unbudgeted_huge_host_is_a_size_error(self):
+        # no budget was given, so the desk cap answers, not the budget check
+        for objective in (exact_f, exact_z):
+            with pytest.raises(FractureError, match="desk cap") as info:
+                objective(10**100, 2, 60)
+            assert not isinstance(info.value, SearchBudgetError)
+
     def test_one_color_refused_above_desk_cap(self, monkeypatch):
         # 1^m = 1 passes the enumeration cap, so only the desk edge cap
         # keeps C(22, 6) = 74,613 edges from being listed
@@ -378,6 +387,24 @@ class TestRandomizedImprove:
     def test_no_restart_or_step_refused(self, restarts, steps):
         with pytest.raises(FractureError, match="restarts >= 1 and steps >= 1"):
             randomized_improve(6, 3, 2, restarts=restarts, steps=steps)
+
+    # (value, evals, sha256 of the witness's JSON assignment, first 16 hex
+    # digits) with restarts=4, steps=400, recorded when every step
+    # re-evaluated the whole coloring through class_stats
+    PINS = {
+        (6, 3, 2): [(2, 1055, "2fe8350a1e71ccb7"), (1, 1087, "8c47c2feda977122"), (2, 1084, "2ed3f73216f7beae")],
+        (8, 4, 2): [(2, 1188, "661f2a8457c1c9e8"), (2, 1206, "bb636d337eea887a"), (2, 1224, "db108128da2c7b58")],
+        (9, 4, 3): [(1, 1202, "113ad45afa0ff6fe"), (1, 1196, "f90da6e66291bcaf"), (1, 1209, "7ffe80df04dd778f")],
+    }
+
+    @pytest.mark.parametrize("shape", sorted(PINS))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_two_class_rescoring_keeps_the_walk(self, shape, seed):
+        n, k, r = shape
+        res = randomized_improve(n, k, r, seed=seed, restarts=4, steps=400)
+        digest = hashlib.sha256(json.dumps(res.witness.assignment).encode()).hexdigest()[:16]
+        assert (res.value, res.nodes, digest) == self.PINS[shape][seed]
+        assert f_value(res.witness) == res.value
 
     def test_different_seeds_allowed_to_differ(self):
         a = randomized_improve(6, 3, 2, seed=1, restarts=3)
