@@ -340,13 +340,10 @@ def _part_plan(base: BaseColoring, n: int) -> tuple[list[range], list[int], list
 
 def _colors_at(coloring: Coloring) -> list[set[int]]:
     """The set of colors on the edges through each vertex."""
-    import numpy as np
-
-    k = coloring.k
-    colors = np.array(coloring.assignment, dtype=np.int64)
     out: list[set[int]] = [set() for _ in range(coloring.shape.vertex_count)]
-    for key in np.unique(coloring.shape.edge_array() * k + colors[:, None]).tolist():
-        out[key // k].add(key % k)
+    for e, c in zip(coloring.shape.edge_array().tolist(), coloring.assignment):
+        for v in e:
+            out[v].add(c)
     return out
 
 

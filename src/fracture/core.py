@@ -252,15 +252,21 @@ def edge_ranks(vertices: np.ndarray, shape: HypergraphShape) -> np.ndarray:
         raise FractureError(f"vertices must be integers, got {vs.dtype}")
     if vs.size and (vs.min() < 0 or vs.max() >= shape.n):
         raise FractureError(f"vertex out of range for n={shape.n}")
+    vs = vs.astype(np.int64, copy=False)
     if (np.diff(vs, axis=1) <= 0).any():
         raise FractureError("vertices must be strictly increasing")
-    if shape.edge_count > 2**63:
+    if shape.edge_count * shape.r >= 2**63:
         raise FractureError(f"ranks of {shape} do not fit in int64")
     ranks = np.zeros(len(vs), dtype=np.int64)
     for i in range(shape.r):
-        values, where = np.unique(vs[:, i], return_inverse=True)
-        terms = np.array([comb(v, i + 1) for v in values.tolist()], dtype=np.int64)
-        ranks += terms[where.reshape(-1)]
+        # C(v, i + 1) by the exact running products C(v - i - 1 + t, t),
+        # t = 1..i + 1: as v <= n - r + i, each is at most C(n - 1, r) <= m,
+        # so no product exceeds m * r
+        term = np.ones(len(vs), dtype=np.int64)
+        for t in range(1, i + 2):
+            term *= vs[:, i] - (i + 1 - t)
+            term //= t
+        ranks += term
     return ranks
 
 

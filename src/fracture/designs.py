@@ -765,12 +765,15 @@ def decomposition_to_coloring_edges(n: int, r: int, groups) -> list[int]:
     vertices = vertices.reshape(len(edges), r)
     vertices.sort(axis=1)
     ranks = edge_ranks(vertices, shape)
-    order = np.argsort(ranks, kind="stable")
-    repeat = order[1:][ranks[order[1:]] == ranks[order[:-1]]]
-    if len(repeat):
-        raise FractureError(f"edge {edges[repeat.min()]} colored twice")
     assignment = np.full(shape.edge_count, -1, dtype=np.int64)
     assignment[ranks] = colors
-    if (assignment < 0).any():
+    colored = int(np.count_nonzero(assignment >= 0))
+    if colored < len(edges):
+        seen: set[int] = set()
+        for e, rank in zip(edges, ranks.tolist()):
+            if rank in seen:
+                raise FractureError(f"edge {e} colored twice")
+            seen.add(rank)
+    if colored < shape.edge_count:
         raise FractureError("groups do not cover all edges")
     return assignment.tolist()
