@@ -10,8 +10,10 @@ inputs; search_kernel is the active one.
 
 Search state is flat int64 arrays.  Union-find is by size with no path
 compression so every merge is a single reversible write; an undo log of
-(kind, color, a, b) records rewinds one edge assignment exactly: a
-vertex entering a class, a merge, or a lex-leader flag cleared.
+(slot, partner) pairs rewinds one edge assignment exactly: partner is
+the root a merged slot was linked under, -1 for a vertex entering a
+class, -2 for a lex-leader flag cleared.  The component and incident
+counts of the class an edge colors come back from a per-depth snapshot.
 
 numba compiles _search_impl on numpy arrays.  The pure-Python backend
 runs the same code object with np bound to _ListNumpy, whose int64,
@@ -91,11 +93,17 @@ def _search_impl(objective, n, r, k, m, edges_flat, twins, budget, cap, witness_
     its bound is <= best, the bound being the minimum of cap and, over
     used colors, comp + (n - inc) // r for f (a class ends with at most
     that many components, and unused colors only pull the minimum down)
-    or -inc for z (incident counts only grow).  Under span best starts
-    at 0 and the bound is 0 once the class just colored is connected
-    and spans all n vertices, which no further edge undoes; every leaf
-    the walk reaches is therefore a counterexample, and it returns at
-    the first, the lexicographically smallest canonical one.
+    or -inc for z (incident counts only grow).  Adding an edge never
+    raises either term of its class: an edge of r new vertices adds one
+    component and lowers (n - inc) // r by exactly one, any other edge
+    joins t >= 1 old components, so comp moves by 1 - t <= 0 while the
+    floor term cannot rise, and -inc only falls.  So a child's bound is
+    the bound its parent descended under, ceil[depth], folded with the
+    one class just colored: the same minimum in O(1).  Under span best
+    starts at 0 and the bound is 0 once the class just colored is
+    connected and spans all n vertices, which no further edge undoes;
+    every leaf the walk reaches is therefore a counterexample, and it
+    returns at the first, the lexicographically smallest canonical one.
     """
     parent = np.full(k * n, -1, np.int64)
     size = np.zeros(k * n, np.int64)
@@ -105,16 +113,18 @@ def _search_impl(objective, n, r, k, m, edges_flat, twins, budget, cap, witness_
 
     # per edge at most r vertex entries and r - 1 merges; each flag clears once
     log_cap = (m + 1) * (2 * r + 2) + n
-    log_kind = np.zeros(log_cap, np.int64)
-    log_c = np.zeros(log_cap, np.int64)
-    log_a = np.zeros(log_cap, np.int64)
-    log_b = np.zeros(log_cap, np.int64)
+    log_slot = np.zeros(log_cap, np.int64)
+    log_partner = np.zeros(log_cap, np.int64)
     log_len = 0
 
     mark = np.zeros(m + 1, np.int64)
     used = np.zeros(m + 2, np.int64)
     cursor = np.zeros(m + 1, np.int64)
+    ceil = np.zeros(m + 1, np.int64)
+    comp_was = np.zeros(m + 1, np.int64)
+    inc_was = np.zeros(m + 1, np.int64)
     assign = np.full(m, -1, np.int64)
+    ceil[0] = cap
 
     best = np.int64(-(n + 1)) if objective == OBJ_Z else np.int64(0)
     found = np.int64(0)
@@ -159,7 +169,16 @@ def _search_impl(objective, n, r, k, m, edges_flat, twins, budget, cap, witness_
                 depth -= 1
         if c >= 0:
             mark[depth] = log_len
+            assign[depth] = c
+            nc = comp[c]
+            ni = inc[c]
+            comp_was[depth] = nc
+            inc_was[depth] = ni
             base = depth * r
+            cn = c * n
+            ra = -1
+            # one pass over the edge: each vertex's lex pair, then its
+            # slot; a prune midway leaves writes the undo below rewinds
             for j in range(r):
                 tw = twins[base + j]
                 if tw >= 0:
@@ -169,80 +188,69 @@ def _search_impl(objective, n, r, k, m, edges_flat, twins, budget, cap, witness_
                             c = -1  # not a lex-leader: prune
                             break
                         tied[t] = 0
-                        log_kind[log_len] = 2
-                        log_a[log_len] = t
+                        log_slot[log_len] = t
+                        log_partner[log_len] = -2
                         log_len += 1
-            if c >= 0:
-                for j in range(r):
-                    idx = c * n + edges_flat[base + j]
-                    if parent[idx] == -1:
-                        parent[idx] = idx
-                        size[idx] = 1
-                        comp[c] += 1
-                        inc[c] += 1
-                        log_kind[log_len] = 0
-                        log_c[log_len] = c
-                        log_a[log_len] = idx
-                        log_len += 1
-                ra = c * n + edges_flat[base]
-                while parent[ra] != ra:
-                    ra = parent[ra]
-                for j in range(1, r):
-                    rb = c * n + edges_flat[base + j]
+                rb = cn + edges_flat[base + j]
+                if parent[rb] == -1:
+                    parent[rb] = rb
+                    size[rb] = 1
+                    nc += 1
+                    ni += 1
+                    log_slot[log_len] = rb
+                    log_partner[log_len] = -1
+                    log_len += 1
+                else:
                     while parent[rb] != rb:
                         rb = parent[rb]
-                    while parent[ra] != ra:
-                        ra = parent[ra]
-                    if rb != ra:
-                        if size[ra] < size[rb]:
-                            ra, rb = rb, ra
-                        parent[rb] = ra
-                        size[ra] += size[rb]
-                        comp[c] -= 1
-                        log_kind[log_len] = 1
-                        log_c[log_len] = c
-                        log_a[log_len] = rb
-                        log_b[log_len] = ra
-                        log_len += 1
-                assign[depth] = c
-                newu = used[depth]
-                if c == newu:
-                    newu += 1
-                bound = cap
-                if objective == OBJ_Z:
-                    for cc in range(newu):
-                        if -inc[cc] < bound:
-                            bound = -inc[cc]
-                elif objective == OBJ_F:
-                    for cc in range(newu):
-                        ub = comp[cc] + (n - inc[cc]) // r
-                        if ub < bound:
-                            bound = ub
-                elif comp[c] == 1 and inc[c] == n:
+                if ra == -1:
+                    ra = rb
+                elif rb != ra:
+                    if size[ra] < size[rb]:
+                        ra, rb = rb, ra
+                    parent[rb] = ra
+                    size[ra] += size[rb]
+                    nc -= 1
+                    log_slot[log_len] = rb
+                    log_partner[log_len] = ra
+                    log_len += 1
+            if c >= 0:
+                comp[c] = nc
+                inc[c] = ni
+                bound = ceil[depth]
+                if objective == OBJ_F:
+                    ub = nc + (n - ni) // r
+                    if ub < bound:
+                        bound = ub
+                elif objective == OBJ_Z:
+                    if -ni < bound:
+                        bound = -ni
+                elif nc == 1 and ni == n:
                     bound = 0
                 if bound > best:
+                    newu = used[depth]
+                    if c == newu:
+                        newu += 1
                     depth += 1
                     used[depth] = newu
                     cursor[depth] = 0
+                    ceil[depth] = bound
                     continue
         to_mark = mark[depth]
         while log_len > to_mark:
             log_len -= 1
-            kind = log_kind[log_len]
-            uc = log_c[log_len]
-            ua = log_a[log_len]
-            if kind == 0:
-                parent[ua] = -1
-                size[ua] = 0
-                comp[uc] -= 1
-                inc[uc] -= 1
-            elif kind == 1:
-                ub2 = log_b[log_len]
-                size[ub2] -= size[ua]
+            ua = log_slot[log_len]
+            partner = log_partner[log_len]
+            if partner >= 0:
+                size[partner] -= size[ua]
                 parent[ua] = ua
-                comp[uc] += 1
+            elif partner == -1:
+                parent[ua] = -1
             else:
                 tied[ua] = 1
+        uc = assign[depth]
+        comp[uc] = comp_was[depth]
+        inc[uc] = inc_was[depth]
     return best, exhausted, nodes, found
 
 

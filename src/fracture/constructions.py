@@ -635,6 +635,7 @@ def bipartite_from_clique(base: Coloring) -> Coloring:
     if base.r != 2:
         raise FractureError("bipartite transfer needs a graph coloring")
     n = base.n
+    check_host_edges(BipartiteShape(n))
     grid = _pair_colors(base)
     grid[range(n), range(n)] = [min(cs) for cs in _colors_at(base)]
     out = Coloring(BipartiteShape(n), base.k, tuple(grid.reshape(-1).tolist()))

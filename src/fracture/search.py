@@ -120,6 +120,8 @@ def _exact(n: int, k: int, r: int, options: SearchOptions | None, objective: int
         raise FractureError(f"need 1 <= k <= {m}, got k={k}")
     budget = _UNLIMITED
     if options is not None and options.node_budget is not None:
+        if options.node_budget < 0:
+            raise FractureError(f"need node budget >= 0, got {options.node_budget}")
         budget = min(options.node_budget, _UNLIMITED)
         if budget < m:
             # the first leaf lies m nodes down: fail before the edge table

@@ -154,6 +154,7 @@ class TestConstructAndEval:
             "designs near-one-factorization --n 3001",
             "construct blow-up --base rainbow-triangle --n 1000000",
             "construct base trivial(3000,2)",
+            "construct bipartite-double --base trivial(447,2)",
             "construct trivial --n " + "1" + "0" * 100 + " --r 60",
             "construct equitable --n 1000000 --r 500000 --k 1",
             "designs baranyai --n 1000000 --r 500000",
@@ -379,6 +380,16 @@ class TestSearchCommand:
         captured = capsys.readouterr()
         assert code == 3 and captured.out == ""
         assert captured.err == "error: search found no leaf; budget too small\n"
+
+    @pytest.mark.parametrize("budget", ["-5", "-1"])
+    def test_negative_budget_exits_2(self, capsys, budget):
+        # a bad argument, not a budget that ran out: 0 to m - 1 still exit 3
+        code = main(["search", "f", "--n", "10", "--k", "4", "--budget", budget])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: need node budget >= 0, got {budget}\n"
+        code = main(["search", "f", "--n", "10", "--k", "4", "--budget", "0"])
+        assert code == 3 and capsys.readouterr().err == "error: search found no leaf; budget too small\n"
 
     def test_hopeless_budget_fails_before_edge_table(self, capsys, monkeypatch):
         def no_table(shape):

@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from fracture import _kernels, search
@@ -33,7 +35,7 @@ def run_both(*args):
     return results["python"], results["numba"]
 
 
-SEARCH_CASES = [(4, 2, 2), (4, 3, 2), (5, 2, 2), (5, 3, 2), (4, 2, 3), (5, 3, 3)]
+SEARCH_CASES = [(4, 2, 2), (4, 3, 2), (5, 2, 2), (5, 3, 2), (4, 2, 3), (5, 3, 3), (6, 3, 3)]
 
 
 @needs_numba
@@ -70,15 +72,44 @@ class TestSearchKernels:
         for got in TestVerifyKernel.run_all(n, r, k):
             assert got == (True, k**m, None)
 
-    def test_search_with_budget(self):
-        n, k, r = 5, 3, 2
+    @pytest.mark.parametrize(
+        "n,k,r,budgets",
+        [(5, 3, 2, [5, 20, 100, 350]), (7, 4, 3, [35, 500, 5000]), (8, 6, 3, [56, 2000, 20_000])],
+    )
+    def test_search_with_budget(self, n, k, r, budgets):
+        # the r = 3 walks stop mid-walk with merges on the undo log
         m = math.comb(n, r)
         flat, twins = tables(n, r)
-        for budget in [5, 20, 100, 350]:
-            wit = np.zeros(m, dtype=np.int64)
-            (py, a1), (nb, a2) = run_both(_kernels.OBJ_F, n, r, k, m, flat, twins, budget, n // r, wit)
-            assert py == nb
-            np.testing.assert_array_equal(a1[-1], a2[-1])
+        for objective, cap in [(_kernels.OBJ_F, n // r), (_kernels.OBJ_Z, -r)]:
+            for budget in budgets:
+                wit = np.zeros(m, dtype=np.int64)
+                (py, a1), (nb, a2) = run_both(objective, n, r, k, m, flat, twins, budget, cap, wit)
+                assert py == nb
+                np.testing.assert_array_equal(a1[-1], a2[-1])
+
+
+@st.composite
+def class_growth(draw):
+    """A host K_n^r and a class of its edges in the order they are added."""
+    r = draw(st.integers(2, 4))
+    n = draw(st.integers(r, 9))
+    edges = draw(st.permutations(oracles.colex_edges(n, r)))
+    return n, r, edges[: draw(st.integers(0, len(edges)))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(class_growth())
+def test_prune_slack_never_rises(case):
+    """Adding an edge to a class never raises comp + (n - inc) // r or
+    -inc: what lets the kernel carry its prune bound down from the
+    parent node and fold in only the class just colored."""
+    n, r, edges = case
+    slack, neg_inc = n // r, 0
+    for i in range(1, len(edges) + 1):
+        comp = oracles.components_dfs(n, edges[:i])
+        inc = len({v for edge in edges[:i] for v in edge})
+        assert comp + (n - inc) // r <= slack and -inc <= neg_inc
+        slack, neg_inc = comp + (n - inc) // r, -inc
 
 
 PARITY_SHAPES = [

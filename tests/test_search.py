@@ -203,31 +203,47 @@ class TestLexLeader:
                         assert edges[row[j]] == tuple(sorted(set(edge) - {v} | {v - 1}))
 
 
-# (objective, n, k, node budget, value, exhausted, nodes, witness): the search
-# must give exactly these until the enumeration order or a prune rule changes
+# (objective, n, k, r, node budget, value, exhausted, nodes, witness): the
+# search must give exactly these until the enumeration order or a prune
+# rule changes.  The r = 3 and r = 4 walks run the kernel's r - 1 merges
+# per edge; the budgeted ones stop mid-walk with the undo log deep.
 NODE_PINS = [
-    ("f", 6, 3, None, 2, True, 43, (0, 0, 0, 0, 0, 0, 1, 1, 1, 2, 2, 2, 2, 1, 0)),
-    ("f", 7, 3, None, 2, True, 56,
+    ("f", 6, 3, 2, None, 2, True, 43, (0, 0, 0, 0, 0, 0, 1, 1, 1, 2, 2, 2, 2, 1, 0)),
+    ("f", 7, 3, 2, None, 2, True, 56,
      (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 2, 1, 0)),
-    ("f", 7, 4, None, 2, True, 56,
+    ("f", 7, 4, 2, None, 2, True, 56,
      (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 2, 1, 0)),
-    ("z", 5, 4, None, Fraction(3, 5), True, 61, (0, 0, 0, 1, 1, 2, 3, 3, 2, 2)),
-    ("z", 6, 4, None, Fraction(2, 3), True, 417,
+    ("z", 5, 4, 2, None, Fraction(3, 5), True, 61, (0, 0, 0, 1, 1, 2, 3, 3, 2, 2)),
+    ("z", 6, 4, 2, None, Fraction(2, 3), True, 417,
      (0, 0, 0, 0, 0, 0, 1, 1, 1, 2, 2, 3, 3, 2, 2)),
-    ("z", 3, 3, None, Fraction(2, 3), True, 8, (0, 1, 2)),
-    ("f", 8, 4, 2000, 2, False, 2000,
+    ("z", 3, 3, 2, None, Fraction(2, 3), True, 8, (0, 1, 2)),
+    ("f", 8, 4, 2, 2000, 2, False, 2000,
      (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 1, 0)),
+    ("z", 7, 5, 2, None, Fraction(4, 7), True, 2425,
+     (0, 0, 0, 0, 0, 0, 1, 1, 1, 2, 2, 3, 3, 2, 2, 4, 3, 3, 4, 4, 3)),
+    ("f", 9, 5, 2, None, 3, True, 3769,
+     (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 2, 3, 4, 3, 3, 3, 3, 4, 0, 1,
+      4, 4, 4, 4, 1, 3, 0, 2)),
+    ("f", 10, 4, 2, 100_000, 2, False, 100_000, (0,) * 28 + (1,) * 7 + (2,) * 8 + (1, 0)),
+    ("z", 6, 3, 3, None, Fraction(1), True, 8613, (0,) * 20),
+    ("f", 8, 6, 3, 20_000, 1, False, 20_000, (0,) * 56),
+    ("z", 7, 4, 3, 20_000, Fraction(6, 7), False, 20_000, (0,) * 20 + (1,) * 10 + (2,) * 4 + (3,)),
+    ("z", 6, 3, 4, None, Fraction(1), True, 182, (0,) * 15),
+    ("z", 7, 4, 4, 20_000, Fraction(1), False, 20_000, (0,) * 35),
 ]
 
 
 @pytest.mark.parametrize(
-    "kind,n,k,budget,value,exhausted,nodes,witness",
+    "kind,n,k,r,budget,value,exhausted,nodes,witness",
     NODE_PINS,
-    ids=[f"{kind}-{n}-{k}-{budget}" for kind, n, k, budget, *_ in NODE_PINS],
+    ids=[
+        f"{kind}-{n}-{k}-{budget}" + ("" if r == 2 else f"-r{r}")
+        for kind, n, k, r, budget, *_ in NODE_PINS
+    ],
 )
-def test_node_for_node(kind, n, k, budget, value, exhausted, nodes, witness):
+def test_node_for_node(kind, n, k, r, budget, value, exhausted, nodes, witness):
     search = exact_f if kind == "f" else exact_z
-    res = search(n, k, options=SearchOptions(node_budget=budget))
+    res = search(n, k, r, SearchOptions(node_budget=budget))
     assert (res.value, res.exhausted, res.nodes) == (value, exhausted, nodes)
     assert res.witness.assignment == witness
 
