@@ -21,10 +21,7 @@ from .core import (
     coloring_to_json,
     edge_array,
     edge_list_stats,
-    edge_rank,
     edge_ranks,
-    edge_table,
-    edge_unrank,
     f_value,
     fraction_str,
     parse_fraction,

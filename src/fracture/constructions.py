@@ -40,9 +40,8 @@ from .core import (
     check_desk_edges,
     check_host_edges,
     class_stats,
-    edge_rank,
+    edge_array,
     edge_ranks,
-    edge_table,
     f_value,
     relabel_canonical,
     report_dict,
@@ -111,33 +110,26 @@ def _rainbow_triangle() -> Coloring:
 
 
 def _k5_four() -> Coloring:
-    shape = HypergraphShape(5, 2)
-    assignment = [0] * shape.edge_count
-    for i in range(3):
-        assignment[edge_rank((i, 3), shape)] = i
-        assignment[edge_rank((i, 4), shape)] = i
-    for e in ((0, 1), (0, 2), (1, 2)):
-        assignment[edge_rank(e, shape)] = 3
-    assignment[edge_rank((3, 4), shape)] = 0
-    return Coloring(shape, 4, tuple(assignment))
+    classes = [
+        [(0, 3), (0, 4), (3, 4)],
+        [(1, 3), (1, 4)],
+        [(2, 3), (2, 4)],
+        [(0, 1), (0, 2), (1, 2)],
+    ]
+    return _coloring_from_classes(5, 2, classes)
 
 
 def _k9_five() -> Coloring:
-    shape = HypergraphShape(9, 2)
-    assignment = [-1] * shape.edge_count
-
-    def put(edges, c):
-        for e in edges:
-            assignment[edge_rank(tuple(sorted(e)), shape)] = c
-
     low = range(0, 5)
     high = range(4, 9)
-    put([(a, b) for a in low for b in low if a < b], 0)
-    put([(a, b) for a in high for b in high if a < b], 1)
-    put([(0, b) for b in (5, 6, 7, 8)], 2)
-    put([(a, b) for a in (1, 2, 3) for b in (5, 6)], 3)
-    put([(a, b) for a in (1, 2, 3) for b in (7, 8)], 4)
-    return Coloring(shape, 5, tuple(assignment))
+    classes = [
+        [(a, b) for a in low for b in low if a < b],
+        [(a, b) for a in high for b in high if a < b],
+        [(0, b) for b in (5, 6, 7, 8)],
+        [(a, b) for a in (1, 2, 3) for b in (5, 6)],
+        [(a, b) for a in (1, 2, 3) for b in (7, 8)],
+    ]
+    return _coloring_from_classes(9, 2, classes)
 
 
 def _k6r3_six() -> Coloring:
@@ -303,10 +295,10 @@ def _blow_up_assignment(base: BaseColoring, shape: HypergraphShape) -> tuple[int
     which = np.zeros(len(cross), dtype=np.int64)
     for j in range(r):
         _, first, which = np.unique(which * t + pattern[cross, j], return_index=True, return_inverse=True)
-    covers = [
-        edge_rank(_colex_smallest_superset(tuple(sorted(set(p))), t, r), base.coloring.shape)
-        for p in pattern[cross[first]].tolist()
+    supersets = [
+        _colex_smallest_superset(tuple(sorted(set(p))), t, r) for p in pattern[cross[first]].tolist()
     ]
+    covers = edge_ranks(np.array(supersets, dtype=np.int64).reshape(-1, r), base.coloring.shape)
     assignment = np.full(shape.edge_count, -1, dtype=np.int64)
     assignment[cross] = np.array(base.coloring.assignment)[covers][which]
     # Inside edges take the smallest color at their part's base vertex,
@@ -469,13 +461,15 @@ def coloring_tk2(n: int, k: int) -> Coloring:
     edges, slice Hamiltonian cycles by stride (n odd, t divides n), else
     equalize that factorization over k classes by alternating-path swaps.
     """
+    if n < 2:
+        raise FractureError(f"need n >= 2, got n={n}")
+    if n > 14:
+        raise FractureError(f"n={n} above desk cap 14")
     m = comb(n, 2)
     if k < n - 1:
         raise FractureError(f"need k >= n - 1, got k={k}")
     if m % k:
         raise FractureError(f"k={k} does not divide C({n},2)={m}")
-    if n > 14:
-        raise FractureError(f"n={n} above desk cap 14")
     t = m // k
     classes: list[list[tuple[int, int]]] = []
     base = one_factorization(n) if n % 2 == 0 else near_one_factorization(n)
@@ -504,6 +498,7 @@ def coloring_tk2(n: int, k: int) -> Coloring:
 def coloring_baranyai_split(n: int, r: int, t: int) -> Coloring:
     """Split every perfect-matching factor of K_n^r into t equal groups;
     each group is one color with exactly n/(r*t) components."""
+    HypergraphShape(n, r)  # refuses r < 2 and n < r before n % r divides by r
     if n % r:
         raise FractureError(f"need r | n, got n={n}, r={r}")
     per_factor = n // r
@@ -533,7 +528,7 @@ def coloring_equitable(n: int, r: int, k: int) -> Coloring:
         raise FractureError(f"need k >= {need}, got k={k}")
     if k > m:
         raise FractureError(f"need k <= C(n,r)={m}, got k={k}")
-    edges = edge_table(n, r)
+    edges = list(map(tuple, edge_array(n, r).tolist()))
     classes: list[list[tuple[int, ...]]] = [[] for _ in range(k)]
     used: list[set[int]] = [set() for _ in range(k)]
     for e in edges:

@@ -24,11 +24,10 @@ imported inside the functions that use it, so importing this module
 alone does not load it.
 
 Invariants:
-    - edge_rank and edge_unrank are mutual inverses on valid inputs.
-    - edge_array(n, r)[i] == edge_unrank(i, HypergraphShape(n, r)), and
-      edge_table(n, r) is the same table as tuples.
-    - edge_ranks inverts edge_array: edge_ranks(edge_array(n, r), shape)
-      is 0, 1, ..., C(n, r) - 1.
+    - edge_array(n, r) is the one edge table: row i is the edge with colex
+      rank i, and shape.edge_array() is it for K_n^r.
+    - edge_ranks is the one ranking and inverts edge_array:
+      edge_ranks(edge_array(n, r), shape) is 0, 1, ..., C(n, r) - 1.
     - components <= incident_vertices // r for every class.
     - class edge counts over a coloring sum to shape.edge_count.
 """
@@ -107,10 +106,6 @@ class HypergraphShape:
     def vertex_count(self) -> int:
         return self.n
 
-    def edges(self) -> Sequence[tuple[int, ...]]:
-        """All edges in colexicographic order."""
-        return edge_table(self.n, self.r)
-
     def edge_array(self) -> np.ndarray:
         """All edges in colexicographic order, one per row."""
         return edge_array(self.n, self.r)
@@ -136,10 +131,6 @@ class BipartiteShape:
     @property
     def vertex_count(self) -> int:
         return 2 * self.n
-
-    def edges(self) -> list[tuple[int, int]]:
-        """All edges in index order, built per call (n^2 pairs)."""
-        return list(map(tuple, self.edge_array().tolist()))
 
     def edge_array(self) -> np.ndarray:
         """All edges in index order, one per row: (i, n + j) at i*n + j."""
@@ -177,14 +168,6 @@ def edge_array(n: int, r: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=1)
-def edge_table(n: int, r: int) -> tuple[tuple[int, ...], ...]:
-    """``edge_array(n, r)`` as a tuple of int tuples, for the desk-sized
-    callers that walk edges one at a time in Python; the cache holds the
-    last shape only."""
-    return tuple(map(tuple, edge_array(n, r).tolist()))
-
-
 def _colex_level(n: int, j: int) -> np.ndarray:
     """All j-subsets of range(n) in colex order, one per row, for
     0 <= j <= n."""
@@ -201,48 +184,11 @@ def _colex_level(n: int, j: int) -> np.ndarray:
     return level
 
 
-def edge_rank(vertices: Sequence[int], shape: HypergraphShape) -> int:
-    """Colexicographic rank of an edge, rank(S) = sum over i of C(v_i, i+1).
-
-    ``vertices`` must be strictly increasing and inside range(shape.n).
-    """
-    vs = tuple(vertices)
-    if len(vs) != shape.r:
-        raise FractureError(f"edge needs {shape.r} vertices, got {len(vs)}")
-    prev = -1
-    rank = 0
-    for i, v in enumerate(vs):
-        if v <= prev:
-            raise FractureError(f"vertices must be strictly increasing: {vs}")
-        if not 0 <= v < shape.n:
-            raise FractureError(f"vertex {v} out of range for n={shape.n}")
-        prev = v
-        rank += comb(v, i + 1)
-    return rank
-
-
-def edge_unrank(rank: int, shape: HypergraphShape) -> tuple[int, ...]:
-    """Inverse of edge_rank: the edge with the given colex rank."""
-    if not 0 <= rank < shape.edge_count:
-        raise FractureError(f"rank {rank} out of range for {shape}")
-    out: list[int] = []
-    rem = rank
-    v = shape.n - 1
-    for i in range(shape.r, 0, -1):
-        # largest v with C(v, i) <= rem
-        while comb(v, i) > rem:
-            v -= 1
-        out.append(v)
-        rem -= comb(v, i)
-        v -= 1
-    out.reverse()
-    return tuple(out)
-
-
 def edge_ranks(vertices: np.ndarray, shape: HypergraphShape) -> np.ndarray:
     """Colex ranks of many edges at once, one per row of the (num, r)
-    integer array ``vertices``; ``edge_rank`` of each row, with the same
-    checks: every row strictly increasing inside range(shape.n)."""
+    integer array ``vertices``, rank(S) = sum over i of C(v_i, i+1) for
+    the row v_0 < v_1 < ...; every row must be strictly increasing inside
+    range(shape.n).  One edge ``e`` is ``edge_ranks(np.array([e]), shape)[0]``."""
     import numpy as np
 
     vs = np.asarray(vertices)
@@ -274,8 +220,8 @@ def edge_ranks(vertices: np.ndarray, shape: HypergraphShape) -> np.ndarray:
 class Coloring:
     """An assignment of one of k colors to every edge of a host, immutable.
 
-    ``assignment[i]`` is the color of ``shape.edges()[i]``: the edge with
-    colex rank i on K_n^r, the edge (i // n, n + i % n) on K_{n,n}.
+    ``assignment[i]`` is the color of ``shape.edge_array()[i]``: the edge
+    with colex rank i on K_n^r, the edge (i // n, n + i % n) on K_{n,n}.
     Colors need not all be used; empty classes are ignored by the metric
     functions.
     """

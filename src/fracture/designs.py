@@ -27,7 +27,7 @@ from itertools import chain, combinations
 from math import comb
 
 from .core import (
-    FractureError, HypergraphShape, check_binomial_size, check_host_edges, edge_ranks, edge_table,
+    FractureError, HypergraphShape, check_binomial_size, check_host_edges, edge_array, edge_ranks,
 )
 
 DESK_FIELD_CAP = 64
@@ -653,7 +653,7 @@ def disjoint_max_matchings(n: int, r: int, t: int) -> MatchingDecomposition:
 
 def _disjoint_matchings_backtrack(n: int, r: int, t: int):
     size = n // r
-    edges = edge_table(n, r)
+    edges = list(map(tuple, edge_array(n, r).tolist()))
 
     used: set[tuple[int, ...]] = set()
 
@@ -678,7 +678,7 @@ def _disjoint_matchings_backtrack(n: int, r: int, t: int):
     def solve(count: int):
         if count == t:
             return []
-        avail = sorted((e for e in edges if e not in used), key=_colex_key)
+        avail = [e for e in edges if e not in used]
         matching = build_matching([], set(range(n)), avail)
         if matching is None:
             return None

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 import numpy as np
 
@@ -48,7 +47,7 @@ from .core import (
     check_desk_edges,
     edge_array,
     edge_list_stats,
-    edge_table,
+    edge_ranks,
     f_value,
     z_value,
 )
@@ -91,16 +90,17 @@ def _edges_flat(shape: HypergraphShape) -> np.ndarray:
 def _twins(shape: HypergraphShape) -> np.ndarray:
     """The kernel's lex-leader partners, aligned with _edges_flat: at
     index i*r + j, the colex rank of edge i with its vertex j lowered by
-    one, or -1 when that vertex is 0 or its predecessor is in the edge.
-    Lowering vertex v at position j lowers the rank by C(v - 1, j)."""
-    return np.array(
-        [
-            i - comb(v - 1, j) if v > 0 and (j == 0 or edge[j - 1] != v - 1) else -1
-            for i, edge in enumerate(edge_table(shape.n, shape.r))
-            for j, v in enumerate(edge)
-        ],
-        dtype=np.int64,
-    )
+    one, or -1 when that vertex is 0 or its predecessor is in the edge."""
+    edges = edge_array(shape.n, shape.r)
+    below = np.concatenate([np.full((len(edges), 1), -1), edges[:, :-1]], axis=1)
+    # one ranking call over every lowerable (edge, position): at most
+    # min(r, n - r) per edge, one per gap below a vertex
+    rows, cols = np.nonzero(edges - 1 > below)
+    lowered = edges[rows]
+    lowered[np.arange(len(rows)), cols] -= 1
+    out = np.full(edges.shape, -1, dtype=np.int64)
+    out[rows, cols] = edge_ranks(lowered, shape)
+    return out.reshape(-1)
 
 
 class SearchBudgetError(FractureError):
@@ -256,7 +256,7 @@ def randomized_improve(
         raise FractureError(f"need 1 <= k <= {m}, got k={k}")
     check_desk_edges(n, r, m)
     rng = np.random.Generator(np.random.PCG64(seed))
-    edges = edge_table(n, r)
+    edges = edge_array(n, r).tolist()
 
     def components(members: set[int]) -> int:
         return edge_list_stats([edges[i] for i in members], n)[0]

@@ -150,6 +150,11 @@ def is_matching(edges):
     return True
 
 
+def bipartite_edges(n):
+    """The edges of K_{n,n} in index order: (i, n + j) at i*n + j."""
+    return [(i, n + j) for i in range(n) for j in range(n)]
+
+
 def bipartite_components(n, pairs):
     """Component count of a set of (left, right) pairs of K_{n,n}."""
     return components_dfs(2 * n, [(a, n + b) for a, b in pairs])

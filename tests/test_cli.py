@@ -165,7 +165,7 @@ class TestConstructAndEval:
             raise AssertionError("per-edge work started")
 
         for module, name in [
-            (cons, "edge_table"),
+            (cons, "edge_array"),
             (cons, "_part_plan"),
             (cons, "one_factorization"),
             (cons, "near_one_factorization"),
@@ -227,6 +227,34 @@ class TestSubcommandTables:
         assert "--r" in capsys.readouterr().err
         code, data = run_json(capsys, "construct", "equitable", "--n", "5", "--k", "7")
         assert code == 0 and data["coloring"]["r"] == 2
+
+
+_SMALL_INTS = st.integers(-2, 9)
+_BASE_NAMES = st.one_of(
+    st.sampled_from(list(cons._EXPLICIT_BASES) + ["design(pg(2))", "design(sqs(3))", "nosuch"]),
+    st.builds("trivial({},{})".format, _SMALL_INTS, _SMALL_INTS),
+    st.builds("diamond({})".format, _SMALL_INTS),
+)
+
+
+class TestConstructFuzz:
+    @pytest.mark.parametrize("what", list(_CONSTRUCT))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_small_arguments_exit_0_or_2(self, tmp_path_factory, what, data):
+        argv = ["construct", what]
+        for arg in _CONSTRUCT[what][1]:
+            if arg in ("name", "--base"):
+                value = data.draw(_BASE_NAMES, label=arg)
+            else:
+                value = data.draw(_SMALL_INTS, label=arg)
+            argv.append(value if arg == "name" else f"{arg}={value}")
+        out = tmp_path_factory.getbasetemp() / "construct-fuzz.json"
+        try:
+            code = main(argv + ["--output", str(out)])
+        except SystemExit as exc:  # argparse's own usage errors
+            code = exc.code
+        assert code in (0, 2)
 
 
 class TestDesignsCommand:
@@ -407,8 +435,8 @@ class TestSearchCommand:
             raise AssertionError(f"per-edge work started on {args}")
 
         # _edges_flat feeds the exact searches; randomized_improve scores
-        # its classes from edge_table through edge_list_stats
-        for name in ("_edges_flat", "edge_table", "edge_list_stats"):
+        # its classes from edge_array rows through edge_list_stats
+        for name in ("_edges_flat", "edge_array", "edge_list_stats"):
             monkeypatch.setattr(search_mod, name, no_work)
         code = main(["search", mode, "--n", "100000", "--k", "3"])
         captured = capsys.readouterr()

@@ -205,14 +205,16 @@ class TestArrayBuilds:
                 designs.decomposition_to_coloring_edges(4, 2, [edges[1:], bad])
 
     def test_no_tuple_table_above_desk_cap(self, monkeypatch):
-        table = core.edge_table
+        # the per-edge Python walks (the equitable coloring and the matching
+        # backtrack) turn edge_array rows into tuples, at desk size only
+        table = core.edge_array
 
         def desk_table(n, r):
             assert math.comb(n, r) <= core.DESK_EDGE_CAP, f"tuple edge table of K_{n}^{r}"
             return table(n, r)
 
-        for module in (core, cons, designs):
-            monkeypatch.setattr(module, "edge_table", desk_table)
+        for module in (cons, designs):
+            monkeypatch.setattr(module, "edge_array", desk_table)
         for c in [
             blow_up(base_registry("rainbow-triangle"), 240),
             blow_up(base_registry("k6r3-six"), 60),
@@ -308,7 +310,9 @@ class TestMatchingColorings:
 
 def class_edge_lists(coloring):
     classes = {}
-    for e, c in zip(coloring.shape.edges(), coloring.assignment):
+    shape = coloring.shape
+    edges = oracles.bipartite_edges(shape.n) if shape.bipartite else oracles.colex_edges(shape.n, shape.r)
+    for e, c in zip(edges, coloring.assignment):
         classes.setdefault(c, []).append(e)
     return dict(sorted(classes.items()))
 

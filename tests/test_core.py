@@ -23,9 +23,8 @@ from fracture import (
     coloring_from_json,
     coloring_to_dict,
     coloring_to_json,
-    edge_rank,
-    edge_table,
-    edge_unrank,
+    edge_array,
+    edge_ranks,
     f_value,
     fraction_str,
     parse_fraction,
@@ -44,42 +43,41 @@ def random_coloring(rng, n, k, r):
     return make(n, k, r, (rng.randrange(k) for _ in range(m)))
 
 
+def rank_of(edge, shape):
+    """The colex rank of one edge, by the library's one ranking."""
+    return int(edge_ranks(np.array([sorted(edge)]), shape)[0])
+
+
 class TestEdgeRanking:
     def test_roundtrip_exhaustive(self):
         for n, r in [(5, 2), (6, 3), (8, 4), (7, 2)]:
             shape = HypergraphShape(n, r)
-            for i, edge in enumerate(oracles.colex_edges(n, r)):
-                assert edge_rank(edge, shape) == i
-                assert edge_unrank(i, shape) == edge
+            edges = oracles.colex_edges(n, r)
+            assert list(map(tuple, edge_array(n, r).tolist())) == edges
+            assert edge_ranks(np.array(edges), shape).tolist() == list(range(len(edges)))
 
     @given(st.integers(2, 12), st.data())
     def test_roundtrip_property(self, n, data):
         r = data.draw(st.integers(2, min(n, 5)))
         shape = HypergraphShape(n, r)
         idx = data.draw(st.integers(0, math.comb(n, r) - 1))
-        edge = edge_unrank(idx, shape)
+        edge = edge_array(n, r)[idx].tolist()
         assert len(edge) == r
         assert len(set(edge)) == r
         assert all(0 <= v < n for v in edge)
-        assert edge_rank(edge, shape) == idx
+        assert rank_of(edge, shape) == idx
 
     def test_rank_is_prefix_stable(self):
         # colex rank of an edge does not depend on n
-        small = HypergraphShape(5, 2)
-        big = HypergraphShape(9, 2)
-        for edge in oracles.colex_edges(5, 2):
-            assert edge_rank(edge, small) == edge_rank(edge, big)
+        edges = np.array(oracles.colex_edges(5, 2))
+        small = edge_ranks(edges, HypergraphShape(5, 2))
+        assert small.tolist() == edge_ranks(edges, HypergraphShape(9, 2)).tolist() == list(range(10))
 
     def test_bad_edges_rejected(self):
         shape = HypergraphShape(5, 2)
-        with pytest.raises(FractureError):
-            edge_rank((1, 1), shape)
-        with pytest.raises(FractureError):
-            edge_rank((2, 1), shape)
-        with pytest.raises(FractureError):
-            edge_rank((0, 5), shape)
-        with pytest.raises(FractureError):
-            edge_unrank(10, shape)
+        for edge in ((1, 1), (2, 1), (0, 5)):
+            with pytest.raises(FractureError):
+                edge_ranks(np.array([edge]), shape)
 
 
 class TestEdgeTable:
@@ -88,12 +86,10 @@ class TestEdgeTable:
     @pytest.mark.parametrize("n,r", SHAPES)
     def test_table_is_colex_rank_order(self, n, r):
         shape = HypergraphShape(n, r)
-        table = edge_table(n, r)
-        assert list(table) == oracles.colex_edges(n, r)
+        table = edge_array(n, r)
+        assert list(map(tuple, table.tolist())) == oracles.colex_edges(n, r)
         assert len(table) == shape.edge_count
-        for i, edge in enumerate(table):
-            assert edge_unrank(i, shape) == edge
-            assert edge_rank(edge, shape) == i
+        assert edge_ranks(table, shape).tolist() == list(range(shape.edge_count))
 
     @pytest.mark.parametrize("n,r", SHAPES)
     def test_flat_kernel_array_follows_table(self, n, r):
@@ -109,22 +105,19 @@ class TestEdgeTable:
             return level(n, j)
 
         monkeypatch.setattr(core, "_colex_level", narrow_level)
-        core.edge_array.cache_clear()
-        edge_table.cache_clear()
-        table = edge_table(101, 100)
-        assert table == tuple(
-            tuple(v for v in range(101) if v != 100 - i) for i in range(101)
-        )
+        edge_array.cache_clear()
+        table = edge_array(101, 100)
+        assert table.tolist() == [[v for v in range(101) if v != 100 - i] for i in range(101)]
 
     def test_cache_is_bounded(self):
-        maxsize = edge_table.cache_info().maxsize
+        maxsize = edge_array.cache_info().maxsize
         assert maxsize is not None and 1 <= maxsize <= 8
 
     def test_bad_shape_rejected(self):
         with pytest.raises(FractureError):
-            edge_table(3, 4)
+            edge_array(3, 4)
         with pytest.raises(FractureError):
-            edge_table(5, 1)
+            edge_array(5, 1)
 
     def test_constructions_keep_no_edge_memo(self):
         assert not hasattr(constructions, "_unrank_memo")
@@ -151,27 +144,26 @@ class TestEdgeArray:
     @pytest.mark.parametrize("n,r", SHAPES)
     def test_rows_are_unranked_edges(self, n, r):
         shape = HypergraphShape(n, r)
-        array = core.edge_array(n, r)
+        array = edge_array(n, r)
         assert array.dtype == np.int64 and array.shape == (shape.edge_count, r)
         assert not array.flags.writeable
-        for i in range(shape.edge_count):
-            assert tuple(array[i].tolist()) == edge_unrank(i, shape)
-        assert edge_table(n, r) == tuple(map(tuple, array.tolist()))
+        assert list(map(tuple, array.tolist())) == oracles.colex_edges(n, r)
 
     @pytest.mark.parametrize("n,r", SHAPES)
     def test_ranks_invert_array(self, n, r):
         shape = HypergraphShape(n, r)
-        ranks = core.edge_ranks(core.edge_array(n, r), shape)
+        ranks = edge_ranks(edge_array(n, r), shape)
         assert ranks.tolist() == list(range(shape.edge_count))
 
-    def test_ranks_agree_with_edge_rank(self):
+    def test_ranks_agree_with_oracle(self):
         rng = random.Random(7)
         for n, r in [(30, 2), (25, 4), (12, 7)]:
             shape = HypergraphShape(n, r)
             rows = [sorted(rng.sample(range(n), r)) for _ in range(200)]
-            got = core.edge_ranks(np.array(rows), shape).tolist()
-            assert got == [edge_rank(row, shape) for row in rows]
-        assert core.edge_ranks(np.zeros((0, 3), dtype=np.int64), HypergraphShape(5, 3)).tolist() == []
+            got = edge_ranks(np.array(rows), shape).tolist()
+            # C(v_i, i + 1) summed, from the definition of colex rank
+            assert got == [sum(math.comb(v, i + 1) for i, v in enumerate(row)) for row in rows]
+        assert edge_ranks(np.zeros((0, 3), dtype=np.int64), HypergraphShape(5, 3)).tolist() == []
 
     @pytest.mark.parametrize(
         "rows",
@@ -186,18 +178,17 @@ class TestEdgeArray:
     )
     def test_ranks_refuse_bad_rows(self, rows):
         with pytest.raises(FractureError):
-            core.edge_ranks(np.array(rows), HypergraphShape(5, 2))
+            edge_ranks(np.array(rows), HypergraphShape(5, 2))
 
     def test_bipartite_array_closed_form(self):
         for n in range(1, 7):
             shape = BipartiteShape(n)
-            assert shape.edge_array().tolist() == [[i, n + j] for i in range(n) for j in range(n)]
-            assert shape.edges() == [(i, n + j) for i in range(n) for j in range(n)]
+            assert list(map(tuple, shape.edge_array().tolist())) == oracles.bipartite_edges(n)
 
 
 def oracle_stats(shape, colors):
     """color -> (edges, components, incident vertices) from the DFS oracle."""
-    edges = shape.edges()
+    edges = oracles.bipartite_edges(shape.n) if shape.bipartite else oracles.colex_edges(shape.n, shape.r)
     by_color = {}
     for e, c in zip(edges, colors):
         by_color.setdefault(c, []).append(e)
@@ -264,7 +255,7 @@ class TestClassStatsSlots:
         random.Random(seed).shuffle(order)
         colors = [1 + (i % 2) for i in range(shape.edge_count)]
         for a, b in zip(order, order[1:]):
-            colors[edge_rank(sorted((a, b)), shape)] = 0
+            colors[rank_of((a, b), shape)] = 0
         stats = stats_dict(Coloring(shape, 3, tuple(colors)))
         assert stats == oracle_stats(shape, colors)
         assert stats[0] == (n - 1, 1, n)
@@ -300,10 +291,10 @@ class TestBipartiteHost:
     def test_shape(self):
         shape = BipartiteShape(3)
         assert (shape.n, shape.r, shape.edge_count, shape.vertex_count) == (3, 2, 9, 6)
-        edges = shape.edges()
+        edges = shape.edge_array().tolist()
         for i in range(3):
             for j in range(3):
-                assert edges[i * 3 + j] == (i, 3 + j)
+                assert edges[i * 3 + j] == [i, 3 + j]
         assert HypergraphShape(5, 3).vertex_count == 5
 
     def test_metrics_divide_by_both_sides(self):
@@ -311,7 +302,7 @@ class TestBipartiteHost:
         c = Coloring(BipartiteShape(2), 2, (0, 1, 1, 0))
         assert f_value(c) == 2
         assert z_value(c) == 1
-        assert [c.shape.edges()[i] for i in (0, 3)] == [(0, 2), (1, 3)]
+        assert c.shape.edge_array()[[0, 3]].tolist() == [[0, 2], [1, 3]]
         # a single star at a_0 touches 3 of the 4 vertices
         c = Coloring(BipartiteShape(2), 2, (0, 0, 1, 1))
         assert z_value(c) == Fraction(3, 4)
@@ -333,8 +324,8 @@ class TestMetrics:
     def test_perfect_matching_class(self):
         shape = HypergraphShape(4, 2)
         colors = [1] * 6
-        colors[edge_rank((0, 1), shape)] = 0
-        colors[edge_rank((2, 3), shape)] = 0
+        colors[rank_of((0, 1), shape)] = 0
+        colors[rank_of((2, 3), shape)] = 0
         c = make(4, 2, 2, colors)
         assert f_value(c) == 1  # color 1 is connected
         stats = class_stats(c)
@@ -376,7 +367,7 @@ class TestMetrics:
         permuted = [0] * m
         for idx, edge in enumerate(oracles.colex_edges(n, 2)):
             image = tuple(sorted(perm[v] for v in edge))
-            permuted[edge_rank(image, shape)] = colors[idx]
+            permuted[rank_of(image, shape)] = colors[idx]
         pc = make(n, k, 2, permuted)
         assert f_value(c) == f_value(pc)
         assert z_value(c) == z_value(pc)
@@ -388,7 +379,7 @@ class TestMetrics:
         # and vertices missed by a class do not inflate its count
         shape = HypergraphShape(6, 2)
         colors = [1] * 15
-        colors[edge_rank((0, 1), shape)] = 0
+        colors[rank_of((0, 1), shape)] = 0
         c = make(6, 2, 2, colors)
         s = class_stats(c)[0]
         assert (s.components, s.incident_vertices) == (1, 2)
