@@ -92,11 +92,13 @@ def _record_dict(rec: bounds_mod.BoundRecord) -> dict:
 
 def _cmd_bounds(args) -> int:
     if args.quantity == "z":
+        # the upper catalog refuses r >= 4 at once, before the recursion
+        upper = _record_dict(bounds_mod.z_upper_constructions(args.k, args.r))
         out = {
             "k": args.k,
             "r": args.r,
             "lower": _record_dict(bounds_mod.z_lower_best(args.k, args.r)),
-            "upper": _record_dict(bounds_mod.z_upper_constructions(args.k, args.r)),
+            "upper": upper,
         }
     else:
         counting = bounds_mod.f_upper_counting(args.n, args.k, args.r)

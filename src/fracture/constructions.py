@@ -11,9 +11,10 @@ leftovers dumped on a color already present at i.
 
 The remaining constructors realize exact optimum colorings for special
 parameter families: one color per (near-)factor for k = n-1 and k = n,
-equal matchings of size t when k*t = C(n, 2), splits of a complete
-r-uniform factorization, and near-equal matchings when k is at least the
-edge count minus the count of edges disjoint from a fixed edge.
+equal matchings of size t when k*t = C(n, 2) (slices of a factor, or
+every stride-th edge of a Hamiltonian cycle or path), splits of a
+complete r-uniform factorization, and near-equal matchings when k is at
+least the edge count minus the count of edges disjoint from a fixed edge.
 
 Every claimed value is recomputed from class stats before being returned;
 no constructor is trusted.
@@ -382,84 +383,21 @@ def coloring_n(n: int) -> Coloring:
     return _checked(HypergraphShape(n, 2), bigger.k, assignment, (n - 1) // 2, f"n-coloring of K_{n}")
 
 
-def _kempe_swap_path(
-    n: int, hi: list[tuple[int, int]], lo: list[tuple[int, int]]
-) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """Move one edge's worth of weight from matching hi to matching lo.
-
-    The union of two matchings splits into paths and even cycles whose
-    edges alternate between the two; when |hi| > |lo| some path carries
-    one more hi edge than lo edges, and exchanging colors along it keeps
-    both sides matchings while shrinking the imbalance.
-    """
-    incident: dict[int, list[tuple[tuple[int, int], bool]]] = {}
-    for e in hi:
-        for v in e:
-            incident.setdefault(v, []).append((e, True))
-    for e in lo:
-        for v in e:
-            incident.setdefault(v, []).append((e, False))
-    seen: set[tuple[int, int]] = set()
-    for start in sorted(incident):
-        if len(incident[start]) != 1:
-            continue
-        first_edge, first_is_hi = incident[start][0]
-        if first_edge in seen or not first_is_hi:
-            continue
-        # walk the path; only a path also ending on a hi edge has excess
-        comp: list[tuple[int, int]] = []
-        v, prev = start, None
-        last_is_hi = first_is_hi
-        while True:
-            step = [(e, h) for (e, h) in incident.get(v, ()) if e != prev]
-            if not step:
-                break
-            e, h = step[0]
-            comp.append(e)
-            last_is_hi = h
-            prev = e
-            v = e[0] if e[1] == v else e[1]
-        seen.update(comp)
-        if last_is_hi:
-            comp_set = set(comp)
-            new_hi = sorted(
-                [e for e in hi if e not in comp_set] + [e for e in lo if e in comp_set]
-            )
-            new_lo = sorted(
-                [e for e in lo if e not in comp_set] + [e for e in hi if e in comp_set]
-            )
-            return new_hi, new_lo
-    raise FractureError("no alternating path with excess found")
-
-
-def _equalize_matchings(
-    n: int, k: int, factors: list[list[tuple[int, int]]]
-) -> list[list[tuple[int, int]]]:
-    """Spread the matchings of a proper edge coloring over k classes so
-    the sizes differ by at most one, via alternating-path swaps."""
-    if len(factors) > k:
-        raise FractureError(f"cannot equalize {len(factors)} matchings into {k} classes")
-    classes = [list(f) for f in factors] + [[] for _ in range(k - len(factors))]
-    guard = 0
-    while True:
-        sizes = [len(c) for c in classes]
-        hi = max(range(k), key=lambda c: (sizes[c], -c))
-        lo = min(range(k), key=lambda c: (sizes[c], c))
-        if sizes[hi] - sizes[lo] <= 1:
-            return classes
-        guard += 1
-        if guard > k * len(factors) * n:
-            raise FractureError("matching equalization failed to converge")
-        classes[hi], classes[lo] = _kempe_swap_path(n, classes[hi], classes[lo])
-
-
 def coloring_tk2(n: int, k: int) -> Coloring:
     """k classes, each a matching of exactly t = C(n,2)/k edges.
 
-    Preference order: slice the factors of the one-factorization (n even)
-    or near-one-factorization (n odd) when t divides their floor(n/2)
-    edges, slice Hamiltonian cycles by stride (n odd, t divides n), else
-    equalize that factorization over k classes by alternating-path swaps.
+    Two formulas.  When t divides floor(n/2), slice every factor of the
+    one-factorization (n even) or near-one-factorization (n odd) into
+    runs of t edges.  Otherwise take every stride-th edge of a
+    Hamiltonian walk, stride = len(walk) // t: for odd n, Walecki's
+    n-edge cycles of K_n; for even n, the cycles of K_{n+1} less their
+    two hub edges, n/2 paths of n - 1 edges partitioning K_n.  Edges of
+    a walk at least 2 apart share no vertex, so every class is a matching.
+
+    Together they cover every admissible n <= 14 (checked pair by pair):
+    either t divides floor(n/2), or t divides the walk length with a
+    stride of at least 2; only (9, 12) and (10, 15) need the walks.  The
+    size and matching checks below refuse any input neither formula fits.
     """
     if n < 2:
         raise FractureError(f"need n >= 2, got n={n}")
@@ -472,18 +410,20 @@ def coloring_tk2(n: int, k: int) -> Coloring:
         raise FractureError(f"k={k} does not divide C({n},2)={m}")
     t = m // k
     classes: list[list[tuple[int, int]]] = []
-    base = one_factorization(n) if n % 2 == 0 else near_one_factorization(n)
     if (n // 2) % t == 0:
+        base = one_factorization(n) if n % 2 == 0 else near_one_factorization(n)
         for factor in base.factors:
             for j in range(0, len(factor), t):
                 classes.append(list(factor[j : j + t]))
-    elif n % 2 == 1 and n % t == 0 and n // t >= 2:
-        stride = n // t
-        for cycle in hamiltonian_decomposition(n):
-            for j in range(stride):
-                classes.append([cycle[i] for i in range(j, n, stride)])
     else:
-        classes = _equalize_matchings(n, k, [list(f) for f in base.factors])
+        if n % 2:
+            walks = hamiltonian_decomposition(n)
+        else:
+            walks = [cycle[1:-1] for cycle in hamiltonian_decomposition(n + 1)]
+        for walk in walks:
+            stride = len(walk) // t
+            for j in range(stride):
+                classes.append(list(walk[j::stride]))
     for cl in classes:
         used = set()
         if len(cl) != t:

@@ -53,6 +53,8 @@ from .core import (
 )
 
 _UNLIMITED = 2**62
+# verify_k_le_r refuses instances with more than this many colorings
+_ENUMERATION_CAP = 10**7
 
 
 @dataclass(frozen=True)
@@ -183,7 +185,7 @@ def _first_unspanned(shape: HypergraphShape, k: int) -> ExhaustiveCheck:
     return ExhaustiveCheck(False, rank + 1, Coloring(shape, k, assign))
 
 
-def verify_k_le_r(n: int, k: int, r: int = 2, limit: int = 10**7) -> ExhaustiveCheck:
+def verify_k_le_r(n: int, k: int, r: int = 2) -> ExhaustiveCheck:
     """Check exhaustively that with at most r colors, every coloring has
     a class that is connected and spans all n vertices.
 
@@ -202,9 +204,9 @@ def verify_k_le_r(n: int, k: int, r: int = 2, limit: int = 10**7) -> ExhaustiveC
     shape = HypergraphShape(n, r)
     m = shape.edge_count
     check_desk_edges(n, r, m)
-    # k >= 2 and m >= limit.bit_length() give k^m >= 2^m > limit
-    if k >= 2 and (m >= limit.bit_length() or k**m > limit):
-        raise FractureError(f"{k}^{m} colorings exceed the cap {limit}")
+    # k >= 2 and m >= cap.bit_length() give k^m >= 2^m > cap
+    if k >= 2 and (m >= _ENUMERATION_CAP.bit_length() or k**m > _ENUMERATION_CAP):
+        raise FractureError(f"{k}^{m} colorings exceed the cap {_ENUMERATION_CAP}")
     return _first_unspanned(shape, k)
 
 

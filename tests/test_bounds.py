@@ -28,7 +28,7 @@ from fracture import (
     z_lower_sqrt,
     z_upper_constructions,
 )
-from fracture.bounds import RootValue, _iroot_exact
+from fracture.bounds import Z_LOWER_K_CAP, RootValue, _iroot_exact
 
 
 from oracles import sqrt_rate_vs
@@ -168,6 +168,18 @@ class TestZLower:
             srt = z_lower_sqrt(k).value
             assert rec >= srt
             assert z_lower_best(k, 2).value >= rec
+
+    def test_desk_cap_refuses_before_recursion(self):
+        # the cap admits the growth-rate table and every catalog k
+        assert Z_LOWER_K_CAP >= 35
+        z_lower_recursive.cache_clear()
+        with pytest.raises(FractureError, match="desk cap"):
+            z_lower_recursive(Z_LOWER_K_CAP + 1, 2)
+        assert z_lower_recursive.cache_info().currsize == 0
+        for k, r in [(0, 2), (2, 0)]:
+            for bound in (z_lower_recursive, z_upper_constructions):
+                with pytest.raises(FractureError, match=r"need k, r >= 1"):
+                    bound(k, r)
 
     def test_sqrt_form(self):
         # least D with D(D+1) >= k

@@ -4,6 +4,7 @@ artifacts are rejected, and exit codes follow the contract
 
 import copy
 import hashlib
+import importlib
 import json
 import math
 import shlex
@@ -158,6 +159,11 @@ class TestConstructAndEval:
             "construct trivial --n " + "1" + "0" * 100 + " --r 60",
             "construct equitable --n 1000000 --r 500000 --k 1",
             "designs baranyai --n 1000000 --r 500000",
+            "bounds z --k 1100 --r 1050",
+            "bounds z --k 1000 --r 900",
+            "bounds z --k 500 --r 100",
+            "bounds z --k 2000 --r 3",
+            "bounds z --k 100000000 --r 2",
         ],
     )
     def test_hostile_sizes_exit_2_before_per_edge_work(self, capsys, monkeypatch, line):
@@ -227,6 +233,20 @@ class TestSubcommandTables:
         assert "--r" in capsys.readouterr().err
         code, data = run_json(capsys, "construct", "equitable", "--n", "5", "--k", "7")
         assert code == 0 and data["coloring"]["r"] == 2
+
+    def test_console_script_targets_main(self, capsys):
+        # the installed `fracture` command runs the [project.scripts] target
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+        assert list(scripts) == ["fracture"]
+        module, _, attr = scripts["fracture"].partition(":")
+        entry = getattr(importlib.import_module(module), attr)
+        assert entry is main
+        with pytest.raises(SystemExit) as exit_:
+            entry(["--help"])
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: fracture")
 
 
 _SMALL_INTS = st.integers(-2, 9)
@@ -317,6 +337,13 @@ class TestBoundsAndTable:
         assert data["lower"]["value"] == "3/8"
         assert data["upper"]["value"] == "3/7"
         assert "monotone" in data["upper"]["provenance"]
+
+    @pytest.mark.parametrize("k,r", [(0, 2), (3, 0), (0, 0), (-5, 3)])
+    def test_z_bounds_need_positive_k_and_r(self, capsys, k, r):
+        code = main(["bounds", "z", "--k", str(k), "--r", str(r)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: need k, r >= 1, got k={k}, r={r}\n"
 
     def test_f_bounds(self, capsys):
         code, data = run_json(capsys, "bounds", "f", "--n", "12", "--k", "3")

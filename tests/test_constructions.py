@@ -152,6 +152,45 @@ ASSIGNMENT_PINS = {
     (bipartite_blow_up, "design(ag(3))"): {72: "d82bf44f5050337f", 91: "3640e8f63be18d91", 109: "9a9064246f5cbbe6"},
 }
 
+# sha256 (first 16 hex digits) of json.dumps(coloring_tk2(n, k).assignment),
+# recorded from the build that equalized a factorization by Kempe-chain
+# swaps, except (10, 15): that was its one equalized pair, and its pin is
+# the Hamiltonian-path stride that replaced it.
+TK2_PINS = {
+    (2, 1): "d0bca111f8628137",
+    (3, 3): "1d226b8db3e15d55",
+    (4, 3): "2bb577bb192c737c",
+    (4, 6): "b0229c06acf4d5c9",
+    (5, 5): "fc23a3be1dc7f4bf",
+    (5, 10): "a28bb79aa5ca8a5e",
+    (6, 5): "4b75d51f4bcf1da5",
+    (6, 15): "7d18b5481a842c68",
+    (7, 7): "07b7a63daba838c7",
+    (7, 21): "de0b7325c09d8fcc",
+    (8, 7): "7ac8dc7377a37441",
+    (8, 14): "e412a9b4c562c32d",
+    (8, 28): "5ed1b1700a1b0b93",
+    (9, 9): "f0b1ac8f8db84441",
+    (9, 12): "5626d3191877cf34",
+    (9, 18): "4198d2ca7bf0b220",
+    (9, 36): "6772f7c15b65b2ab",
+    (10, 9): "542784d7d43df550",
+    (10, 15): "2fe93025678cb5ad",
+    (10, 45): "7be8b161e07b6752",
+    (11, 11): "e7e87534d87ded88",
+    (11, 55): "ef1cdf6e348fb165",
+    (12, 11): "1cfec96fbdff8075",
+    (12, 22): "51050228a365ce2e",
+    (12, 33): "5ae9f5a34f4f9fc2",
+    (12, 66): "90e4927ff5e90fc8",
+    (13, 13): "a7b9251350b37a47",
+    (13, 26): "c272ed72312e18c9",
+    (13, 39): "87de96a194147f66",
+    (13, 78): "55d8b886f717f967",
+    (14, 13): "64859155342627b1",
+    (14, 91): "4093d9e1509ffcb1",
+}
+
 
 class TestArrayBuilds:
     @pytest.mark.parametrize(
@@ -243,7 +282,7 @@ class TestMatchingColorings:
 
     def admissible_tk2(self):
         pairs = []
-        for n in range(5, 13):
+        for n in range(2, 15):
             m = math.comb(n, 2)
             for k in range(n - 1, m + 1):
                 if m % k == 0:
@@ -252,7 +291,8 @@ class TestMatchingColorings:
 
     def test_tk2_all_admissible(self):
         pairs = self.admissible_tk2()
-        assert len(pairs) == 22
+        assert len(pairs) == 32
+        assert sorted(TK2_PINS) == pairs
         for n, k in pairs:
             t = math.comb(n, 2) // k
             c = coloring_tk2(n, k)
@@ -263,7 +303,30 @@ class TestMatchingColorings:
             for cls in by_color.values():
                 assert len(cls) == t
                 assert oracles.is_matching(cls)
-            assert f_value(c) == t
+            assert f_value(c) == t == oracles.f_of(n, 2, c.assignment)
+            assert hashlib.sha256(json.dumps(c.assignment).encode()).hexdigest()[:16] == TK2_PINS[n, k]
+
+    def test_tk2_branch_per_pair(self, monkeypatch):
+        # slices of a (near-)one-factorization when t divides n // 2, else
+        # strides of Hamiltonian cycles (odd n) or paths (even n)
+        walk_pairs = {(9, 12), (10, 15)}
+        for n, k in self.admissible_tk2():
+            t = math.comb(n, 2) // k
+            walk_length = n if n % 2 else n - 1
+            if (n, k) in walk_pairs:
+                assert (n // 2) % t and walk_length % t == 0 and walk_length // t >= 2
+            else:
+                assert (n // 2) % t == 0
+            with monkeypatch.context() as patch:
+                def unused(*args):
+                    raise AssertionError(f"({n}, {k}) took the other branch")
+
+                if (n, k) in walk_pairs:
+                    patch.setattr(cons, "one_factorization", unused)
+                    patch.setattr(cons, "near_one_factorization", unused)
+                else:
+                    patch.setattr(cons, "hamiltonian_decomposition", unused)
+                coloring_tk2(n, k)
 
     def test_tk2_preconditions(self):
         with pytest.raises(FractureError):

@@ -279,8 +279,9 @@ class TestVerifier:
             verify_k_le_r(4, 0, 2)
 
     def test_limit_guard(self):
+        # 2^28 colorings, above the 10^7 enumeration cap
         with pytest.raises(FractureError):
-            verify_k_le_r(8, 2, 2, limit=1000)
+            verify_k_le_r(8, 2, 2)
 
     @pytest.mark.parametrize("n,k,r", [(60, 2, 30), (40, 2, 12)])
     def test_oversized_refused_at_once(self, n, k, r):
