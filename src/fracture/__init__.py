@@ -20,7 +20,6 @@ from .core import (
     coloring_to_dict,
     coloring_to_json,
     edge_array,
-    edge_list_stats,
     edge_ranks,
     f_value,
     fraction_str,
@@ -88,7 +87,6 @@ from .search import (
     bulk_eval,
     exact_f,
     exact_z,
-    randomized_improve,
     verify_k_le_r,
 )
 

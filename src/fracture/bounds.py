@@ -119,10 +119,12 @@ _Z_ADHOC_LOWER = {
 }
 
 
-# The recursion memoizes O(k r) records at O(k) each: (400, 3) takes
-# about 0.7 s and (800, 3) 2.3 s.  The cap admits the growth-rate table
-# (k <= 13) and every catalog k (<= 35).
-Z_LOWER_K_CAP = 500
+# The recursion memoizes O(k r) records at O(k) each, so its time grows
+# with k*r: along k*r = 1500, (500, 3) takes about 0.9 s, the slowest,
+# near (214, 7) and (250, 6), 1.9 s, and (75, 20) 0.7 s, while (500, 4)
+# takes 2.3 s and (500, 100) more than 20 s.  The cap admits the
+# growth-rate table (k <= 13) and every catalog (k, r), k <= 35, r <= 3.
+Z_LOWER_KR_CAP = 1500
 
 
 @lru_cache(maxsize=None)
@@ -133,17 +135,18 @@ def z_lower_recursive(k: int, r: int) -> BoundRecord:
     Fix an edge and let d be the number of colors meeting it.  Either few
     colors meet the edge (some color class is dense around it) or many do
     (recurse on the link, one rank lower).  The bound is the best d of
-    the worse of the two branches at that d.  k above Z_LOWER_K_CAP is
-    refused before any recursion.
+    the worse of the two branches at that d.  Past the instant k <= r and
+    r == 1 answers, k*r above Z_LOWER_KR_CAP is refused before any
+    recursion; every inner call has a smaller k*r.
     """
     if k < 1 or r < 1:
         raise FractureError(f"need k, r >= 1, got k={k}, r={r}")
-    if k > Z_LOWER_K_CAP:
-        raise FractureError(f"k={k} above desk cap {Z_LOWER_K_CAP}")
     if k <= r:
         return BoundRecord(Fraction(1), "connected")
     if r == 1:
         return BoundRecord(Fraction(1, k), "singleton_split")
+    if k * r > Z_LOWER_KR_CAP:
+        raise FractureError(f"k*r={k * r} above desk cap {Z_LOWER_KR_CAP}")
     best = None
     best_d = None
     for d in range(2, k + 1):

@@ -3,9 +3,10 @@
 Subcommands mirror the library layers: construct emits a coloring plus
 its recomputed report, eval recomputes the report for any coloring JSON,
 designs builds and validates block designs and factorizations, bounds
-and table print exact bound records, search runs the exhaustive or
-randomized optimizers, and verify re-derives whatever a JSON artifact
-claims and fails loudly on any mismatch.  Each construct and designs
+and table print exact bound records, search runs the exhaustive search
+for f or z (under --budget, the best coloring found when the budget
+runs out), and verify re-derives whatever a JSON artifact claims and
+fails loudly on any mismatch.  Each construct and designs
 subcommand is declared once, in ``_CONSTRUCT`` / ``_DESIGNS``: one table
 entry gives its help, its arguments and its builder, and drives both the
 parser and the dispatch.
@@ -151,16 +152,11 @@ def _cmd_search(args) -> int:
     if args.mode == "f":
         res = search_mod.exact_f(args.n, args.k, args.r, options)
         value = res.value
-    elif args.mode == "z":
+    else:
         res = search_mod.exact_z(args.n, args.k, args.r, options)
         value = fraction_str(res.value)
-    else:
-        res = search_mod.randomized_improve(
-            args.n, args.k, args.r, seed=args.seed, restarts=args.restarts
-        )
-        value = res.value
     out = {
-        "metric": "f" if args.mode != "z" else "z",
+        "metric": args.mode,
         "mode": args.mode,
         "n": args.n,
         "k": args.k,
@@ -172,9 +168,7 @@ def _cmd_search(args) -> int:
         "report": report_dict(res.witness),
     }
     _dump(out, args.output)
-    if args.mode in ("f", "z") and not res.exhausted:
-        return EXIT_BUDGET
-    return EXIT_OK
+    return EXIT_OK if res.exhausted else EXIT_BUDGET
 
 
 def _verify_payload(data: dict) -> tuple[bool, str]:
@@ -335,14 +329,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     _add_output(p)
 
-    ps = sub.add_parser("search", help="exact or randomized optimization")
-    ps.add_argument("mode", choices=["f", "z", "improve"])
+    ps = sub.add_parser("search", help="exact optimum, or the best found within --budget")
+    ps.add_argument("mode", choices=["f", "z"])
     ps.add_argument("--n", type=int, required=True)
     ps.add_argument("--k", type=int, required=True)
     ps.add_argument("--r", type=int, default=2)
-    ps.add_argument("--budget", type=int, help="node budget; exit 3 if hit")
-    ps.add_argument("--seed", type=int, default=0, help="improve mode only")
-    ps.add_argument("--restarts", type=int, default=20, help="improve mode only")
+    ps.add_argument("--budget", type=int, help="node budget; exit 3 with the best found if hit")
     _add_output(ps)
 
     p = sub.add_parser("verify", help="recheck any JSON artifact this tool emits")

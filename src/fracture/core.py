@@ -273,41 +273,6 @@ class ColorClassStats:
     incident_vertices: int
 
 
-def edge_list_stats(edges: Sequence[Sequence[int]], n_vertices: int) -> tuple[int, int]:
-    """(components, incident vertex count) of an edge list via union-find.
-
-    Vertices touched by no edge are ignored.  Union by size, no path
-    splitting tricks; n stays desk sized.
-    """
-    parent = [-1] * n_vertices
-    size = [0] * n_vertices
-    comps = 0
-    incident = 0
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            v = parent[v]
-        return v
-
-    for e in edges:
-        for v in e:
-            if parent[v] == -1:
-                parent[v] = v
-                size[v] = 1
-                comps += 1
-                incident += 1
-        a = find(e[0])
-        for v in e[1:]:
-            b = find(v)
-            if a != b:
-                if size[a] < size[b] or (size[a] == size[b] and a > b):
-                    a, b = b, a
-                parent[b] = a
-                size[a] += size[b]
-                comps -= 1
-    return comps, incident
-
-
 def class_stats(coloring: Coloring) -> list[ColorClassStats]:
     """Stats for every nonempty color class, ordered by color index.
 

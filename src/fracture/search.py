@@ -46,7 +46,6 @@ from .core import (
     HypergraphShape,
     check_desk_edges,
     edge_array,
-    edge_list_stats,
     edge_ranks,
     f_value,
     z_value,
@@ -233,73 +232,3 @@ def bulk_eval(n: int, r: int, k: int, colorings: np.ndarray) -> np.ndarray:
     _kernels.bulk_eval_kernel(n, r, k, m, _edges_flat(shape), arr, out)
     return out
 
-
-def randomized_improve(
-    n: int,
-    k: int,
-    r: int = 2,
-    seed: int = 0,
-    restarts: int = 20,
-    steps: int = 2000,
-) -> SearchResult:
-    """Seeded stochastic hill climb on (min components, total components).
-
-    Each restart draws a uniform coloring and repeatedly recolors one
-    random edge, keeping the move when the objective does not drop.  A
-    move changes two classes only, so it re-scores those two with
-    edge_list_stats and keeps the other classes' component counts.
-    Deterministic for a fixed seed; never claims exactness.
-    """
-    if restarts < 1 or steps < 1:
-        raise FractureError(f"need restarts >= 1 and steps >= 1, got {restarts} and {steps}")
-    shape = HypergraphShape(n, r)
-    m = shape.edge_count
-    if not 1 <= k <= m:
-        raise FractureError(f"need 1 <= k <= {m}, got k={k}")
-    check_desk_edges(n, r, m)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    edges = edge_array(n, r).tolist()
-
-    def components(members: set[int]) -> int:
-        return edge_list_stats([edges[i] for i in members], n)[0]
-
-    def objective(classes: list[set[int]], comps: list[int]) -> tuple[int, int]:
-        # (min, total) components over the nonempty classes
-        return min(comps[c] for c in range(k) if classes[c]), sum(comps)
-
-    best_obj = (-1, -1)
-    best_assign: tuple[int, ...] | None = None
-    evals = 0
-    for _ in range(restarts):
-        assign = rng.integers(0, k, size=m).tolist()
-        classes: list[set[int]] = [set() for _ in range(k)]
-        for i, c in enumerate(assign):
-            classes[c].add(i)
-        comps = [components(members) for members in classes]
-        cur = objective(classes, comps)
-        evals += 1
-        for _ in range(steps):
-            e = int(rng.integers(0, m))
-            c = int(rng.integers(0, k))
-            old = assign[e]
-            if old == c:
-                continue
-            saved = comps[old], comps[c]
-            classes[old].remove(e)
-            classes[c].add(e)
-            comps[old], comps[c] = components(classes[old]), components(classes[c])
-            cand = objective(classes, comps)
-            evals += 1
-            if cand >= cur:
-                assign[e] = c
-                cur = cand
-            else:
-                classes[c].remove(e)
-                classes[old].add(e)
-                comps[old], comps[c] = saved
-        if cur > best_obj:
-            best_obj = cur
-            best_assign = tuple(assign)
-    assert best_assign is not None
-    witness = Coloring(shape, k, best_assign)
-    return SearchResult(best_obj[0], witness, False, evals)

@@ -28,7 +28,7 @@ from fracture import (
     z_lower_sqrt,
     z_upper_constructions,
 )
-from fracture.bounds import Z_LOWER_K_CAP, RootValue, _iroot_exact
+from fracture.bounds import Z_LOWER_KR_CAP, RootValue, _iroot_exact
 
 
 from oracles import sqrt_rate_vs
@@ -170,16 +170,26 @@ class TestZLower:
             assert z_lower_best(k, 2).value >= rec
 
     def test_desk_cap_refuses_before_recursion(self):
-        # the cap admits the growth-rate table and every catalog k
-        assert Z_LOWER_K_CAP >= 35
-        z_lower_recursive.cache_clear()
-        with pytest.raises(FractureError, match="desk cap"):
-            z_lower_recursive(Z_LOWER_K_CAP + 1, 2)
-        assert z_lower_recursive.cache_info().currsize == 0
+        # the cap admits the growth-rate table and every catalog (k, r);
+        # (500, 100) and (500, 480) ran for more than 20 s under a cap on k
+        assert Z_LOWER_KR_CAP >= 35 * 3
+        for k, r in [(Z_LOWER_KR_CAP // 2 + 1, 2), (Z_LOWER_KR_CAP // 3 + 1, 3), (500, 100), (500, 480)]:
+            z_lower_recursive.cache_clear()
+            start = time.perf_counter()
+            with pytest.raises(FractureError, match="desk cap"):
+                z_lower_recursive(k, r)
+            assert time.perf_counter() - start < 1
+            assert z_lower_recursive.cache_info().currsize == 0
         for k, r in [(0, 2), (2, 0)]:
             for bound in (z_lower_recursive, z_upper_constructions):
                 with pytest.raises(FractureError, match=r"need k, r >= 1"):
                     bound(k, r)
+
+    def test_instant_answers_precede_the_cap(self):
+        rec = z_lower_recursive(3, 1000)
+        assert (rec.value, rec.provenance) == (1, "connected")
+        rec = z_lower_recursive(10**8, 1)
+        assert (rec.value, rec.provenance) == (Fraction(1, 10**8), "singleton_split")
 
     def test_sqrt_form(self):
         # least D with D(D+1) >= k

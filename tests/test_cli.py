@@ -7,7 +7,10 @@ import hashlib
 import importlib
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -257,15 +260,30 @@ _BASE_NAMES = st.one_of(
 )
 
 
+# (test id, command words, arguments drawn): every construct and designs
+# table entry, both bounds and both searches
+_FUZZ_COMMANDS = (
+    [(what, ["construct", what], list(arguments)) for what, (_, arguments, _) in _CONSTRUCT.items()]
+    + [(f"designs-{kind}", ["designs", kind], list(arguments)) for kind, (_, arguments, _) in _DESIGNS.items()]
+    + [("bounds-f", ["bounds", "f"], ["--n", "--k", "--r"]), ("bounds-z", ["bounds", "z"], ["--k", "--r"])]
+    + [(f"search-{mode}", ["search", mode], ["--n", "--k", "--r", "--budget"]) for mode in "fz"]
+)
+
+
 class TestConstructFuzz:
-    @pytest.mark.parametrize("what", list(_CONSTRUCT))
+    @pytest.mark.parametrize(
+        "command,arguments", [c[1:] for c in _FUZZ_COMMANDS], ids=[c[0] for c in _FUZZ_COMMANDS]
+    )
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
-    def test_small_arguments_exit_0_or_2(self, tmp_path_factory, what, data):
-        argv = ["construct", what]
-        for arg in _CONSTRUCT[what][1]:
+    def test_small_arguments_exit_0_or_2(self, tmp_path_factory, command, arguments, data):
+        argv = list(command)
+        for arg in arguments:
             if arg in ("name", "--base"):
                 value = data.draw(_BASE_NAMES, label=arg)
+            elif arg == "--budget":
+                # always budgeted: unbudgeted, a search as small as (9, 6) does not finish
+                value = data.draw(st.integers(-2, 2000), label=arg)
             else:
                 value = data.draw(_SMALL_INTS, label=arg)
             argv.append(value if arg == "name" else f"{arg}={value}")
@@ -274,7 +292,8 @@ class TestConstructFuzz:
             code = main(argv + ["--output", str(out)])
         except SystemExit as exc:  # argparse's own usage errors
             code = exc.code
-        assert code in (0, 2)
+        # a search may also stop at its budget
+        assert code in ((0, 2, 3) if command[0] == "search" else (0, 2))
 
 
 class TestDesignsCommand:
@@ -456,14 +475,13 @@ class TestSearchCommand:
         assert code == 3 and captured.out == ""
         assert captured.err == "error: search found no leaf; budget too small\n"
 
-    @pytest.mark.parametrize("mode", ["f", "z", "improve"])
+    @pytest.mark.parametrize("mode", ["f", "z"])
     def test_above_desk_cap_exits_2_before_edge_table(self, capsys, monkeypatch, mode):
         def no_work(*args):
             raise AssertionError(f"per-edge work started on {args}")
 
-        # _edges_flat feeds the exact searches; randomized_improve scores
-        # its classes from edge_array rows through edge_list_stats
-        for name in ("_edges_flat", "edge_array", "edge_list_stats"):
+        # _edges_flat feeds the search kernel and _twins reads edge_array
+        for name in ("_edges_flat", "edge_array"):
             monkeypatch.setattr(search_mod, name, no_work)
         code = main(["search", mode, "--n", "100000", "--k", "3"])
         captured = capsys.readouterr()
@@ -479,25 +497,32 @@ class TestSearchCommand:
         assert code == 2 and captured.out == ""
         assert captured.err == f"error: C({n},60) >= 2^64 above desk cap 2000\n"
 
-    def test_improve(self, capsys):
-        code, data = run_json(
-            capsys, "search", "improve", "--n", "6", "--k", "3", "--restarts", "5"
-        )
-        assert code == 0
-        assert data["value"] >= 1
-
-    @pytest.mark.parametrize("restarts", ["0", "-1"])
-    def test_improve_without_restarts_exits_2(self, capsys, restarts):
-        code = main(["search", "improve", "--n", "6", "--k", "3", "--restarts", restarts])
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        assert captured.err == f"error: need restarts >= 1 and steps >= 1, got {restarts} and 2000\n"
-
     def test_stale_threads_env_ignored(self, capsys, monkeypatch):
         # the search reads no FRACTURE_THREADS any more, whatever its value
         monkeypatch.setenv("FRACTURE_THREADS", "x")
         code, data = run_json(capsys, "search", "f", "--n", "4", "--k", "2")
         assert code == 0 and data["value"] == 1
+
+    def test_exit_codes_leave_the_process(self):
+        # sys.exit(main()) carries 3, 0 and 4 out of a real interpreter
+        root = Path(__file__).resolve().parents[1]
+        path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+        def cli(*argv, stdin=None):
+            return subprocess.run(
+                [sys.executable, "-m", "fracture.cli", *argv],
+                input=stdin, capture_output=True, text=True, env=env, cwd=root, timeout=60,
+            )
+
+        search = cli("search", "f", "--n", "10", "--k", "4", "--budget", "1000")
+        assert search.returncode == 3 and search.stderr == ""
+        data = json.loads(search.stdout)
+        assert (data["exhausted"], data["nodes"]) == (False, 1000)
+        verify = cli("verify", "-", stdin=search.stdout)
+        assert verify.returncode == 0 and json.loads(verify.stdout)["valid"] is True
+        forged = cli("verify", "-", stdin=json.dumps({**data, "value": data["value"] + 1}))
+        assert forged.returncode == 4 and json.loads(forged.stdout)["valid"] is False
 
 
 class TestVerifyRejections:
