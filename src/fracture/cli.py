@@ -21,6 +21,7 @@ produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -48,7 +49,37 @@ def _write(text: str, output: str | None) -> None:
 
 
 def _dump(obj, output: str | None) -> None:
-    _write(json.dumps(obj, sort_keys=True, indent=2) + "\n", output)
+    _write(_encode(obj, "") + "\n", output)
+
+
+def _encode(obj, pad: str) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)`` byte for byte, for a
+    value nested at indent ``pad``.
+
+    ``indent`` makes json use its pure-Python encoder, so this recurses
+    only through dicts and lists (or tuples) that hold containers, and
+    writes every other container with one call to the C encoder: with
+    ``",\n" + pad`` as its item separator, it lays the items out exactly
+    as ``indent`` would.
+    """
+    if not isinstance(obj, (dict, list, tuple)) or not obj:
+        return json.dumps(obj)
+    inner = pad + "  "
+    values = obj.values() if isinstance(obj, dict) else obj
+    if not any(isinstance(v, (dict, list, tuple)) for v in values):
+        text = json.dumps(obj, sort_keys=True, separators=(",\n" + inner, ": "))
+        return text[0] + "\n" + inner + text[1:-1] + "\n" + pad + text[-1]
+    if isinstance(obj, dict):
+        if not all(type(key) is str for key in obj):
+            # json's own key coercion; its output holds no raw newline
+            # but those between items, so re-indenting it is exact
+            return json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n" + pad)
+        items = [json.dumps(key) + ": " + _encode(obj[key], inner) for key in sorted(obj)]
+        brackets = "{}"
+    else:
+        items = [_encode(v, inner) for v in obj]
+        brackets = "[]"
+    return brackets[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + pad + brackets[1]
 
 
 def _load(path: str | None) -> dict:
@@ -171,6 +202,11 @@ def _cmd_search(args) -> int:
     return EXIT_OK if res.exhausted else EXIT_BUDGET
 
 
+def _same(claim, fresh) -> bool:
+    """Equal as JSON values: ``==`` would also take 3.0 or true for 3 and 1."""
+    return json.dumps(claim, sort_keys=True) == json.dumps(fresh, sort_keys=True)
+
+
 def _verify_payload(data: dict) -> tuple[bool, str]:
     if "blocks" in data:
         design = designs_mod.Design(
@@ -195,7 +231,7 @@ def _verify_payload(data: dict) -> tuple[bool, str]:
         if witness.shape.bipartite:
             return False, "a search witness must be a K_n^r coloring, not K_{n,n}"
         for key in ("n", "k", "r"):
-            if data[key] != getattr(witness, key):
+            if not _same(data[key], getattr(witness, key)):
                 return False, f"{key} is {data[key]}, the witness has {getattr(witness, key)}"
         if data["metric"] == "f":
             got = f_value(witness)
@@ -203,16 +239,16 @@ def _verify_payload(data: dict) -> tuple[bool, str]:
             got = fraction_str(z_value(witness))
         else:
             return False, f"metric must be \"f\" or \"z\", got {data['metric']!r}"
-        if got != data["value"]:
+        if not _same(got, data["value"]):
             return False, f"witness evaluates to {got}, claim was {data['value']}"
-        if data["report"] != report_dict(witness):
+        if not _same(data["report"], report_dict(witness)):
             return False, "report does not match a fresh evaluation of the witness"
         return True, "witness reproduces the claimed value and report"
     if "coloring" in data:
         fresh = report_dict(coloring_from_dict(data["coloring"]))
         if "report" not in data:
             return False, "nothing to check: no report attached"
-        if fresh != data["report"]:
+        if not _same(fresh, data["report"]):
             return False, "report does not match a fresh evaluation"
         return True, "report matches a fresh evaluation"
     if "colors" in data:
@@ -297,7 +333,11 @@ def _add_table(sub, command: str, text: str, dest: str, table: dict) -> None:
         _add_output(p)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: every call returns
+    the same object, so callers must not mutate it.  argparse keeps no
+    state between ``parse_args`` calls, so reusing it is safe."""
     parser = argparse.ArgumentParser(
         prog="fracture",
         description="colorings of complete uniform hypergraphs with many "

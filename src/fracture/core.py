@@ -287,16 +287,19 @@ def class_stats(coloring: Coloring) -> list[ColorClassStats]:
 
     shape = coloring.shape
     k, n = coloring.k, shape.vertex_count
-    slots = np.array(coloring.assignment, dtype=np.int64)[:, None] * n + shape.edge_array()
-    sizes = np.bincount(slots[:, 0] // n, minlength=k)
-    if k * n > slots.size:
-        keys, slots = np.unique(slots.reshape(-1), return_inverse=True)
-        slots = slots.reshape(-1, shape.r)
+    # built as r contiguous columns, the layout _slot_components reads
+    offsets = np.array(coloring.assignment, dtype=np.int64) * n
+    columns = np.add(shape.edge_array().T, offsets, order="C")
+    del offsets  # free its m int64s before the hooking rounds, which set the peak
+    sizes = np.bincount(columns[0] // n, minlength=k)
+    if k * n > columns.size:
+        keys, columns = np.unique(columns.reshape(-1), return_inverse=True)
+        columns = columns.reshape(shape.r, -1)
     else:
         keys = np.arange(k * n)
-    parent = _slot_components(slots, len(keys))[0]
+    parent = _slot_components(columns.T, len(keys))[0]
     touched = np.zeros(len(keys), dtype=bool)
-    touched[slots] = True
+    touched[columns] = True
     slot_color = keys // n
     incident = np.bincount(slot_color[touched], minlength=k)
     comps = np.bincount(slot_color[touched & (parent == np.arange(len(keys)))], minlength=k)
@@ -320,19 +323,29 @@ def _slot_components(slots: np.ndarray, count: int) -> tuple[np.ndarray, int]:
     every tree is a star.  Hooks only point to smaller slots, so no cycle
     forms, and every root that is not the smallest of its neighbourhood
     merges in its round.  It stops when every row lies in one tree.
+
+    The table is read as r contiguous 1-D columns, never as an (m, r)
+    array: a row minimum over axis 1 and a ``minimum.at`` with a 2-D
+    index both miss numpy's fast paths, while an elementwise
+    ``np.minimum`` over columns and a 1-D ``minimum.at`` per column hit
+    them, about 6x faster for the same rounds and hooks.
     """
     import numpy as np
 
     # slot ids below 2^31 fit int32, which halves the arrays of each round
     parent = np.arange(count, dtype=np.int32 if count < 2**31 else np.int64)
+    columns = np.ascontiguousarray(slots.T)
     rounds = 0
     while True:
-        roots = parent[slots]
-        low = roots.min(axis=1)
-        if (roots == low[:, None]).all():
+        roots = [parent[column] for column in columns]
+        low = roots[0].copy()
+        for root in roots[1:]:
+            np.minimum(low, root, out=low)
+        if all(np.array_equal(root, low) for root in roots):
             return parent, rounds
         rounds += 1
-        np.minimum.at(parent, roots, low[:, None])
+        for root in roots:
+            np.minimum.at(parent, root, low)
         while True:
             up = parent[parent]
             if np.array_equal(up, parent):
@@ -379,15 +392,24 @@ coloring_to_dict = Coloring.to_dict
 
 
 def coloring_from_dict(d: dict) -> Coloring:
-    """Inverse of coloring_to_dict; a bipartite coloring needs no ``r``."""
+    """Inverse of coloring_to_dict; a bipartite coloring needs no ``r``.
+
+    ``n``, ``r``, ``k`` and every color must be an ``int`` as JSON parses
+    it: a float, a numeric string or a bool is refused, never rounded."""
     if not isinstance(d, dict):
         raise FractureError(f"coloring JSON must be an object, got {type(d).__name__}")
     try:
-        if d.get("bipartite"):
-            shape = BipartiteShape(int(d["n"]))
-        else:
-            shape = HypergraphShape(int(d["n"]), int(d["r"]))
-        return Coloring(shape, int(d["k"]), tuple(int(c) for c in d["colors"]))
+        bipartite = d.get("bipartite")
+        for key in ("n", "k") if bipartite else ("n", "r", "k"):
+            if type(d[key]) is not int:
+                raise FractureError(f"coloring JSON: {key} must be an integer, got {d[key]!r}")
+        colors = tuple(d["colors"])
+        strays = set(map(type, colors)) - {int}
+        if strays:
+            names = ", ".join(sorted(t.__name__ for t in strays))
+            raise FractureError(f"coloring JSON: colors must be integers, got {names}")
+        shape = BipartiteShape(d["n"]) if bipartite else HypergraphShape(d["n"], d["r"])
+        return Coloring(shape, d["k"], colors)
     except KeyError as exc:
         raise FractureError(f"coloring JSON missing key {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:

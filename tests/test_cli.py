@@ -23,7 +23,7 @@ from fracture import constructions as cons
 from fracture import core
 from fracture import designs as designs_mod
 from fracture import search as search_mod
-from fracture.cli import _CONSTRUCT, _DESIGNS, build_parser, main
+from fracture.cli import _CONSTRUCT, _DESIGNS, _dump, build_parser, main
 
 
 def run(capsys, *argv):
@@ -250,6 +250,123 @@ class TestSubcommandTables:
             entry(["--help"])
         assert exit_.value.code == 0
         assert capsys.readouterr().out.startswith("usage: fracture")
+
+
+class TestParserReuse:
+    # sha256 of every --help page at 80 columns, recorded while each main()
+    # call still built its own parser
+    HELP_SHA256 = {
+        "": "7677eec6f8213a53e6c6962e513094dbecca05720022307f8a629617d2a0f2ac",
+        "construct": "7da28621ba33daacac967eccf590c959a41387c0e29d0782d920b07265757c55",
+        "construct base": "be03fabc00acf0bd246f500d9ee4730d824c586d529fc3f4a142471c91a83729",
+        "construct blow-up": "4139c341a2bbc76180699ea1ecc4845559c3ff69a02abfda529bff783e70c250",
+        "construct matching-split": "a95c81c9f87429d11658dd9d06d9773362b1f911f1af628798e80c0e73c30f02",
+        "construct factor-split": "ad2f55305557b8f4e822bd67fa334bfa5f810eebf678948dfdaa6f4ee4389deb",
+        "construct equitable": "993d62cb0eb53f75fdde5fb08189ba4f39756b508589282ff45c0cd06d9ef1f1",
+        "construct nminus1": "c162f9857e36acb4357a3b162648cf00847d81faf8363cc48a5c37d93e23f166",
+        "construct ncolors": "d8c5944ff30d787d1cbbdb082504516a537fb5f0c091c984ffd16d90d8204ef4",
+        "construct trivial": "9d3ce1aa5a534fb8632b7b2de5009eba6ea653811c6ea05e8946cdada05437c5",
+        "construct bipartite-double": "af28d20b0d7f13d6960b7fe363196f2c16eb68b0d4e811d009c381311e46ce13",
+        "construct bipartite-blow-up": "95cdcffb3f4b16b5a5176fae36b5cd6e0580732c166048fcb157bbb85f09ad2d",
+        "eval": "49730cf5acace16b0ea357987cfceb3a0bedb9b8f40c3220299379bc9f0c8da9",
+        "designs": "9f8a523e3647c32325613a3dc397bf029755aea6100ff5e2b0b5cf6b99277d28",
+        "designs pg": "80441eec50295187a0d40f3c92461c7773f5efbb53ae1cdbad20d371ce454b4c",
+        "designs ag": "506171950a590970ef39c53d2c86d97f46eac94c77c66d7ec5df66cec74c9f9d",
+        "designs sqs": "1fdfd2b1e950616b74b3c1fbf53176e791decfb2e7db9b957af752a6490b3da8",
+        "designs inversive": "367a95f870fbc5838a6c08563ef6f464daf3e1ee551e39e6da4c634129ca36b0",
+        "designs baranyai": "884b7049978293e0f86bdb6cdafd5afb0984cbf98812997f2a886dd004b77183",
+        "designs one-factorization": "070541db6db3bdd419e08499a1063e22578a487f7f59772cd7acacab8ada044c",
+        "designs near-one-factorization": "1598a8f1eb607599ba62e37b83a5c1582d32f543f3476e0e90af0e712e0f2e0a",
+        "designs diamonds": "b35f6e176d1cdf12af38f65808c4148a25b0f2928903427f9bef4e1fa920e99c",
+        "bounds": "01b0a261cc14e52bd2a662d36016851ba84317900b433b86048ddd752fb5fcea",
+        "bounds z": "bdd0d55d0caf32bb82854f257033d95b09eb3052f68d970df7adb443900044bb",
+        "bounds f": "ed076d34dc512774136f9a43a620c248f17e84265f78b86baa19200b25c7dc45",
+        "table": "e9305da24071b02c4ebd53e20b2cd15696c301c04b8bf277b24773e6850f4be0",
+        "search": "2b8f20886abe70517f6258d96d6add9af84a82bc605f65b942829e7b44a426ba",
+        "verify": "ffb29b945900c3d5c4c3a7d2e2134276f1a1f91f3ba113dbcf6a76c7cff983fb",
+    }
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_every_help_page_is_pinned(self):
+        def pages(parser, prefix=()):
+            yield " ".join(prefix)
+            for action in parser._subparsers._group_actions if parser._subparsers else ():
+                for name, child in action.choices.items():
+                    yield from pages(child, prefix + (name,))
+
+        assert sorted(pages(build_parser())) == sorted(self.HELP_SHA256)
+
+    @pytest.mark.skipif(
+        sys.version_info[:2] != (3, 11), reason="argparse lays out help differently on other Pythons"
+    )
+    @pytest.mark.parametrize("command", sorted(HELP_SHA256))
+    def test_help_bytes_unchanged(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        for _ in range(2):  # the first call and a reuse
+            with pytest.raises(SystemExit) as exit_:
+                main(command.split() + ["--help"])
+            assert exit_.value.code == 0
+            text = capsys.readouterr().out
+            assert hashlib.sha256(text.encode()).hexdigest() == self.HELP_SHA256[command]
+
+    def test_usage_error_leaves_no_state(self, capsys):
+        argv = ["construct", "equitable", "--n", "5", "--k", "7"]
+        build_parser.cache_clear()
+        fresh = run(capsys, *argv)
+        for bad in (
+            ["construct", "factor-split", "--n", "6", "--t", "2"],
+            ["bounds", "f", "--n", "x", "--k", "2"],
+            ["search", "q", "--n", "5", "--k", "3"],
+            ["construct", "equitable", "--n", "5", "--k", "7", "--r", "3", "--nosuch"],
+        ):
+            with pytest.raises(SystemExit) as exit_:
+                main(bad)
+            assert exit_.value.code == 2
+        capsys.readouterr()
+        assert run(capsys, *argv) == fresh
+        # a default the previous parse overrode comes back
+        main(["construct", "equitable", "--n", "6", "--k", "5", "--r", "3"])
+        capsys.readouterr()
+        assert run(capsys, *argv) == fresh
+        assert vars(build_parser().parse_args(argv)) == vars(build_parser.__wrapped__().parse_args(argv))
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.text(),
+    st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\u00e9", "\u2028", "\U0001f4a5", "/"]),
+)
+
+
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=6),
+        st.lists(children, max_size=6).map(tuple),
+        st.dictionaries(st.text(max_size=6), children, max_size=6),
+        st.dictionaries(st.integers(), children, max_size=4),
+    ),
+    max_leaves=40,
+)
+
+
+class TestDump:
+    @settings(max_examples=300, deadline=None)
+    @given(obj=_JSON_VALUES)
+    def test_bytes_match_json_indent(self, tmp_path_factory, obj):
+        out = tmp_path_factory.getbasetemp() / "dump.json"
+        _dump(obj, str(out))
+        assert out.read_bytes() == (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode()
+
+    def test_nested_scalar_lists_and_empties(self, capsys):
+        obj = {"b": [[1, 2.5, None], [], {}, ()], "a": {"x": (True, "\u00e9")}, "c": [{}]}
+        _dump(obj, None)
+        assert capsys.readouterr().out == json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 _SMALL_INTS = st.integers(-2, 9)
@@ -650,6 +767,69 @@ class TestVerifyRejections:
         code, out = run(capsys, "verify")
         assert code == 0
         assert json.loads(out)["valid"] is True
+
+
+class TestStrictIntegers:
+    # each of these once passed verify, or was truncated by eval into a
+    # valid coloring
+    COLORINGS = [
+        {"n": 3.9, "r": 2, "k": 2, "colors": [0.7, 1.2, "1"]},
+        {"n": 3.0, "r": 2, "k": 2, "colors": [0, 1, 1]},
+        {"n": 3, "r": 2.0, "k": 2, "colors": [0, 1, 1]},
+        {"n": 3, "r": 2, "k": "2", "colors": [0, 1, 1]},
+        {"n": 3, "r": 2, "k": 2, "colors": [0, 1.0, 1]},
+        {"n": 3, "r": 2, "k": 2, "colors": [0, "1", 1]},
+        {"n": 3, "r": 2, "k": 2, "colors": [0, True, 1]},
+        {"n": 2, "k": 2.0, "bipartite": True, "colors": [0, 1, 1, 0]},
+    ]
+    IDS = ["issue-repro", "float-n", "float-r", "string-k", "float-color", "string-color",
+           "bool-color", "bipartite-float-k"]
+
+    @pytest.mark.parametrize("wrapped", [False, True], ids=["bare", "wrapped"])
+    @pytest.mark.parametrize("data", COLORINGS, ids=IDS)
+    def test_eval_exits_2_and_verify_4(self, capsys, tmp_path, data, wrapped):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"coloring": data, "report": {}} if wrapped else data))
+        code = main(["eval", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "integer" in captured.err
+        code, verdict = run_json(capsys, "verify", str(path))
+        assert code == 4 and verdict["valid"] is False
+        assert "integer" in verdict["reason"]
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda d: d.update(n=float(d["n"])),
+            lambda d: d.update(k=float(d["k"])),
+            lambda d: d.update(r=float(d["r"])),
+            lambda d: d.update(value=float(d["value"])),
+            lambda d: d.update(value=True),
+            lambda d: d["report"].update(f=float(d["report"]["f"])),
+            lambda d: d["report"]["per_class"][0].update(components=True),
+        ],
+        ids=["n", "k", "r", "value", "value-true", "report.f", "report.components-true"],
+    )
+    def test_search_artifact_compares_by_type(self, capsys, tmp_path, mutate):
+        # 10.0 == 10 and True == 1 in Python; each claim must be the int itself
+        _, text = run(capsys, "search", "f", "--n", "5", "--k", "2")
+        data = json.loads(text)
+        assert data["value"] == 1 and data["report"]["per_class"][0]["components"] == 1
+        mutate(data)
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(data))
+        code, verdict = run_json(capsys, "verify", str(path))
+        assert code == 4 and verdict["valid"] is False
+
+    def test_coloring_report_compares_by_type(self, capsys, tmp_path):
+        _, text = run(capsys, "construct", "base", "rainbow-triangle")
+        data = json.loads(text)
+        data["report"]["f"] = float(data["report"]["f"])
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(data))
+        code, verdict = run_json(capsys, "verify", str(path))
+        assert code == 4 and verdict["reason"] == "report does not match a fresh evaluation"
 
 
 class TestBipartiteHost:

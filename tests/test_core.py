@@ -202,6 +202,26 @@ def stats_dict(coloring):
     return {s.color: (s.edge_count, s.components, s.incident_vertices) for s in class_stats(coloring)}
 
 
+def _slot_components_2d(slots, count):
+    """``core._slot_components`` as it was written before it read the slot
+    table by columns: row minima over axis 1 and one ``minimum.at`` with
+    a 2-D index."""
+    parent = np.arange(count, dtype=np.int32 if count < 2**31 else np.int64)
+    rounds = 0
+    while True:
+        roots = parent[slots]
+        low = roots.min(axis=1)
+        if (roots == low[:, None]).all():
+            return parent, rounds
+        rounds += 1
+        np.minimum.at(parent, roots, low[:, None])
+        while True:
+            up = parent[parent]
+            if np.array_equal(up, parent):
+                break
+            parent = up
+
+
 class TestClassStatsSlots:
     """class_stats is one union-find over the (color, vertex) slots that
     edges touch, by hooking and pointer jumping."""
@@ -269,6 +289,38 @@ class TestClassStatsSlots:
             parent, rounds = core._slot_components(np.stack([order[:-1], order[1:]], axis=1), length)
             assert (parent == 0).all()
             assert 1 <= rounds <= math.ceil(math.log2(length))
+
+    @pytest.mark.parametrize("host", ["r2", "r3", "r4", "r5", "bipartite"])
+    def test_columns_hook_as_the_2d_rounds(self, host):
+        # the column form must take the same rounds and leave the same
+        # parents as the (m, r) formulation it replaced
+        rng = np.random.default_rng(sum(map(ord, host)))
+        for _ in range(20):
+            if host == "bipartite":
+                shape = BipartiteShape(int(rng.integers(1, 9)))
+            else:
+                r = int(host[1])
+                shape = HypergraphShape(int(rng.integers(r, r + 6)), r)
+            k = int(rng.integers(1, min(shape.edge_count, 9) + 1))
+            colors = rng.integers(0, k, size=shape.edge_count)
+            slots = colors[:, None] * shape.vertex_count + shape.edge_array()
+            keys, dense = np.unique(slots, return_inverse=True)
+            for table, count in [(slots, k * shape.vertex_count), (dense.reshape(slots.shape), len(keys))]:
+                parent, rounds = core._slot_components(table, count)
+                old_parent, old_rounds = _slot_components_2d(table, count)
+                assert rounds == old_rounds
+                assert np.array_equal(parent, old_parent)
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
+    def test_columns_hook_as_the_2d_rounds_on_random_tables(self, r):
+        rng = np.random.default_rng(r)
+        for _ in range(20):
+            count = int(rng.integers(1, 200))
+            table = rng.integers(0, count, size=(int(rng.integers(1, 300)), r))
+            parent, rounds = core._slot_components(table, count)
+            old_parent, old_rounds = _slot_components_2d(table, count)
+            assert rounds == old_rounds
+            assert np.array_equal(parent, old_parent)
 
     def test_memory_follows_edges_not_slots(self):
         # k = C(447, 2) = 99,681 classes on 447 vertices: a k*n array of
@@ -456,6 +508,27 @@ class TestSerialization:
         assert c.to_dict() == d
         assert coloring_from_dict(d) == c
         assert "bipartite" not in make(3, 3, 2, (0, 1, 2)).to_dict()
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"n": 3.9, "r": 2, "k": 2, "colors": [0.7, 1.2, "1"]},
+            {"n": 3.0, "r": 2, "k": 2, "colors": [0, 1, 1]},
+            {"n": 3, "r": "2", "k": 2, "colors": [0, 1, 1]},
+            {"n": 3, "r": 2, "k": True, "colors": [0, 0, 0]},
+            {"n": 3, "r": 2, "k": 2, "colors": [0, 1.0, 1]},
+            {"n": 3, "r": 2, "k": 2, "colors": [0, "1", 1]},
+            {"n": 3, "r": 2, "k": 2, "colors": [0, True, 1]},
+            {"n": 2.0, "k": 2, "bipartite": True, "colors": [0, 1, 1, 0]},
+            {"n": 2, "k": 2, "bipartite": True, "colors": [0, 1, 1, False]},
+        ],
+        ids=["issue-repro", "float-n", "string-r", "bool-k", "float-color",
+             "string-color", "bool-color", "bipartite-float-n", "bipartite-bool-color"],
+    )
+    def test_non_integers_refused(self, data):
+        # each would have been truncated or coerced by int() to a valid coloring
+        with pytest.raises(FractureError, match="must be (an integer|integers)"):
+            coloring_from_dict(data)
 
     def test_fraction_strings(self):
         assert fraction_str(Fraction(2, 3)) == "2/3"
