@@ -205,14 +205,17 @@ def edge_ranks(vertices: np.ndarray, shape: HypergraphShape) -> np.ndarray:
         raise FractureError(f"ranks of {shape} do not fit in int64")
     ranks = np.zeros(len(vs), dtype=np.int64)
     for i in range(shape.r):
-        # C(v, i + 1) by the exact running products C(v - i - 1 + t, t),
-        # t = 1..i + 1: as v <= n - r + i, each is at most C(n - 1, r) <= m,
-        # so no product exceeds m * r
-        term = np.ones(len(vs), dtype=np.int64)
-        for t in range(1, i + 2):
-            term *= vs[:, i] - (i + 1 - t)
-            term //= t
-        ranks += term
+        # C(v, i + 1) by math.comb once per vertex v, then gathered: over the
+        # column's span when that is no longer than the column, else over its
+        # distinct values.  Each term is at most the row's rank, below m.
+        column = vs[:, i]
+        low, high = (int(column.min()), int(column.max())) if len(vs) else (0, -1)
+        if high - low < len(vs):
+            values, index = range(low, high + 1), column - low
+        else:
+            values, index = np.unique(column, return_inverse=True)
+            values = values.tolist()
+        ranks += np.array([comb(v, i + 1) for v in values], dtype=np.int64)[index]
     return ranks
 
 
@@ -395,11 +398,15 @@ def coloring_from_dict(d: dict) -> Coloring:
     """Inverse of coloring_to_dict; a bipartite coloring needs no ``r``.
 
     ``n``, ``r``, ``k`` and every color must be an ``int`` as JSON parses
-    it: a float, a numeric string or a bool is refused, never rounded."""
+    it: a float, a numeric string or a bool is refused, never rounded.
+    ``bipartite`` must be a JSON bool when present: absent or false means
+    K_n^r, true means K_{n,n}."""
     if not isinstance(d, dict):
         raise FractureError(f"coloring JSON must be an object, got {type(d).__name__}")
     try:
-        bipartite = d.get("bipartite")
+        bipartite = d.get("bipartite", False)
+        if type(bipartite) is not bool:
+            raise FractureError(f"coloring JSON: bipartite must be true or false, got {bipartite!r}")
         for key in ("n", "k") if bipartite else ("n", "r", "k"):
             if type(d[key]) is not int:
                 raise FractureError(f"coloring JSON: {key} must be an integer, got {d[key]!r}")

@@ -469,72 +469,78 @@ def hamiltonian_decomposition(n: int) -> tuple[tuple[tuple[int, int], ...], ...]
     """
     if n < 3 or n % 2 == 0:
         raise FractureError(f"Hamiltonian decomposition needs odd n >= 3, got {n}")
-    check_host_edges(HypergraphShape(n, 2))
-    hub = n - 1
+    import numpy as np
+
+    shape = HypergraphShape(n, 2)
+    check_host_edges(shape)
     ring = n - 1
-    cycles = []
-    for j in range((n - 1) // 2):
-        path = [j]
-        for i in range(1, ring):
-            step = (i + 1) // 2 if i % 2 else i // 2
-            if i % 2:
-                path.append((j + step) % ring)
-            else:
-                path.append((j - step) % ring)
-        verts = [hub] + path + [hub]
-        cycles.append(
-            tuple(
-                (min(a, b), max(a, b)) for a, b in zip(verts, verts[1:])
-            )
-        )
+    # the zigzag offsets 0, +1, -1, +2, -2, ..., +ring/2
+    steps = np.arange(ring)
+    offsets = np.where(steps % 2, (steps + 1) // 2, -(steps // 2))
+    verts = np.full((ring // 2, n + 1), ring, dtype=np.int64)  # hub n - 1 at both ends
+    verts[:, 1:-1] = (np.arange(ring // 2)[:, None] + offsets) % ring
+    tail, head = verts[:, :-1], verts[:, 1:]
+    pairs = np.stack([np.minimum(tail, head), np.maximum(tail, head)], axis=2)
     # partition check
-    seen: set[tuple[int, int]] = set()
-    for cyc in cycles:
-        for e in cyc:
-            if e in seen:
-                raise FractureError(f"cycle construction repeated edge {e}")
-            seen.add(e)
-    if len(seen) != comb(n, 2):
+    edges = pairs.reshape(-1, 2)
+    ranks = edge_ranks(edges, shape)
+    uses = np.bincount(ranks, minlength=shape.edge_count)
+    if uses.max() > 1:
+        e = tuple(edges[uses[ranks] > 1][0].tolist())
+        raise FractureError(f"cycle construction repeated edge {e}")
+    if uses.min() == 0:
         raise FractureError("cycle construction did not cover K_n")
-    return tuple(cycles)
+    return tuple(tuple(map(tuple, cycle)) for cycle in pairs.tolist())
 
 
-def _max_flow(num_nodes: int, caps: dict[tuple[int, int], int], source: int, sink: int) -> dict[tuple[int, int], int]:
-    """Edmonds-Karp with deterministic sorted adjacency; returns flows."""
-    adj: dict[int, list[int]] = {u: [] for u in range(num_nodes)}
-    cap = dict(caps)
-    for (u, v) in caps:
-        adj[u].append(v)
-        adj[v].append(u)
-        cap.setdefault((v, u), 0)
-    for u in adj:
-        adj[u] = sorted(set(adj[u]))
-    flow = {e: 0 for e in cap}
-    while True:
-        # BFS for shortest augmenting path
-        prev = {source: source}
-        queue = [source]
-        while queue and sink not in prev:
-            nxt = []
-            for u in queue:
-                for v in adj[u]:
-                    if v not in prev and cap[(u, v)] - flow[(u, v)] > 0:
-                        prev[v] = u
-                        nxt.append(v)
-            queue = nxt
-        if sink not in prev:
-            return flow
-        # bottleneck along path
-        path = []
-        v = sink
-        while v != source:
-            u = prev[v]
-            path.append((u, v))
-            v = u
-        aug = min(cap[e] - flow[e] for e in path)
-        for e in path:
-            flow[e] += aug
-            flow[(e[1], e[0])] -= aug
+def _stage_match(arcs: list[list[int]], quotas: list[int]) -> list[int]:
+    """The type each factor extends at one Baranyai stage, -1 where the
+    flow is short: the flow Edmonds-Karp with sorted adjacency finds on
+    source -> factor j -> each type in arcs[j] (sorted) -> sink, capacity
+    1 per factor and quotas[t] per type, nodes numbered in that order.  A
+    greedy pass takes its length-3 paths (see _baranyai_flow); each longer
+    one comes from a level search from all free factors that visits
+    neighbours in id order, keeps each node's first discoverer and ends
+    at the first type in level order with quota left."""
+    left = list(quotas)
+    choice = [-1] * len(arcs)
+    for j, types in enumerate(arcs):
+        for t in types:
+            if left[t]:
+                left[t] -= 1
+                choice[j] = t
+                break
+    free = [j for j, t in enumerate(choice) if t < 0]
+    while free:
+        # a type reaches the factors it holds through their reverse arcs
+        holders: list[list[int]] = [[] for _ in quotas]
+        for j, t in enumerate(choice):
+            if t >= 0:
+                holders[t].append(j)
+        finder = [-1] * len(quotas)
+        level, end = free, -1
+        while level and end < 0:
+            reached = []
+            for j in level:
+                for t in arcs[j]:
+                    if finder[t] < 0:
+                        finder[t] = j
+                        if left[t]:
+                            end = t
+                            break
+                        reached.append(t)
+                if end >= 0:
+                    break
+            level = [j for t in reached for j in holders[t]]
+        if end < 0:
+            break
+        left[end] -= 1
+        t = end
+        while t >= 0:
+            j = finder[t]
+            choice[j], t = t, choice[j]
+        free.remove(j)
+    return choice
 
 
 def _baranyai_flow(n: int, r: int) -> list[tuple[tuple[int, ...], ...]]:
@@ -544,7 +550,17 @@ def _baranyai_flow(n: int, r: int) -> list[tuple[tuple[int, ...], ...]]:
     placed so far).  Adding vertex i means choosing, per factor, exactly
     one trace to extend; the global quota for extending copies of trace A
     is C(n-i-1, r-|A|-1).  A fractional solution always exists, so an
-    integral one is recovered from a max flow at every stage.
+    integral one is recovered from a max flow at every stage, by
+    _stage_match.
+
+    The greedy pass of _stage_match, giving each factor in turn the first
+    type in its list with quota left, is the run of length-3 paths that
+    Edmonds-Karp takes first.  Its breadth-first search takes such a path
+    while one exists and discovers types free factor by free factor, each
+    factor's in id order; the sink's parent is the first type discovered
+    with quota left.  Quotas only fall, so a factor seen without one keeps
+    none: that type is the first with quota of the first free factor that
+    has any, which is the factor the greedy pass is at.
     """
     num_factors = comb(n - 1, r - 1)
     factors: list[dict[tuple[int, ...], int]] = [
@@ -553,38 +569,20 @@ def _baranyai_flow(n: int, r: int) -> list[tuple[tuple[int, ...], ...]]:
     for i in range(n):
         types = sorted({t for fac in factors for t in fac if len(t) < r})
         type_index = {t: idx for idx, t in enumerate(types)}
-        source = 0
-        fac_base = 1
-        type_base = 1 + num_factors
-        sink = type_base + len(types)
-        caps: dict[tuple[int, int], int] = {}
-        for j, fac in enumerate(factors):
-            caps[(source, fac_base + j)] = 1
-            for t in fac:
-                if len(t) < r and fac[t] > 0:
-                    caps[(fac_base + j, type_base + type_index[t])] = 1
-        for t in types:
-            quota = comb(n - i - 1, r - len(t) - 1)
-            if quota > 0:
-                caps[(type_base + type_index[t], sink)] = quota
-        flow = _max_flow(sink + 1, caps, source, sink)
-        pushed = sum(flow[(source, fac_base + j)] for j in range(num_factors))
+        arcs = [sorted(type_index[t] for t in fac if len(t) < r) for fac in factors]
+        quotas = [comb(n - i - 1, r - len(t) - 1) for t in types]
+        choice = _stage_match(arcs, quotas)
+        pushed = num_factors - choice.count(-1)
         if pushed != num_factors:
             raise FractureError(
                 f"stage {i}: integral flow {pushed} < {num_factors}"
             )
-        for j, fac in enumerate(factors):
-            chosen = None
-            for t in fac:
-                if len(t) < r and flow.get((fac_base + j, type_base + type_index[t]), 0) == 1:
-                    chosen = t
-                    break
-            if chosen is None:
-                raise FractureError(f"stage {i}: factor {j} extended no trace")
+        for fac, t in zip(factors, choice):
+            chosen = types[t]
             fac[chosen] -= 1
             if fac[chosen] == 0:
                 del fac[chosen]
-            grown = tuple(sorted(chosen + (i,)))
+            grown = chosen + (i,)
             fac[grown] = fac.get(grown, 0) + 1
     out = []
     for fac in factors:

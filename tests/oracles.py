@@ -150,6 +150,67 @@ def is_matching(edges):
     return True
 
 
+def max_flow(num_nodes, caps, source, sink):
+    """Edmonds-Karp over dicts, each node's neighbours visited in id order;
+    returns the flow on every arc.  The Baranyai stages once ran on it, so
+    its augmenting paths are the ones the stage matcher must reproduce."""
+    adj = {u: [] for u in range(num_nodes)}
+    cap = dict(caps)
+    for (u, v) in caps:
+        adj[u].append(v)
+        adj[v].append(u)
+        cap.setdefault((v, u), 0)
+    for u in adj:
+        adj[u] = sorted(set(adj[u]))
+    flow = {e: 0 for e in cap}
+    while True:
+        # BFS for shortest augmenting path
+        prev = {source: source}
+        queue = [source]
+        while queue and sink not in prev:
+            nxt = []
+            for u in queue:
+                for v in adj[u]:
+                    if v not in prev and cap[(u, v)] - flow[(u, v)] > 0:
+                        prev[v] = u
+                        nxt.append(v)
+            queue = nxt
+        if sink not in prev:
+            return flow
+        # bottleneck along path
+        path = []
+        v = sink
+        while v != source:
+            u = prev[v]
+            path.append((u, v))
+            v = u
+        aug = min(cap[e] - flow[e] for e in path)
+        for e in path:
+            flow[e] += aug
+            flow[(e[1], e[0])] -= aug
+
+
+def stage_choice(arcs, quotas):
+    """The type each factor extends in the max_flow of one Baranyai stage
+    network, -1 for a factor the flow leaves unmatched.  Nodes are the
+    source, the factors, the types and the sink, in that order."""
+    factors, types = len(arcs), len(quotas)
+    sink = 1 + factors + types
+    caps = {}
+    for j, row in enumerate(arcs):
+        caps[(0, 1 + j)] = 1
+        for t in row:
+            caps[(1 + j, 1 + factors + t)] = 1
+    for t, quota in enumerate(quotas):
+        if quota > 0:
+            caps[(1 + factors + t, sink)] = quota
+    flow = max_flow(sink + 1, caps, 0, sink)
+    return [
+        next((t for t in row if flow[(1 + j, 1 + factors + t)] == 1), -1)
+        for j, row in enumerate(arcs)
+    ]
+
+
 def bipartite_edges(n):
     """The edges of K_{n,n} in index order: (i, n + j) at i*n + j."""
     return [(i, n + j) for i in range(n) for j in range(n)]

@@ -879,6 +879,20 @@ class TestBipartiteHost:
         self.eval_and_verify(capsys, tmp_path, data)
         self.eval_and_verify(capsys, tmp_path, {"coloring": data})
 
+    # the flag once decided the host by truthiness, so "false" read as K_{2,2}
+    @pytest.mark.parametrize("flag", ["false", 1, [0], None], ids=["string", "one", "list", "null"])
+    def test_non_bool_flag_rejected(self, capsys, tmp_path, flag):
+        data = {"n": 2, "k": 2, "bipartite": flag, "colors": [0, 1, 1, 0]}
+        self.eval_and_verify(capsys, tmp_path, data)
+        self.eval_and_verify(capsys, tmp_path, {"coloring": data})
+
+    def test_false_flag_is_complete_host(self, capsys, tmp_path):
+        data = {"n": 3, "r": 2, "k": 2, "bipartite": False, "colors": [0, 1, 1]}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(data))
+        code, out = run(capsys, "eval", str(path))
+        assert code == 0 and "bipartite" not in json.loads(out)["coloring"]
+
     def test_bare_coloring_verifies(self, capsys, tmp_path):
         _, text = run(capsys, *self.PINNED[0][0])
         path = tmp_path / "b.json"
@@ -926,7 +940,7 @@ def _mutated_coloring(draw):
     d = dict(draw(st.sampled_from(_VALID_COLORINGS)))
     d["colors"] = list(d["colors"])
     for _ in range(draw(st.integers(1, 3))):
-        kind = draw(st.sampled_from(["drop", "n", "k", "length", "entry", "flip", "odd"]))
+        kind = draw(st.sampled_from(["drop", "n", "k", "length", "entry", "flip", "flag", "odd"]))
         if kind == "drop" and d:
             del d[draw(st.sampled_from(sorted(d)))]
         elif kind == "n":
@@ -940,6 +954,8 @@ def _mutated_coloring(draw):
             d["colors"][draw(st.integers(0, len(d["colors"]) - 1))] = draw(_ODD_VALUES)
         elif kind == "flip":
             d["bipartite"] = not d.get("bipartite", False)
+        elif kind == "flag":
+            d["bipartite"] = draw(st.sampled_from(["false", "true", 0, 1, [0], None, {}, 1.0]))
         elif kind == "odd":
             d[draw(st.sampled_from(["n", "r", "k", "colors", "bipartite"]))] = draw(_ODD_VALUES)
     whole = draw(st.sampled_from(["bare", "wrapped", "non-object"]))
@@ -957,8 +973,11 @@ class TestColoringFuzz:
         path = tmp_path_factory.getbasetemp() / "fuzz.json"
         out = tmp_path_factory.getbasetemp() / "fuzz.out.json"
         path.write_text(json.dumps(data))
-        assert main(["eval", str(path), "--output", str(out)]) in (0, 2)
-        assert main(["verify", str(path), "--output", str(out)]) in (0, 4)
+        inner = data.get("coloring", data) if isinstance(data, dict) else None
+        # a host flag that is not a JSON bool is refused, whatever else holds
+        refused = isinstance(inner, dict) and type(inner.get("bipartite", False)) is not bool
+        assert main(["eval", str(path), "--output", str(out)]) in ((2,) if refused else (0, 2))
+        assert main(["verify", str(path), "--output", str(out)]) in ((4,) if refused else (0, 4))
 
 
 @pytest.fixture(scope="module")

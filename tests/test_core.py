@@ -67,6 +67,23 @@ class TestEdgeRanking:
         assert all(0 <= v < n for v in edge)
         assert rank_of(edge, shape) == idx
 
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_comb_sum(self, data):
+        # rank(S) = sum of C(v_i, i + 1) row by row, for every r the int64
+        # guard admits; few rows on a wide host give sparse columns, many
+        # rows on a narrow one dense columns
+        r = data.draw(st.integers(2, 100))
+        extra = 1
+        while math.comb(r + 2 * extra, r) * r < 2**63:
+            extra *= 2
+        n = data.draw(st.integers(r, r + extra))
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        rows = [sorted(rng.sample(range(n), r)) for _ in range(data.draw(st.integers(0, 300)))]
+        expected = [sum(math.comb(v, i + 1) for i, v in enumerate(row)) for row in rows]
+        vertices = np.array(rows, dtype=np.int64).reshape(-1, r)
+        assert edge_ranks(vertices, HypergraphShape(n, r)).tolist() == expected
+
     def test_rank_is_prefix_stable(self):
         # colex rank of an edge does not depend on n
         edges = np.array(oracles.colex_edges(5, 2))

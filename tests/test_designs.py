@@ -4,9 +4,13 @@ Coverage counts are recomputed with the independent subset_coverage oracle
 rather than trusting the validate() methods under test.
 """
 
+import hashlib
+import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from fracture import (
@@ -23,7 +27,38 @@ from fracture import (
     one_factorization,
     projective_plane,
 )
-from fracture.designs import is_prime, prime_power_decompose
+from fracture.designs import _stage_match, is_prime, prime_power_decompose
+
+# sha256 (first 16 hex digits) of json.dumps(baranyai(n, r).factors) for
+# every r | n, 2 <= r < n <= 50, with C(n, r) <= 3000, and of
+# json.dumps(hamiltonian_decomposition(n)) for odd n in 3..59 and 201,
+# recorded from the build that ran Edmonds-Karp over dicts at every
+# Baranyai stage and walked each cycle in Python
+BARANYAI_PINS = {
+    (4, 2): "f5cb3109290cf0c7", (6, 2): "411bade6a5f0a4a2", (6, 3): "c196e292d6f2ec46",
+    (8, 2): "9bba9f85c0565ba6", (8, 4): "7e9b061994caf5ee", (9, 3): "7ad333411dd677bc",
+    (10, 2): "94adb9059f78f01c", (10, 5): "7f9dd1e08c3c56f0", (12, 2): "ac4b14e2ade7ea18",
+    (12, 3): "88efa7ed3abddb03", (12, 4): "a1c5254ea10bb0ac", (12, 6): "d5e976cd6dd26eae",
+    (14, 2): "7996b86733938979", (15, 3): "884d6441be2d37ad", (16, 2): "12ac220b54063390",
+    (16, 4): "541dfb453a25e681", (18, 2): "a76f0fb2e83832f4", (18, 3): "1538e088652c7746",
+    (20, 2): "b9752de691c5499c", (21, 3): "b38168ba8652ddf0", (22, 2): "d8c707bac3cdc61a",
+    (24, 2): "4edc4b6d2a777b97", (24, 3): "07b99479a8ab2bb3", (26, 2): "6e45d7e21d7171d7",
+    (27, 3): "fbea44914ca60d1d", (28, 2): "5734dfc411050c9d", (30, 2): "36e3ee58b0131777",
+    (32, 2): "0badeebef0937e63", (34, 2): "4dafdf89e41daa99", (36, 2): "531cefe3481224be",
+    (38, 2): "37ac7a0d6de18545", (40, 2): "871c3f03e8881ace", (42, 2): "0d4b07a2ed68f038",
+    (44, 2): "80163a5655ca85af", (46, 2): "ae3187192f3c3bab", (48, 2): "0a1d2a5f7b889899",
+    (50, 2): "c549188ea8b345c9",
+}
+HAMILTONIAN_PINS = {
+    3: "4017cf62c220fe9c", 5: "cec608ca4f670a43", 7: "1ef9e4bc23df2f42", 9: "350263c947b407a0",
+    11: "ce5e753947dade8a", 13: "aed1ed1c1a0cafdb", 15: "80b3188696b42772", 17: "6f20390437e8079c",
+    19: "0b5cab28ab264b56", 21: "b6ee21948f47ab74", 23: "5933ef34168de7c5", 25: "d598a8b55c6846be",
+    27: "3a088c876dfdcc5f", 29: "477780188de5f087", 31: "b11987d78bdac693", 33: "2c2784bb0bf380d2",
+    35: "12db9062fe7bc396", 37: "4176cf573f217b28", 39: "5cef8100dc5d3418", 41: "bca375745a90fe15",
+    43: "880d7b2c71454be1", 45: "53f0b03ab879036f", 47: "a76829b705e703b3", 49: "9a4e3e9958f0a953",
+    51: "ec2cee734309758f", 53: "629a2866149c0292", 55: "6079464bf43ebb92", 57: "30240f0c927adaf2",
+    59: "3fba4c6540d01e12", 201: "a66c0e1b53662880",
+}
 
 
 class TestFiniteField:
@@ -156,7 +191,27 @@ class TestFactorizations:
             seen.update(tuple(sorted(e)) for e in cycle)
         assert len(seen) == math.comb(n, 2)
 
-    @pytest.mark.parametrize("n,r", [(4, 2), (6, 2), (6, 3), (8, 4), (9, 3)])
+    def test_hamiltonian_pins(self):
+        assert sorted(HAMILTONIAN_PINS) == list(range(3, 60, 2)) + [201]
+        for n, pin in HAMILTONIAN_PINS.items():
+            text = json.dumps(hamiltonian_decomposition(n))
+            assert hashlib.sha256(text.encode()).hexdigest()[:16] == pin, n
+
+    def test_baranyai_pins(self):
+        cases = [
+            (n, r) for n in range(3, 51) for r in range(2, n)
+            if n % r == 0 and math.comb(n, r) <= 3000
+        ]
+        assert sorted(BARANYAI_PINS) == cases and len(cases) == 37
+        for (n, r), pin in BARANYAI_PINS.items():
+            text = json.dumps(baranyai(n, r).factors)
+            assert hashlib.sha256(text.encode()).hexdigest()[:16] == pin, (n, r)
+
+    # (27, 3), (16, 4) and (12, 6) are the largest hosts for r = 3, 4 and 6
+    # under the desk cap C(n, r) <= 3000
+    @pytest.mark.parametrize(
+        "n,r", [(4, 2), (6, 2), (6, 3), (8, 4), (9, 3), (27, 3), (16, 4), (12, 6)]
+    )
     def test_baranyai(self, n, r):
         dec = baranyai(n, r)
         per_factor = n // r
@@ -225,3 +280,44 @@ class TestFactorizations:
         # C(7,2)=21 is not divisible by 5
         with pytest.raises(FractureError):
             k4minus_decomposition(7)
+
+
+@st.composite
+def _stage_networks(draw):
+    """(arcs, quotas, short) of one Baranyai stage network.  Each factor
+    lists a hidden type and up to three others, and each type's quota is
+    the number of factors hiding it plus a little slack, so the flow is
+    perfect but a greedy pass mostly is not, and long augmenting paths
+    must repair it past types with and without room.  A short network has
+    no slack and one unit of quota taken away."""
+    factors = draw(st.integers(1, 12))
+    types = draw(st.integers(1, 6))
+    hidden = draw(st.lists(st.integers(0, types - 1), min_size=factors, max_size=factors))
+    arcs = [
+        sorted({h, *draw(st.lists(st.integers(0, types - 1), max_size=3))}) for h in hidden
+    ]
+    short = draw(st.booleans())
+    slack = [0] * types if short else draw(st.lists(st.integers(0, 2), min_size=types, max_size=types))
+    quotas = [hidden.count(t) + extra for t, extra in enumerate(slack)]
+    if short:
+        quotas[hidden[draw(st.integers(0, factors - 1))]] -= 1
+    return arcs, quotas, short
+
+
+class TestStageMatch:
+    def test_length_7_path(self):
+        # greedy leaves factor 2 free; the repair moves factor 0 to type 1
+        # and factor 1 to type 2
+        arcs, quotas = [[0, 1], [1, 2], [0]], [1, 1, 1]
+        assert _stage_match(arcs, quotas) == oracles.stage_choice(arcs, quotas) == [1, 2, 0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(_stage_networks())
+    def test_matches_edmonds_karp(self, network):
+        arcs, quotas, short = network
+        choice = _stage_match(arcs, quotas)
+        assert choice == oracles.stage_choice(arcs, quotas)
+        assert (-1 in choice) == short
+        for t, quota in enumerate(quotas):
+            assert choice.count(t) <= quota
+        assert all(t in row for t, row in zip(choice, arcs) if t >= 0)
