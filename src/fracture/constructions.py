@@ -397,7 +397,9 @@ def coloring_tk2(n: int, k: int) -> Coloring:
     Together they cover every admissible n <= 14 (checked pair by pair):
     either t divides floor(n/2), or t divides the walk length with a
     stride of at least 2; only (9, 12) and (10, 15) need the walks.  The
-    size and matching checks below refuse any input neither formula fits.
+    checks below refuse any input neither formula fits: every class has t
+    edges, and t edges make at most t components, so f == t forces every
+    class to be a matching.
     """
     if n < 2:
         raise FractureError(f"need n >= 2, got n={n}")
@@ -424,14 +426,8 @@ def coloring_tk2(n: int, k: int) -> Coloring:
             stride = len(walk) // t
             for j in range(stride):
                 classes.append(list(walk[j::stride]))
-    for cl in classes:
-        used = set()
-        if len(cl) != t:
-            raise FractureError("class has wrong size")
-        for e in cl:
-            if used.intersection(e):
-                raise FractureError("class is not a matching")
-            used.update(e)
+    if any(len(cl) != t for cl in classes):
+        raise FractureError("class has wrong size")
     return _checked_classes(n, 2, classes, t, "matching split")
 
 
@@ -452,12 +448,44 @@ def coloring_baranyai_split(n: int, r: int, t: int) -> Coloring:
     return _checked_classes(n, r, classes, n // (r * t), "factor split")
 
 
+def _move_chain(
+    classes: list[list[tuple[int, ...]]], used: list[set[int]], large: int, limit: int
+) -> list[tuple[int, tuple[int, ...], int]]:
+    """The arcs (x, e, y) of a shortest chain of classes from ``large`` to a
+    class of at most ``limit`` edges, where edge e of class x moves to class
+    y because no edge of y meets it.  Breadth first, edges in class-list
+    order and classes in index order; the first such class found ends it."""
+    parent: dict[int, tuple[int, tuple[int, ...]] | None] = {large: None}
+    queue = [large]
+    for x in queue:
+        for e in classes[x]:
+            for y, cl in enumerate(classes):
+                if y in parent or used[y].intersection(e):
+                    continue
+                parent[y] = (x, e)
+                if len(cl) > limit:
+                    queue.append(y)
+                    continue
+                arcs = []
+                while y != large:
+                    x, e = parent[y]
+                    arcs.append((x, e, y))
+                    y = x
+                return arcs
+    raise FractureError("equitable repair is stuck")
+
+
 def coloring_equitable(n: int, r: int, k: int) -> Coloring:
     """k classes, each a matching of floor(m/k) or ceil(m/k) edges where
     m = C(n, r); needs k >= m - C(n-r, r) so a free class always exists.
 
-    Greedy colex pass choosing the emptiest compatible class, then local
-    moves until sizes are within one of each other.
+    A greedy colex pass puts each edge in the emptiest class it can join.
+    Then, while two sizes differ by 2 or more, one edge moves along each
+    arc of a shortest chain of classes (``_move_chain``) from the largest
+    class to a class of at least 2 fewer edges; the classes in between keep
+    their sizes.  Each move lowers the sum of squared class sizes by at
+    least 2, so the moves end; a largest class with no such chain is an
+    error.
     """
     shape = HypergraphShape(n, r)
     check_host_edges(shape)  # first: the desk cap's message prints C(n, r)
@@ -482,64 +510,16 @@ def coloring_equitable(n: int, r: int, k: int) -> Coloring:
         classes[best].append(e)
         used[best].update(e)
 
-    def sizes():
-        return [len(cl) for cl in classes]
-
-    for _ in range(4 * m):
-        sz = sizes()
-        if max(sz) - min(sz) <= 1:
+    while True:
+        sz = [len(cl) for cl in classes]
+        top = max(sz)
+        if top - min(sz) <= 1:
             break
-        moved = False
-        large = max(range(k), key=lambda c: (sz[c], -c))
-        for e in list(classes[large]):
-            targets = [
-                c
-                for c in range(k)
-                if sz[c] <= sz[large] - 2 and not used[c].intersection(e)
-            ]
-            if targets:
-                small = min(targets, key=lambda c: (sz[c], c))
-                classes[large].remove(e)
-                used[large].difference_update(e)
-                classes[small].append(e)
-                used[small].update(e)
-                moved = True
-                break
-        if not moved:
-            # two-step: push any edge of the largest class through a middle class
-            for e in list(classes[large]):
-                done = False
-                for mid in range(k):
-                    if mid == large or used[mid].intersection(e):
-                        continue
-                    for e2 in list(classes[mid]):
-                        targets = [
-                            c
-                            for c in range(k)
-                            if c != mid
-                            and sz[c] <= sz[large] - 2
-                            and not used[c].intersection(e2)
-                        ]
-                        if targets:
-                            small = min(targets, key=lambda c: (sz[c], c))
-                            classes[mid].remove(e2)
-                            used[mid].difference_update(e2)
-                            classes[small].append(e2)
-                            used[small].update(e2)
-                            classes[large].remove(e)
-                            used[large].difference_update(e)
-                            classes[mid].append(e)
-                            used[mid].update(e)
-                            done = True
-                            break
-                    if done:
-                        break
-                if done:
-                    moved = True
-                    break
-            if not moved:
-                raise FractureError("equitable repair is stuck")
-    sz = sizes()
+        for x, e, y in _move_chain(classes, used, sz.index(top), top - 2):
+            classes[x].remove(e)
+            used[x].difference_update(e)
+            classes[y].append(e)
+            used[y].update(e)
     if max(sz) - min(sz) > 1 or min(sz) != m // k:
         raise FractureError(f"sizes {sorted(sz)} not equitable for m={m}, k={k}")
     return _checked_classes(n, r, classes, m // k, "equitable coloring")

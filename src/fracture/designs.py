@@ -87,8 +87,7 @@ class FiniteField:
         return self.add_table[a][self.neg(b)]
 
     def neg(self, a: int) -> int:
-        digits = _to_digits(a, self.p, self.m)
-        return _from_digits([(-d) % self.p for d in digits], self.p)
+        return self.add_table[a].index(0)
 
     def mul(self, a: int, b: int) -> int:
         return self.mul_table[a][b]
@@ -111,65 +110,39 @@ class FiniteField:
         return out
 
 
-def _to_digits(a: int, p: int, m: int) -> list[int]:
-    out = []
-    for _ in range(m):
-        out.append(a % p)
-        a //= p
-    return out
-
-
-def _from_digits(digits: list[int], p: int) -> int:
-    out = 0
-    for d in reversed(digits):
-        out = out * p + d
-    return out
-
-
-def _poly_mul_mod_p(a: list[int], b: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return out
-
-
-def _poly_mod(a: list[int], mod: list[int], p: int) -> list[int]:
-    # mod is monic
-    a = a[:]
-    dm = len(mod) - 1
-    while len(a) > dm:
-        lead = a[-1]
-        if lead:
-            shift = len(a) - 1 - dm
-            for i, c in enumerate(mod):
-                a[shift + i] = (a[shift + i] - lead * c) % p
-        a.pop()
-    while len(a) < dm:
-        a.append(0)
-    return a
-
-
-def _is_irreducible(poly: list[int], p: int) -> bool:
-    """Trial division by every monic polynomial of degree 1..deg//2."""
-    deg = len(poly) - 1
-    for d in range(1, deg // 2 + 1):
-        for enc in range(p**d):
-            div = _to_digits(enc, p, d) + [1]
-            rem = _poly_mod(poly[:], div, p)
-            if all(c == 0 for c in rem):
-                return False
-    return True
+def _product_table(p: int, m: int, add_table, low: int) -> tuple[tuple[int, ...], ...] | None:
+    """The multiplication table of Z_p[x]/(f), f = x**m + (low read as a
+    polynomial), or None at its first zero product of nonzero elements."""
+    q = p**m
+    top = q // p  # the place of the coefficient of x**(m-1)
+    places = [p**i for i in range(m)]
+    rows = [(0,) * q]
+    for a in range(1, q):
+        row = [0]
+        # as polynomials, b = (b - 1) + 1 when b % p, else b = x * (b // p);
+        # x**m = -low, so x * (c x**(m-1) + rest) = x * rest - c * low
+        for b in range(1, q):
+            if b % p:
+                prod = add_table[row[b - 1]][a]
+            else:
+                c, rest = divmod(row[b // p], top)
+                prod = add_table[rest * p][sum(-c * (low // s) % p * s for s in places)]
+            if prod == 0:
+                return None
+            row.append(prod)
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 @functools.lru_cache(maxsize=None)
 def gf(q: int) -> FiniteField:
     """The finite field of order q, for prime powers q <= 64.
 
-    The modulus is the irreducible monic polynomial of degree m whose
-    coefficient encoding sum(c_i * p**i) is smallest; for a prime q that
-    is x, and the tables are arithmetic mod q.
+    Z_p[x]/(f) is a field exactly when it has no zero divisors, which holds
+    exactly when f is irreducible.  So the modulus is the first monic f of
+    degree m, in the order of the encoding sum(c_i * p**i) of its lower
+    coefficients, whose product table has no zero product of nonzero
+    elements; for a prime q that is x, and the tables are arithmetic mod q.
     """
     if q > DESK_FIELD_CAP:
         raise FractureError(f"field order {q} above desk cap {DESK_FIELD_CAP}")
@@ -177,32 +150,16 @@ def gf(q: int) -> FiniteField:
     if pm is None:
         raise FractureError(f"{q} is not a prime power")
     p, m = pm
-    modulus = None
-    for enc in range(p**m):
-        cand = _to_digits(enc, p, m) + [1]
-        if _is_irreducible(cand, p):
-            modulus = cand
-            break
-    if modulus is None:
-        raise FractureError(f"no irreducible polynomial found for GF({q})")
-    add_rows = []
-    mul_rows = []
-    for a in range(q):
-        da = _to_digits(a, p, m)
-        add_rows.append(
-            tuple(
-                _from_digits(
-                    [(x + y) % p for x, y in zip(da, _to_digits(b, p, m))], p
-                )
-                for b in range(q)
-            )
-        )
-        row = []
-        for b in range(q):
-            prod = _poly_mul_mod_p(da, _to_digits(b, p, m), p)
-            row.append(_from_digits(_poly_mod(prod, modulus, p), p))
-        mul_rows.append(tuple(row))
-    return FiniteField(p, m, q, tuple(modulus), tuple(add_rows), tuple(mul_rows))
+    places = [p**i for i in range(m)]
+    add_table = tuple(
+        tuple(sum((a // s + b // s) % p * s for s in places) for b in range(q)) for a in range(q)
+    )
+    for low in range(q):
+        mul_table = _product_table(p, m, add_table, low)
+        if mul_table is not None:
+            modulus = tuple(low // s % p for s in places) + (1,)
+            return FiniteField(p, m, q, modulus, add_table, mul_table)
+    raise FractureError(f"no irreducible polynomial found for GF({q})")
 
 
 @dataclass(frozen=True)
@@ -233,6 +190,8 @@ class Design:
             )
         seen: set[tuple[int, ...]] = set()
         for block in self.blocks:
+            if not all(type(x) is int for x in block):
+                raise FractureError(f"block {block} has a point that is not an integer")
             if len(block) != self.block_size or list(block) != sorted(set(block)):
                 raise FractureError(f"malformed block {block}")
             if not all(0 <= x < self.v for x in block):
@@ -383,6 +342,8 @@ class MatchingDecomposition:
                 raise FractureError(f"{name} must be an integer, got {value!r}")
         if not 1 <= self.r <= self.n:
             raise FractureError(f"need 1 <= r <= n, got n={self.n}, r={self.r}")
+        if type(self.complete) is not bool:
+            raise FractureError(f"complete must be true or false, got {self.complete!r}")
         check_binomial_size(self.n, self.r)
         seen: set[tuple[int, ...]] = set()
         for factor in self.factors:
@@ -392,6 +353,8 @@ class MatchingDecomposition:
                 )
             used: set[int] = set()
             for e in factor:
+                if not all(type(v) is int for v in e):
+                    raise FractureError(f"edge {e} has a point that is not an integer")
                 if len(e) != self.r or list(e) != sorted(set(e)):
                     raise FractureError(f"malformed edge {e}")
                 if not all(0 <= v < self.n for v in e):

@@ -719,6 +719,33 @@ class TestVerifyRejections:
         code, verdict = self.write_and_verify(capsys, tmp_path, data)
         assert code == 4 and verdict["valid"] is False
 
+    # points were once compared by value, so 2.0 or true passed for 2 or 1
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"v": 3, "strength": 2, "block_size": 3, "blocks": [[0, 1, 2.0]]},
+            {"v": 3, "strength": 2, "block_size": 3, "blocks": [[0, True, 2]]},
+            {"n": 2, "r": 2, "factors": [[[0, 1.0]]]},
+            {"n": 2, "r": 2, "factors": [[[False, True]]]},
+        ],
+        ids=["design-float", "design-bool", "factor-float", "factor-bool"],
+    )
+    def test_rejects_non_integer_points(self, capsys, tmp_path, data):
+        code, verdict = self.write_and_verify(capsys, tmp_path, data)
+        assert code == 4 and verdict["valid"] is False
+        assert "not an integer" in verdict["reason"]
+
+    # the flag once counted by truthiness, so "no" asked for a complete cover
+    @pytest.mark.parametrize("flag", ["no", 1, None], ids=["string", "one", "null"])
+    def test_rejects_non_bool_complete(self, capsys, tmp_path, flag):
+        _, text = run(capsys, "designs", "one-factorization", "--n", "4")
+        data = json.loads(text)
+        assert data["complete"] is True
+        data["complete"] = flag
+        code, verdict = self.write_and_verify(capsys, tmp_path, data)
+        assert code == 4 and verdict["valid"] is False
+        assert "complete must be true or false" in verdict["reason"]
+
     @pytest.mark.parametrize(
         "data",
         [

@@ -192,6 +192,40 @@ TK2_PINS = {
 }
 
 
+# sha256 (first 16 hex digits) of json.dumps(coloring_equitable(n, r, k).assignment)
+# for every admissible (n, r, k) with C(n, r) <= 300 whose greedy pass is
+# not yet equitable (all r = 2), and three r = 3 hosts that need 10 to 16
+# moves, recorded from the build that repaired by one-step and two-step moves
+EQUITABLE_PINS = {
+    (8, 2, 14): "fdb73947a3b9d8e3", (11, 2, 28): "03cc88687272dc1c", (12, 2, 22): "fc156cbc6cbfc781",
+    (12, 2, 33): "0a1c3b90943a9a8f", (12, 2, 34): "b992a91ca6a49adc", (13, 2, 26): "27a31d2e963e1d2d",
+    (13, 2, 27): "a4dd951290c0386d", (14, 2, 31): "9fca3a2a36f53328", (14, 2, 32): "97b2a4faf34ea472",
+    (15, 2, 27): "c20fd920b90ac5a2", (15, 2, 35): "182a39d9cc7991bd", (15, 2, 36): "271bfa454ff5f3e8",
+    (15, 2, 53): "88fab6faad4b50f1", (15, 2, 54): "3d62b7fa894a93fa", (15, 2, 55): "f31cbcdb7c042915",
+    (16, 2, 30): "e4d395e9cb6e7a0c", (17, 2, 34): "25c060508b44ff51", (17, 2, 45): "52c4b2411abdab82",
+    (18, 2, 38): "a8763bf1d31f209e", (18, 2, 39): "6e3d04dcc8b58536", (18, 2, 40): "763bef7ba81bd7f7",
+    (18, 2, 51): "aed1f88d117aee99", (18, 2, 52): "ef2de84e5b0b9cc4", (18, 2, 77): "0e35fe19cd92b49b",
+    (18, 2, 78): "1538b927fae2d169", (19, 2, 35): "e17b8a4f55bed074", (19, 2, 43): "858dee8bda360eb6",
+    (19, 2, 44): "0640a05947aee3a2", (19, 2, 57): "f2840163420a0ca8", (19, 2, 58): "85c1b41d59b814a8",
+    (19, 2, 59): "f99a7f579ace5c49", (19, 2, 60): "85eccfc5576e7d61", (19, 2, 86): "89729aa7a5fddda5",
+    (20, 2, 38): "e79ddabfb82ce381", (20, 2, 39): "fb8f0e3bc37abb93", (20, 2, 63): "68bc78d008871fac",
+    (20, 2, 64): "8b4c67627ec50d47", (21, 2, 42): "f0a8290c13c7e036", (21, 2, 105): "4e0a83b4b6299d14",
+    (22, 2, 46): "2ca20133f8c7fb3e", (22, 2, 47): "375f01e4729a3ccf", (22, 2, 58): "677dc3d1b387ccfd",
+    (22, 2, 59): "cbfbcc25b61cee5a", (22, 2, 77): "378cad4238cb7c6c", (22, 2, 116): "61d5a6006d35c3ef",
+    (22, 2, 117): "b0b0f9055586e1a6", (22, 2, 118): "9fc475e6d21a1bdd", (23, 2, 51): "3cdc23e0d35e2416",
+    (23, 2, 52): "0cbb50ea81234e55", (23, 2, 85): "0a03ec1464acec80", (24, 2, 46): "1e9459c8f4e853d9",
+    (24, 2, 47): "57c017e52544c9e3", (24, 2, 56): "43061e38fb659a67", (24, 2, 57): "d46948560e855bc8",
+    (24, 2, 69): "8d1c2e86c00da487", (24, 2, 70): "607e10baf97de1ff", (24, 2, 92): "fc1891bdc53f5abb",
+    (24, 2, 93): "fc237a84456ab2f5", (24, 2, 94): "dafc4b4e1f598bf8", (24, 2, 95): "cc6e4f646f980d43",
+    (25, 2, 50): "d02bc32ca2761df5", (25, 2, 51): "7d83784cd6e7bfef", (25, 2, 60): "3dba821fecda4c65",
+    (25, 2, 61): "4fb8dc9e8f9cc974", (25, 2, 62): "9fa1c04a0242a24c", (25, 2, 75): "326714e07f321c02",
+    (25, 2, 76): "783e5b3b5e020ed3", (25, 2, 77): "ea38d9fd326de2f0", (25, 2, 100): "7eeb64280610e93b",
+    (25, 2, 101): "81d9d5eeaf8ae498", (25, 2, 150): "decfce98d5e1ccd7", (25, 2, 151): "1d6c9d5267259211",
+    (25, 2, 152): "f6d7ea0d2e36af57", (25, 2, 153): "de700785c38f82ce", (16, 3, 286): "68666d386de2c8bf",
+    (17, 3, 340): "a14480db294e1272", (21, 3, 676): "fdcb6d3dd0103ea4",
+}
+
+
 class TestArrayBuilds:
     @pytest.mark.parametrize(
         "build,name,n,pin",
@@ -328,6 +362,15 @@ class TestMatchingColorings:
                     patch.setattr(cons, "hamiltonian_decomposition", unused)
                 coloring_tk2(n, k)
 
+    def test_non_matching_classes_fail_the_f_check(self):
+        # coloring_tk2 checks only class sizes: a class of t edges that is not
+        # a matching has fewer than t components, which the f check refuses
+        cycles = cons.hamiltonian_decomposition(9)
+        classes = [list(cycle[j : j + 3]) for cycle in cycles for j in (0, 3, 6)]
+        assert len(classes) == 12 and all(len(cl) == 3 for cl in classes)
+        with pytest.raises(FractureError, match="has f != 3"):
+            cons._checked_classes(9, 2, classes, 3, "matching split")
+
     def test_tk2_preconditions(self):
         with pytest.raises(FractureError):
             coloring_tk2(6, 4)  # k < n-1
@@ -347,8 +390,8 @@ class TestMatchingColorings:
             assert len(cls) == per_factor // t
             assert oracles.is_matching(cls)
 
-    # (8, 2, 14) needs one-step repair moves and (16, 2, 30) the two-step
-    # move; the greedy pass alone is equitable on the others
+    # (8, 2, 14) and (16, 2, 30) need moves after the greedy pass, (16, 2, 30)
+    # along a chain of two classes; the greedy pass alone is equitable on the others
     @pytest.mark.parametrize(
         "n,r,k",
         [(5, 2, 7), (5, 2, 8), (8, 2, 13), (6, 3, 20), (6, 2, 11), (8, 2, 14), (16, 2, 30)],
@@ -364,6 +407,12 @@ class TestMatchingColorings:
         for cls in by_color.values():
             assert oracles.is_matching(cls)
         assert f_value(c) == m // k
+
+    def test_equitable_pins(self):
+        assert len(EQUITABLE_PINS) == 77
+        for (n, r, k), pin in EQUITABLE_PINS.items():
+            c = coloring_equitable(n, r, k)
+            assert hashlib.sha256(json.dumps(c.assignment).encode()).hexdigest()[:16] == pin, (n, r, k)
 
     def test_equitable_needs_matching_room(self):
         # k so small that some class cannot stay a matching

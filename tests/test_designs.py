@@ -60,6 +60,19 @@ HAMILTONIAN_PINS = {
     59: "3fba4c6540d01e12", 201: "a66c0e1b53662880",
 }
 
+# sha256 (first 16 hex digits) of json.dumps([modulus, add_table, mul_table,
+# [neg(a) for a in range(q)]]) of gf(q) for every prime power q <= 64,
+# recorded from the build that tested each modulus by polynomial division
+GF_PINS = {
+    2: "4f273bad58b9b0cd", 3: "26111a04670d7261", 4: "b2c7a6870929d135", 5: "8452e8a7d788ba5e",
+    7: "ac3f63879239232e", 8: "957af0f95161d7d7", 9: "acac0cd8d48dd817", 11: "b08a8df10addf023",
+    13: "697eca0928e66036", 16: "e5ddd72bd724e50b", 17: "2b7612c83611ff5d", 19: "f7138cdaa40071a8",
+    23: "76b3a89b3afe0d27", 25: "d20b700c1eedc2cc", 27: "52b1502bdbce95c4", 29: "c8aeab4bb31e732a",
+    31: "f8c49601173e8bbd", 32: "b3610156e9df81c2", 37: "4c182401a8f230d9", 41: "dafce46b309c5350",
+    43: "58d1ebac6442ede4", 47: "8bdf6be0e7b1c740", 49: "7e0e713e8387bb9f", 53: "b832eeaf573e2b55",
+    59: "8fa4c58167bd6b86", 61: "3452a38910b89cbe", 64: "1ee580560d33b767",
+}
+
 
 class TestFiniteField:
     def test_prime_helpers(self):
@@ -96,6 +109,13 @@ class TestFiniteField:
                     assert field.mul(a, field.add(b, c)) == field.add(
                         field.mul(a, b), field.mul(a, c)
                     )
+
+    def test_gf_pins(self):
+        assert sorted(GF_PINS) == [q for q in range(2, 65) if prime_power_decompose(q)]
+        for q, pin in GF_PINS.items():
+            field = gf(q)
+            tables = [field.modulus, field.add_table, field.mul_table, [field.neg(a) for a in range(q)]]
+            assert hashlib.sha256(json.dumps(tables).encode()).hexdigest()[:16] == pin, q
 
     def test_non_prime_power_rejected(self):
         with pytest.raises(FractureError):
