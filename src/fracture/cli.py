@@ -66,7 +66,8 @@ def _encode(obj, pad: str) -> str:
         return json.dumps(obj)
     inner = pad + "  "
     values = obj.values() if isinstance(obj, dict) else obj
-    if not any(isinstance(v, (dict, list, tuple)) for v in values):
+    # one issubclass per distinct type, not one isinstance per item
+    if not any(issubclass(t, (dict, list, tuple)) for t in set(map(type, values))):
         text = json.dumps(obj, sort_keys=True, separators=(",\n" + inner, ": "))
         return text[0] + "\n" + inner + text[1:-1] + "\n" + pad + text[-1]
     if isinstance(obj, dict):

@@ -213,8 +213,9 @@ def bulk_eval(n: int, r: int, k: int, colorings: np.ndarray) -> np.ndarray:
     """Rows of (min components, max incident count), one per coloring in
     the (num, C(n,r)) integer array, each color in [0, k).
 
-    k must lie in [1, C(n, r)], as for a Coloring: a color outside
-    [0, k) would land in another row's union-find.
+    k must lie in [1, C(n, r)], as for a Coloring: the kernel's slots
+    are color-major, so a color outside [0, k) would index another
+    color's union-find or fall outside the block's slots.
     """
     shape = HypergraphShape(n, r)
     m = shape.edge_count

@@ -1,6 +1,7 @@
 """Exact searches checked against raw enumeration on instances small
 enough to enumerate every coloring."""
 
+import hashlib
 import math
 import time
 import types
@@ -8,6 +9,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from fracture import _kernels
@@ -315,6 +318,20 @@ class TestVerifier:
         assert chk.holds and chk.checked == 1 and chk.counterexample is None
 
 
+_BLOCK = _kernels._BLOCK_ROWS
+
+# sha256 of the bulk_eval rows, as little-endian int64, over every shape
+# of the given r with C(n, r) <= 84, k = 1..min(7, C(n, r)) and the row
+# counts of _PARITY_ROWS, colorings drawn from default_rng([n, r, k, rows]);
+# recorded from the edge-at-a-time, row-major kernel this one replaced
+_PARITY_ROWS = (0, 1, 50, 511, 512, 513, 1543, 3000)
+_PARITY_DIGESTS = {
+    2: "34bc8e8a5e04ff241f1731766141fb0a86b821407ba8da40c82460d072f970f8",
+    3: "11d6ddea63c0a2ea7bd55af3dd89a7318787eacd9120ce97f9dfde98411ec025",
+    4: "8e3980967cb9d2e7062203ded20ada742ded87bc817c54a5ad080629b6fc4a17",
+}
+
+
 class TestBulkEval:
     @staticmethod
     def check_rows(n, r, colorings, out):
@@ -344,10 +361,10 @@ class TestBulkEval:
         colorings[1] = np.arange(m) % k
         self.check_rows(n, r, colorings, bulk_eval(n, r, k, colorings))
 
-    @pytest.mark.parametrize("rows", [0, 1, 511, 512, 513, 1543])
+    @pytest.mark.parametrize("rows", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
     def test_block_edges(self, rows):
-        # rows are evaluated 512 at a time: every row of every block, the
-        # last partial one included, must land in its own output row
+        # rows are evaluated a block at a time: every row of every block,
+        # the last partial one included, must land in its own output row
         n, r, k = 6, 3, 4
         colorings = np.random.default_rng(rows).integers(0, k, size=(rows, math.comb(n, r)))
         self.check_rows(n, r, colorings, bulk_eval(n, r, k, colorings))
@@ -364,6 +381,63 @@ class TestBulkEval:
         out = np.zeros((300, 2), dtype=np.int64)
         _kernels.bulk_eval_kernel(n, r, k, m, edges.reshape(-1), colorings[:, perm], out)
         self.check_rows(n, r, colorings, out)
+
+    @pytest.mark.parametrize(
+        "n,r,cls",
+        [
+            # two components, then one, joined through the hub in one step
+            (6, 2, [(0, 1), (2, 3), (0, 5), (2, 5), (4, 5)]),
+            (7, 3, [(0, 1, 2), (3, 4, 5), (0, 1, 6), (3, 4, 6)]),
+            # a star at the hub beside a triangle: two components
+            (6, 2, [(0, 5), (1, 5), (2, 3), (3, 4), (2, 4)]),
+            (7, 3, [(0, 1, 6), (0, 2, 6), (1, 2, 6), (3, 4, 5)]),
+        ],
+        ids=["joined-r2", "joined-r3", "apart-r2", "apart-r3"],
+    )
+    def test_shared_hub(self, n, r, cls):
+        # several edges of one class share their largest vertex, so one
+        # grouped step writes the same hub root from several edges at once
+        edges = oracles.colex_edges(n, r)
+        inside = np.array([e in cls for e in edges])
+        rest = 1 + np.arange(len(edges)) % 2
+        colorings = np.array([np.where(inside, 0, 1), np.where(inside, 1, 0), np.where(inside, 0, rest)])
+        self.check_rows(n, r, colorings, bulk_eval(n, r, 3, colorings))
+
+    @pytest.mark.parametrize("block", [1, 3])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_small_blocks_any_edge_order(self, block, data):
+        # tiny blocks put every block boundary, the last partial block and
+        # deep union-find chains in reach of small random cases
+        n = data.draw(st.integers(2, 7), label="n")
+        r = data.draw(st.integers(2, min(n, 4)), label="r")
+        m = math.comb(n, r)
+        k = data.draw(st.integers(1, min(m, 4)), label="k")
+        rows = data.draw(st.integers(0, 8), label="rows")
+        perm = np.array(data.draw(st.permutations(range(m)), label="perm"), dtype=np.int64)
+        cells = data.draw(st.lists(st.integers(0, k - 1), min_size=rows * m, max_size=rows * m), label="colors")
+        colorings = np.array(cells, dtype=np.int64).reshape(rows, m)
+        edges = search_mod._edges_flat(HypergraphShape(n, r)).reshape(m, r)[perm]
+        # the largest vertex at any place in its edge
+        edges = np.roll(edges, data.draw(st.integers(0, r - 1), label="roll"), axis=1)
+        out = np.zeros((rows, 2), dtype=np.int64)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "_BLOCK_ROWS", block)
+            _kernels.bulk_eval_kernel(n, r, k, m, edges.reshape(-1), colorings[:, perm], out)
+        self.check_rows(n, r, colorings, out)
+
+    @pytest.mark.parametrize("r", sorted(_PARITY_DIGESTS))
+    def test_rows_pinned(self, r):
+        digest = hashlib.sha256()
+        n = r
+        while math.comb(n, r) <= 84:
+            m = math.comb(n, r)
+            for k in range(1, min(7, m) + 1):
+                for rows in _PARITY_ROWS:
+                    colorings = np.random.default_rng([n, r, k, rows]).integers(0, k, size=(rows, m))
+                    digest.update(bulk_eval(n, r, k, colorings).astype("<i8").tobytes())
+            n += 1
+        assert digest.hexdigest() == _PARITY_DIGESTS[r]
 
     def test_three_deep_chain(self):
         # 6 -> 5 -> 1 -> 0 after four edges: (2, 6) must find root 0
