@@ -227,6 +227,9 @@ def _verify_payload(data: dict) -> tuple[bool, str]:
         )
         dec.validate()
         return True, "factors are disjoint maximum matchings"
+    if "groups" in data:
+        designs_mod.check_diamonds(data["n"], data["groups"])
+        return True, "groups are diamonds partitioning K_n"
     if "witness" in data:
         witness = coloring_from_dict(data["witness"])
         if witness.shape.bipartite:

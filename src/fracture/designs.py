@@ -13,6 +13,9 @@ an edge.  Only t disjoint maximum matchings that no factorization can
 supply are searched for, by backtracking.
 
 Invariants:
+    - _partition_ranks, over core.edge_ranks, is the one check that groups
+      of edges are disjoint (and cover K_n^r): for designs' subsets,
+      factors, Hamiltonian cycles, diamonds and colorings by groups,
     - every Design has each strength-subset in exactly one block,
     - every MatchingDecomposition has edge-disjoint factors of pairwise
       disjoint edges, covering all of C(n, r) when complete,
@@ -35,6 +38,41 @@ DESK_PLANE_CAP = 8
 # Design.validate enumerates every strength-subset it covers; the largest
 # design built here, boolean_sqs(5), has C(32, 3) = 4,960 of them
 DESK_SUBSET_CAP = 10**5
+
+
+def _partition_ranks(n: int, r: int, groups, cover: bool):
+    """Colex ranks on K_n^r of the edges of ``groups`` (or of an int array
+    of edges), in order, once no edge is in two groups and, when ``cover``,
+    every edge is in one.  An edge is r distinct ints of range(n) in any
+    order.  Memory follows the edges given, never C(n, r): with no edge
+    twice, the groups cover K_n^r exactly when they hold C(n, r) edges."""
+    import numpy as np
+
+    if isinstance(groups, np.ndarray):
+        vertices = groups.reshape(-1, r)
+    else:
+        edges = list(chain.from_iterable(groups))
+        if not set(map(type, chain.from_iterable(edges))) <= {int}:
+            raise FractureError("a point is not an integer")
+        if set(map(len, edges)) - {r}:
+            raise FractureError(f"every edge needs {r} vertices")
+        try:
+            vertices = np.fromiter(chain.from_iterable(edges), np.int64, len(edges) * r).reshape(-1, r)
+        except OverflowError:  # past int64, so past n too
+            raise FractureError(f"vertex out of range for n={n}") from None
+    vertices = np.sort(vertices, axis=1)
+    if vertices.size and (vertices[:, 0].min() < 0 or vertices[:, -1].max() >= n):
+        raise FractureError(f"vertex out of range for n={n}")
+    # edge_ranks refuses a repeated point; for r = 1 a point is its own rank
+    ranks = vertices[:, 0] if r == 1 else edge_ranks(vertices, HypergraphShape(n, r))
+    order = np.argsort(ranks, kind="stable")
+    # equal ranks keep their input order: these are second and later copies
+    repeats = order[1:][ranks[order[1:]] == ranks[order[:-1]]]
+    if len(repeats):
+        raise FractureError(f"edge {tuple(vertices[repeats.min()].tolist())} colored twice")
+    if cover and len(ranks) != comb(n, r):
+        raise FractureError("groups do not cover all edges")
+    return ranks
 
 
 def is_prime(x: int) -> bool:
@@ -188,20 +226,17 @@ class Design:
             raise FractureError(
                 f"C({self.v},{self.strength})={expected} subsets above desk cap {DESK_SUBSET_CAP}"
             )
-        seen: set[tuple[int, ...]] = set()
+        if any(len(block) != self.block_size for block in self.blocks):
+            raise FractureError(f"every block needs {self.block_size} points")
+        # more subsets than C(v, strength) repeat one, fewer miss one
+        covered = len(self.blocks) * comb(self.block_size, self.strength)
+        if covered != expected:
+            raise FractureError(f"blocks hold {covered} subsets, expected {expected}")
+        subsets = [combinations(block, self.strength) for block in self.blocks]
+        _partition_ranks(self.v, self.strength, subsets, cover=True)
         for block in self.blocks:
-            if not all(type(x) is int for x in block):
-                raise FractureError(f"block {block} has a point that is not an integer")
-            if len(block) != self.block_size or list(block) != sorted(set(block)):
+            if list(block) != sorted(set(block)):
                 raise FractureError(f"malformed block {block}")
-            if not all(0 <= x < self.v for x in block):
-                raise FractureError(f"block {block} out of range")
-            for sub in combinations(block, self.strength):
-                if sub in seen:
-                    raise FractureError(f"subset {sub} covered twice")
-                seen.add(sub)
-        if len(seen) != expected:
-            raise FractureError(f"covered {len(seen)} subsets, expected {expected}")
 
     def to_dict(self) -> dict:
         return {
@@ -337,6 +372,8 @@ class MatchingDecomposition:
     complete: bool
 
     def validate(self) -> None:
+        import numpy as np
+
         for name, value in (("n", self.n), ("r", self.r)):
             if not isinstance(value, int) or isinstance(value, bool):
                 raise FractureError(f"{name} must be an integer, got {value!r}")
@@ -345,30 +382,18 @@ class MatchingDecomposition:
         if type(self.complete) is not bool:
             raise FractureError(f"complete must be true or false, got {self.complete!r}")
         check_binomial_size(self.n, self.r)
-        seen: set[tuple[int, ...]] = set()
+        size = self.n // self.r
         for factor in self.factors:
-            if len(factor) != self.n // self.r:
-                raise FractureError(
-                    f"factor has {len(factor)} edges, a maximum matching has {self.n // self.r}"
-                )
-            used: set[int] = set()
-            for e in factor:
-                if not all(type(v) is int for v in e):
-                    raise FractureError(f"edge {e} has a point that is not an integer")
-                if len(e) != self.r or list(e) != sorted(set(e)):
-                    raise FractureError(f"malformed edge {e}")
-                if not all(0 <= v < self.n for v in e):
-                    raise FractureError(f"edge {e} out of range")
-                if e in seen:
-                    raise FractureError(f"edge {e} in two factors")
-                seen.add(e)
-                if used.intersection(e):
-                    raise FractureError(f"factor not a matching at {e}")
-                used.update(e)
-        if self.complete and len(seen) != comb(self.n, self.r):
-            raise FractureError(
-                f"covered {len(seen)} edges, expected {comb(self.n, self.r)}"
-            )
+            if len(factor) != size:
+                raise FractureError(f"factor has {len(factor)} edges, not n // r = {size}")
+        _partition_ranks(self.n, self.r, self.factors, self.complete)
+        points = np.array(self.factors, dtype=np.int64).reshape(len(self.factors), size, self.r)
+        if (points[:, :, 1:] < points[:, :, :-1]).any():
+            raise FractureError("an edge does not list its points in increasing order")
+        points = np.sort(points.reshape(len(self.factors), size * self.r), axis=1)
+        repeated = (points[:, 1:] == points[:, :-1]).any(axis=1)
+        if repeated.any():
+            raise FractureError(f"factor {self.factors[int(repeated.argmax())]} is not a matching")
 
     def to_dict(self) -> dict:
         return {
@@ -434,8 +459,7 @@ def hamiltonian_decomposition(n: int) -> tuple[tuple[tuple[int, int], ...], ...]
         raise FractureError(f"Hamiltonian decomposition needs odd n >= 3, got {n}")
     import numpy as np
 
-    shape = HypergraphShape(n, 2)
-    check_host_edges(shape)
+    check_host_edges(HypergraphShape(n, 2))
     ring = n - 1
     # the zigzag offsets 0, +1, -1, +2, -2, ..., +ring/2
     steps = np.arange(ring)
@@ -444,15 +468,7 @@ def hamiltonian_decomposition(n: int) -> tuple[tuple[tuple[int, int], ...], ...]
     verts[:, 1:-1] = (np.arange(ring // 2)[:, None] + offsets) % ring
     tail, head = verts[:, :-1], verts[:, 1:]
     pairs = np.stack([np.minimum(tail, head), np.maximum(tail, head)], axis=2)
-    # partition check
-    edges = pairs.reshape(-1, 2)
-    ranks = edge_ranks(edges, shape)
-    uses = np.bincount(ranks, minlength=shape.edge_count)
-    if uses.max() > 1:
-        e = tuple(edges[uses[ranks] > 1][0].tolist())
-        raise FractureError(f"cycle construction repeated edge {e}")
-    if uses.min() == 0:
-        raise FractureError("cycle construction did not cover K_n")
+    _partition_ranks(n, 2, pairs, cover=True)
     return tuple(tuple(map(tuple, cycle)) for cycle in pairs.tolist())
 
 
@@ -547,15 +563,10 @@ def _baranyai_flow(n: int, r: int) -> list[tuple[tuple[int, ...], ...]]:
                 del fac[chosen]
             grown = chosen + (i,)
             fac[grown] = fac.get(grown, 0) + 1
-    out = []
-    for fac in factors:
-        edges = []
-        for t, mult in fac.items():
-            if len(t) != r or mult != 1:
-                raise FractureError("factorization left a partial trace")
-            edges.append(t)
-        out.append(_normalize_factor(edges))
-    return out
+    # each factor's n / r traces, never longer than r, take one vertex per
+    # stage, so all end full; a trace twice is one key and leaves its factor
+    # short, which validate refuses
+    return [_normalize_factor(fac) for fac in factors]
 
 
 @functools.lru_cache(maxsize=None)
@@ -573,8 +584,6 @@ def baranyai(n: int, r: int) -> MatchingDecomposition:
         raise FractureError(f"C({n},{r}) above desk cap 3000")
     dec = MatchingDecomposition(n, r, tuple(_baranyai_flow(n, r)), complete=True)
     dec.validate()
-    if len(dec.factors) != comb(n - 1, r - 1):
-        raise FractureError("wrong factor count")
     return dec
 
 
@@ -602,11 +611,11 @@ def disjoint_max_matchings(n: int, r: int, t: int) -> MatchingDecomposition:
     elif n % r == 0 and t <= comb(n - 1, r - 1):
         factors = baranyai(n, r).factors[:t]
     else:
-        factors = _disjoint_matchings_backtrack(n, r, t)
+        # when r | n every maximum matching is perfect and holds one of the
+        # C(n - 1, r - 1) edges at vertex 0, so no more of them are disjoint
+        factors = None if n % r == 0 else _disjoint_matchings_backtrack(n, r, t)
         if factors is None:
-            raise FractureError(
-                f"could not build {t} disjoint maximum matchings in K_{n}^{r}"
-            )
+            raise FractureError(f"could not build {t} disjoint maximum matchings in K_{n}^{r}")
     dec = MatchingDecomposition(n, r, tuple(factors), complete=False)
     dec.validate()
     return dec
@@ -653,8 +662,6 @@ def _disjoint_matchings_backtrack(n: int, r: int, t: int):
     return solve(0)
 
 
-DIAMOND_COUNTS = {10: 9, 11: 11}
-
 # Base block of the cyclic n = 11 decomposition: K_4 on {0, 1, 2, 5} minus
 # the edge {0, 1}.  Its edges have differences +-2, +-5, +-1, +-4, +-3.
 DIAMOND_BASE_11 = ((0, 2), (0, 5), (1, 2), (1, 5), (2, 5))
@@ -692,10 +699,9 @@ def k4minus_decomposition(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     orbit of 9 copies would give each copy exactly one of that point's 9
     edges, while every vertex of a diamond has degree >= 2.
 
-    Both are checked for the copy count and that the copies cover every
-    edge exactly once.
+    Both are checked by check_diamonds.
     """
-    if n not in DIAMOND_COUNTS:
+    if n not in (10, 11):
         raise FractureError(f"diamond decomposition implemented for n in 10..11, got {n}")
     if n == 11:
         copies = []
@@ -704,37 +710,27 @@ def k4minus_decomposition(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
             copies.append(tuple(sorted(shifted, key=_colex_key)))
     else:
         copies = DIAMONDS_10
-    if len(copies) != DIAMOND_COUNTS[n]:
-        raise FractureError("unexpected copy count")
-    if len({e for copy in copies for e in copy}) != comb(n, 2):
-        raise FractureError(f"diamond copies do not partition K_{n}")
+    check_diamonds(n, copies)
     return tuple(copies)
+
+
+def check_diamonds(n: int, groups) -> None:
+    """Refuse groups that do not partition K_n into diamonds, each group
+    five edges (a, b), a < b, on exactly four vertices: K_4 minus an edge."""
+    if type(n) is not int:
+        raise FractureError(f"n must be an integer, got {n!r}")
+    _partition_ranks(n, 2, groups, cover=True)
+    for group in groups:
+        vertices = set(chain.from_iterable(group))
+        if len(group) != 5 or len(vertices) != 4 or any(a > b for a, b in group):
+            raise FractureError(f"group {group} is not a diamond")
 
 
 def decomposition_to_coloring_edges(n: int, r: int, groups) -> list[int]:
     """Color assignment (colex order) giving group i color i; groups must
-    partition all edges."""
+    partition all edges, each edge's vertices in any order."""
     import numpy as np
 
-    shape = HypergraphShape(n, r)
     groups = [list(group) for group in groups]
-    edges = [e for group in groups for e in group]
-    if any(len(e) != r for e in edges):
-        raise FractureError(f"every edge needs {r} vertices")
     colors = np.repeat(np.arange(len(groups)), [len(group) for group in groups])
-    vertices = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=len(edges) * r)
-    vertices = vertices.reshape(len(edges), r)
-    vertices.sort(axis=1)
-    ranks = edge_ranks(vertices, shape)
-    assignment = np.full(shape.edge_count, -1, dtype=np.int64)
-    assignment[ranks] = colors
-    colored = int(np.count_nonzero(assignment >= 0))
-    if colored < len(edges):
-        seen: set[int] = set()
-        for e, rank in zip(edges, ranks.tolist()):
-            if rank in seen:
-                raise FractureError(f"edge {e} colored twice")
-            seen.add(rank)
-    if colored < shape.edge_count:
-        raise FractureError("groups do not cover all edges")
-    return assignment.tolist()
+    return colors[np.argsort(_partition_ranks(n, r, groups, cover=True))].tolist()

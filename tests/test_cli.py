@@ -413,29 +413,74 @@ class TestConstructFuzz:
         assert code in ((0, 2, 3) if command[0] == "search" else (0, 2))
 
 
+# one run of every designs kind; the round trip through verify once
+# skipped diamonds, the one kind verify did not recognize
+DESIGN_ARGVS = [
+    ("designs", "pg", "--q", "3"),
+    ("designs", "ag", "--q", "3"),
+    ("designs", "sqs", "--m", "3"),
+    ("designs", "inversive", "--q", "2"),
+    ("designs", "baranyai", "--n", "6", "--r", "3"),
+    ("designs", "one-factorization", "--n", "8"),
+    ("designs", "near-one-factorization", "--n", "7"),
+    ("designs", "diamonds", "--n", "10"),
+    ("designs", "diamonds", "--n", "11"),
+]
+
+
+def _diamond_edge_moved(groups):
+    groups[1].append(groups[0].pop())
+
+
+def _diamond_edges_swapped(groups):
+    # (0, 1) and (2, 4) trade places: still five edges a group and a
+    # partition of K_10, but both groups span five vertices
+    assert groups[0][0] == [0, 1] and groups[1][1] == [2, 4]
+    groups[0][0], groups[1][1] = groups[1][1], groups[0][0]
+
+
 class TestDesignsCommand:
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("designs", "pg", "--q", "3"),
-            ("designs", "ag", "--q", "3"),
-            ("designs", "sqs", "--m", "3"),
-            ("designs", "inversive", "--q", "2"),
-            ("designs", "baranyai", "--n", "6", "--r", "3"),
-            ("designs", "one-factorization", "--n", "8"),
-            ("designs", "near-one-factorization", "--n", "7"),
-        ],
-    )
+    @pytest.mark.parametrize("argv", DESIGN_ARGVS)
     def test_emit_and_verify(self, capsys, tmp_path, argv):
         code, text = run(capsys, *argv)
         assert code == 0
         data = json.loads(text)
         assert data["valid"] is True
-        if "blocks" in data or "factors" in data:
-            path = tmp_path / "d.json"
-            path.write_text(text)
-            code, verdict = run_json(capsys, "verify", str(path))
-            assert code == 0 and verdict["valid"] is True
+        path = tmp_path / "d.json"
+        path.write_text(text)
+        code, verdict = run_json(capsys, "verify", str(path))
+        assert code == 0 and verdict["valid"] is True
+
+    def test_every_kind_makes_the_round_trip(self):
+        assert {argv[1] for argv in DESIGN_ARGVS} == set(_DESIGNS)
+
+    @pytest.mark.parametrize(
+        "mutate,valid",
+        [
+            (_diamond_edge_moved, False),
+            (_diamond_edges_swapped, False),
+            (list.pop, False),
+            (lambda groups: groups[0][0].reverse(), False),
+            (lambda groups: groups[0].reverse(), True),
+        ],
+        ids=["edge-moved", "five-vertices", "group-missing", "edge-reversed", "group-reordered"],
+    )
+    def test_diamond_mutations(self, capsys, tmp_path, mutate, valid):
+        _, data = run_json(capsys, "designs", "diamonds", "--n", "10")
+        mutate(data["groups"])
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(data))
+        code, verdict = run_json(capsys, "verify", str(path))
+        assert (code, verdict["valid"]) == ((0, True) if valid else (4, False))
+
+    @pytest.mark.parametrize("n", [10.0, True, "10", 11, 9, None], ids=repr)
+    def test_diamonds_need_their_own_int_n(self, capsys, tmp_path, n):
+        _, data = run_json(capsys, "designs", "diamonds", "--n", "10")
+        data["n"] = n
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(data))
+        code, verdict = run_json(capsys, "verify", str(path))
+        assert code == 4 and verdict["valid"] is False
 
     # sha256 of the outputs, recorded when K_10's diamonds were still found
     # by backtracking and near-one-factorizations built on their own
@@ -796,6 +841,176 @@ class TestVerifyRejections:
         assert json.loads(out)["valid"] is True
 
 
+# Factor and design artifacts and mutations of them, each with the verdict
+# (valid, exit code) that verify gave before one partition check over colex
+# ranks replaced the per-edge Python sets of Design and
+# MatchingDecomposition.validate
+_OF4 = {"n": 4, "r": 2, "complete": True, "factors": [[[1, 2], [0, 3]], [[0, 2], [1, 3]], [[0, 1], [2, 3]]]}
+_OF6 = {
+    "n": 6, "r": 2, "complete": True,
+    "factors": [
+        [[2, 3], [1, 4], [0, 5]], [[0, 2], [3, 4], [1, 5]], [[1, 3], [0, 4], [2, 5]],
+        [[0, 1], [2, 4], [3, 5]], [[1, 2], [0, 3], [4, 5]],
+    ],
+}
+_NOF5 = {
+    "n": 5, "r": 2, "complete": True,
+    "factors": [[[2, 3], [1, 4]], [[0, 2], [3, 4]], [[1, 3], [0, 4]], [[0, 1], [2, 4]], [[1, 2], [0, 3]]],
+}
+_B63 = {
+    "n": 6, "r": 3, "complete": True,
+    "factors": [
+        [[0, 2, 3], [1, 4, 5]], [[0, 2, 4], [1, 3, 5]], [[1, 3, 4], [0, 2, 5]], [[0, 3, 4], [1, 2, 5]],
+        [[1, 2, 4], [0, 3, 5]], [[1, 2, 3], [0, 4, 5]], [[0, 1, 3], [2, 4, 5]], [[0, 1, 4], [2, 3, 5]],
+        [[2, 3, 4], [0, 1, 5]], [[0, 1, 2], [3, 4, 5]],
+    ],
+}
+_PG2 = {
+    "v": 7, "strength": 2, "block_size": 3,
+    "blocks": [[0, 1, 2], [0, 3, 4], [0, 5, 6], [1, 3, 5], [1, 4, 6], [2, 3, 6], [2, 4, 5]],
+}
+
+
+def _factors(n, r, factors, **extra):
+    return {"n": n, "r": r, "factors": factors, **extra}
+
+
+def _design(v, strength, block_size, blocks):
+    return {"v": v, "strength": strength, "block_size": block_size, "blocks": blocks}
+
+
+def _replace(base, key, value):
+    return {**base, key: value}
+
+
+def _drop(base, key):
+    return {k: v for k, v in base.items() if k != key}
+
+
+VERIFY_PARITY = [
+    ("one-factorization-4", _OF4, True, 0),
+    ("one-factorization-6", _OF6, True, 0),
+    ("near-one-factorization-5", _NOF5, True, 0),
+    ("baranyai-6-3", _B63, True, 0),
+    ("edge-in-two-factors", _factors(4, 2, [[[0, 1], [2, 3]], [[0, 1], [2, 3]]]), False, 4),
+    (
+        "edge-in-two-factors-complete",
+        _replace(_OF4, "factors", _OF4["factors"][:2] + [_OF4["factors"][1]]),
+        False,
+        4,
+    ),
+    (
+        "edge-in-two-factors-r3",
+        _factors(6, 3, [[[0, 1, 2], [3, 4, 5]], [[3, 4, 5], [0, 1, 2]]]),
+        False,
+        4,
+    ),
+    ("edge-twice-in-a-factor", _factors(4, 2, [[[0, 1], [0, 1]]]), False, 4),
+    ("vertex-twice", _factors(4, 2, [[[0, 1], [1, 2]]]), False, 4),
+    ("vertex-twice-r3", _factors(6, 3, [[[0, 1, 2], [2, 3, 4]]]), False, 4),
+    (
+        "vertex-twice-second-factor",
+        _factors(6, 2, [[[0, 1], [2, 3], [4, 5]], [[0, 2], [1, 3], [2, 4]]]),
+        False,
+        4,
+    ),
+    ("unsorted-edge", _factors(4, 2, [[[1, 0], [2, 3]]]), False, 4),
+    ("unsorted-edge-r3", _factors(6, 3, [[[0, 2, 1], [3, 4, 5]]]), False, 4),
+    ("repeated-point-edge", _factors(4, 2, [[[1, 1], [2, 3]]]), False, 4),
+    ("point-out-of-range", _factors(4, 2, [[[0, 1], [2, 4]]]), False, 4),
+    ("negative-point", _factors(4, 2, [[[-1, 0], [2, 3]]]), False, 4),
+    ("huge-point", _factors(4, 2, [[[0, 1], [2, 10**30]]]), False, 4),
+    ("huge-negative-point", _factors(4, 2, [[[-(10**30), 1], [2, 3]]]), False, 4),
+    ("edge-too-long", _factors(4, 2, [[[0, 1, 2], [3]]]), False, 4),
+    ("edge-too-short", _factors(4, 2, [[[0], [1]]]), False, 4),
+    ("empty-edge", _factors(4, 2, [[[], [0, 1]]]), False, 4),
+    ("edge-not-a-list", _factors(4, 2, [[0, 1]]), False, 4),
+    ("factor-too-short", _factors(4, 2, [[[0, 1]]]), False, 4),
+    ("factor-too-long", _factors(4, 2, [[[0, 1], [2, 3], [0, 2]]]), False, 4),
+    ("float-point", _factors(4, 2, [[[0, 1.0], [2, 3]]]), False, 4),
+    ("bool-points", _factors(4, 2, [[[False, True], [2, 3]]]), False, 4),
+    ("bool-among-ints", _factors(4, 2, [[[0, True], [2, 3]]]), False, 4),
+    ("string-point", _factors(4, 2, [[["0", 1], [2, 3]]]), False, 4),
+    ("null-point", _factors(4, 2, [[[None, 1], [2, 3]]]), False, 4),
+    ("float-point-r3", _factors(6, 3, [[[0, 1, 2.0], [3, 4, 5]]]), False, 4),
+    ("missing-edge-complete", _replace(_OF4, "factors", _OF4["factors"][:2]), False, 4),
+    (
+        "missing-edge-not-complete",
+        {**_OF4, "factors": _OF4["factors"][:2], "complete": False},
+        True,
+        0,
+    ),
+    ("missing-edge-complete-r3", _replace(_B63, "factors", _B63["factors"][1:]), False, 4),
+    ("no-complete-key", _drop(_OF4, "complete"), True, 0),
+    ("no-factors-complete", _factors(4, 2, [], complete=True), False, 4),
+    ("no-factors", _factors(4, 2, []), True, 0),
+    ("r1", _factors(3, 1, [[[0], [1], [2]]], complete=True), True, 0),
+    ("r1-n1", _factors(1, 1, [[[0]]], complete=True), True, 0),
+    ("r1-two-factors", _factors(3, 1, [[[0], [1], [2]], [[2], [0], [1]]]), False, 4),
+    ("r1-vertex-twice", _factors(3, 1, [[[0], [0], [2]]]), False, 4),
+    ("r1-out-of-range", _factors(3, 1, [[[0], [1], [3]]]), False, 4),
+    ("r1-missing-edge-complete", _factors(3, 1, [], complete=True), False, 4),
+    ("r1-bool-point", _factors(3, 1, [[[True], [0], [2]]]), False, 4),
+    ("r-equals-n", _factors(3, 3, [[[0, 1, 2]]], complete=True), True, 0),
+    ("n200000-complete", _factors(200000, 2, [], complete=True), False, 4),
+    ("n200000-not-complete", _factors(200000, 2, [], complete=False), True, 0),
+    ("pg-2", _PG2, True, 0),
+    ("subset-covered-twice", _design(4, 2, 3, [[0, 1, 2], [0, 1, 3]]), False, 4),
+    (
+        "pg-2-block-repeated",
+        _replace(_PG2, "blocks", [_PG2["blocks"][0]] + _PG2["blocks"][:-1]),
+        False,
+        4,
+    ),
+    ("pg-2-block-missing", _replace(_PG2, "blocks", _PG2["blocks"][:-1]), False, 4),
+    ("pg-2-extra-block", _replace(_PG2, "blocks", _PG2["blocks"] + [[0, 1, 3]]), False, 4),
+    ("pg-2-unsorted-block", _replace(_PG2, "blocks", [[1, 0, 2]] + _PG2["blocks"][1:]), False, 4),
+    (
+        "pg-2-point-out-of-range",
+        _replace(_PG2, "blocks", _PG2["blocks"][:-1] + [[2, 4, 7]]),
+        False,
+        4,
+    ),
+    ("pg-2-huge-point", _replace(_PG2, "blocks", _PG2["blocks"][:-1] + [[2, 4, 10**30]]), False, 4),
+    ("pg-2-short-block", _replace(_PG2, "blocks", [[0, 1]] + _PG2["blocks"][1:]), False, 4),
+    ("pg-2-float-point", _replace(_PG2, "blocks", [[0, 1, 2.0]] + _PG2["blocks"][1:]), False, 4),
+    ("pg-2-bool-point", _replace(_PG2, "blocks", [[0, True, 2]] + _PG2["blocks"][1:]), False, 4),
+    ("pg-2-block-not-a-list", _replace(_PG2, "blocks", [3] + _PG2["blocks"][1:]), False, 4),
+    ("design-no-blocks", _design(7, 2, 3, []), False, 4),
+    ("strength-1", _design(4, 1, 2, [[0, 1], [2, 3]]), True, 0),
+    ("strength-1-v1", _design(1, 1, 1, [[0]]), True, 0),
+    ("strength-1-overlap", _design(4, 1, 2, [[0, 1], [1, 2]]), False, 4),
+    ("strength-1-repeated-block", _design(4, 1, 2, [[0, 1], [0, 1], [2, 3]]), False, 4),
+    ("strength-1-missing-point", _design(5, 1, 2, [[0, 1], [2, 3]]), False, 4),
+    ("strength-1-unsorted-block", _design(2, 1, 2, [[1, 0]]), False, 4),
+    ("strength-1-repeated-point", _design(3, 1, 3, [[0, 0, 1]]), False, 4),
+    ("strength-1-bool-point", _design(4, 1, 2, [[False, 1], [2, 3]]), False, 4),
+    (
+        "strength-equals-block-size",
+        _design(4, 2, 2, [[0, 1], [0, 2], [1, 2], [0, 3], [1, 3], [2, 3]]),
+        True,
+        0,
+    ),
+    ("strength-equals-v", _design(3, 3, 3, [[0, 1, 2]]), True, 0),
+    ("strength-0", _design(4, 0, 2, [[0, 1], [2, 3]]), False, 4),
+]
+
+
+class TestVerifyParity:
+    @pytest.mark.parametrize(
+        "data,valid,code", [case[1:] for case in VERIFY_PARITY], ids=[case[0] for case in VERIFY_PARITY]
+    )
+    def test_verdict_unchanged(self, capsys, tmp_path, data, valid, code):
+        path = tmp_path / "artifact.json"
+        path.write_text(json.dumps(data))
+        start = time.perf_counter()
+        got, verdict = run_json(capsys, "verify", str(path))
+        assert (verdict["valid"], got) == (valid, code)
+        # C(200000, 2) edges under "complete": true are refused from the
+        # edges given, with nothing allocated per edge of the host
+        assert time.perf_counter() - start < 1
+
+
 class TestStrictIntegers:
     # each of these once passed verify, or was truncated by eval into a
     # valid coloring
@@ -1009,13 +1224,15 @@ class TestColoringFuzz:
 
 @pytest.fixture(scope="module")
 def emitted_artifacts(tmp_path_factory):
-    """One design, factorization and search artifact each, as the CLI writes them."""
+    """One design, factorization, diamond packing and search artifact each,
+    as the CLI writes them."""
     out = tmp_path_factory.mktemp("artifacts") / "artifact.json"
     argvs = [
         ["designs", "pg", "--q", "2"],
         ["designs", "sqs", "--m", "3"],
         ["designs", "one-factorization", "--n", "6"],
         ["designs", "baranyai", "--n", "6", "--r", "3"],
+        ["designs", "diamonds", "--n", "10"],
         ["search", "f", "--n", "5", "--k", "3"],
         ["search", "z", "--n", "4", "--k", "3"],
     ]

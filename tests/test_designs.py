@@ -7,7 +7,10 @@ rather than trusting the validate() methods under test.
 import hashlib
 import json
 import math
+import re
+import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,7 +30,8 @@ from fracture import (
     one_factorization,
     projective_plane,
 )
-from fracture.designs import _stage_match, is_prime, prime_power_decompose
+from fracture import designs
+from fracture.designs import _partition_ranks, _stage_match, is_prime, prime_power_decompose
 
 # sha256 (first 16 hex digits) of json.dumps(baranyai(n, r).factors) for
 # every r | n, 2 <= r < n <= 50, with C(n, r) <= 3000, and of
@@ -267,6 +271,20 @@ class TestFactorizations:
                 assert e not in seen
                 seen.add(e)
 
+    # every perfect matching holds one of the C(n-1, r-1) edges at vertex 0
+    # (136 for K_18^3, 455 for K_16^4), so one more is refused at once; the
+    # backtracking search took 12 s on (18, 3, 137) and ran for minutes on
+    # (16, 4, 456)
+    @pytest.mark.parametrize("n,r,t", [(18, 3, 137), (16, 4, 456), (12, 6, 463)])
+    def test_too_many_perfect_matchings_refused_at_once(self, monkeypatch, n, r, t):
+        def no_backtrack(*args):
+            raise AssertionError("backtracking search started")
+
+        monkeypatch.setattr(designs, "_disjoint_matchings_backtrack", no_backtrack)
+        assert t == math.comb(n - 1, r - 1) + 1
+        with pytest.raises(FractureError, match=f"could not build {t} disjoint"):
+            disjoint_max_matchings(n, r, t)
+
     @pytest.mark.parametrize("n", [10, 11])
     def test_k4minus_decomposition(self, n):
         groups = k4minus_decomposition(n)
@@ -300,6 +318,69 @@ class TestFactorizations:
         # C(7,2)=21 is not divisible by 5
         with pytest.raises(FractureError):
             k4minus_decomposition(7)
+
+
+@st.composite
+def _edge_groups(draw):
+    """(n, r, groups): groups of edges of K_n^r drawn with repeats allowed,
+    each edge's points shuffled."""
+    n = draw(st.integers(1, 7))
+    r = draw(st.integers(1, n))
+    edges = oracles.colex_edges(n, r)
+    picks = draw(st.lists(st.lists(st.sampled_from(edges), max_size=6), max_size=6))
+    return n, r, [[draw(st.permutations(e)) for e in group] for group in picks]
+
+
+class TestPartitionRanks:
+    @settings(max_examples=300, deadline=None)
+    @given(_edge_groups(), st.booleans())
+    def test_matches_sets(self, case, cover):
+        n, r, groups = case
+        edges = [tuple(sorted(e)) for group in groups for e in group]
+        rank = {e: i for i, e in enumerate(oracles.colex_edges(n, r))}
+        if len(set(edges)) < len(edges):
+            # the first edge, in input order, seen before
+            first = next(e for i, e in enumerate(edges) if e in edges[:i])
+            with pytest.raises(FractureError, match=re.escape(f"edge {first} colored twice")):
+                _partition_ranks(n, r, groups, cover)
+        elif cover and len(edges) < len(rank):
+            with pytest.raises(FractureError, match="do not cover"):
+                _partition_ranks(n, r, groups, cover)
+        else:
+            assert _partition_ranks(n, r, groups, cover).tolist() == [rank[e] for e in edges]
+
+    def test_array_of_edges(self):
+        cycles = [[(0, 1), (1, 2), (0, 2)]]
+        assert _partition_ranks(3, 2, np.array(cycles), True).tolist() == [0, 2, 1]
+        with pytest.raises(FractureError, match=r"edge \(0, 1\) colored twice"):
+            _partition_ranks(3, 2, np.array([[(0, 1), (1, 0)]]), False)
+
+    @pytest.mark.parametrize(
+        "groups,message",
+        [
+            ([[(0, 1.0)]], "not an integer"),
+            ([[(0, True)]], "not an integer"),
+            ([[(0, 1, 2)]], "needs 2 vertices"),
+            ([[(0, 4)]], "out of range"),
+            ([[(-1, 0)]], "out of range"),
+            ([[(0, 2**70)]], "out of range"),
+            ([[(1, 1)]], "strictly increasing"),
+        ],
+    )
+    def test_refuses_malformed_edges(self, groups, message):
+        with pytest.raises(FractureError, match=message):
+            _partition_ranks(4, 2, groups, False)
+
+    def test_memory_follows_the_edges_given(self):
+        # C(200000, 2) is about 2 * 10**10: a table of one flag per edge
+        # would need 160 GB
+        start = time.perf_counter()
+        with pytest.raises(FractureError, match="do not cover"):
+            _partition_ranks(200_000, 2, [[(0, 1), (5, 199_999)]], True)
+        assert _partition_ranks(200_000, 2, [[(199_998, 199_999)]], False).tolist() == [
+            math.comb(199_999, 2) + 199_998
+        ]
+        assert time.perf_counter() - start < 1
 
 
 @st.composite
