@@ -16,14 +16,11 @@ from .core import (
     HypergraphShape,
     class_stats,
     coloring_from_dict,
-    coloring_from_json,
     coloring_to_dict,
-    coloring_to_json,
     edge_array,
     edge_ranks,
     f_value,
     fraction_str,
-    parse_fraction,
     relabel_canonical,
     report_dict,
     z_value,
@@ -76,7 +73,6 @@ from .bounds import (
     root_value,
     z_lower_best,
     z_lower_recursive,
-    z_lower_sqrt,
     z_upper_constructions,
 )
 from .search import (

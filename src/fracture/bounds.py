@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache, total_ordering
 from math import comb, isqrt
 
-from .core import FractureError, check_binomial_size, z_value
+from .core import FractureError, check_binomial_size
 from . import constructions
 
 
@@ -159,17 +159,6 @@ def z_lower_recursive(k: int, r: int) -> BoundRecord:
     return BoundRecord(best, f"recursion(d={best_d})")
 
 
-def z_lower_sqrt(k: int) -> BoundRecord:
-    """1/D where D is the least integer with D(D+1) >= k; a closed form
-    implied by the recursion for graphs."""
-    if k < 1:
-        raise FractureError(f"need k >= 1, got {k}")
-    d = 1
-    while d * (d + 1) < k:
-        d += 1
-    return BoundRecord(Fraction(1, d), "sqrt_ceiling")
-
-
 def z_lower_best(k: int, r: int) -> BoundRecord:
     """The better of the recursion and the small-case exact values."""
     rec = z_lower_recursive(k, r)
@@ -212,15 +201,15 @@ _Z_UPPER_CATALOG = {
 @lru_cache(maxsize=None)
 def _catalog_entry(name: str):
     base = constructions.base_registry(name)
-    return base.coloring.k, z_value(base.coloring)
+    return base.coloring.k, base.realized_z
 
 
 def z_upper_constructions(k: int, r: int) -> BoundRecord:
     """Best explicit-coloring upper bound using at most k colors.
 
-    Candidates are rechecked from the actual coloring, never from a
-    stored constant.  Ties prefer structured colorings over one color
-    per edge.
+    Candidates are the z that base_registry recomputes from the actual
+    coloring and checks, never a stored constant.  Ties prefer
+    structured colorings over one color per edge.
     """
     if k < 1 or r < 1:
         raise FractureError(f"need k, r >= 1, got k={k}, r={r}")

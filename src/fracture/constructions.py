@@ -21,7 +21,7 @@ no constructor is trusted.
 
 The blow-ups build their assignments as numpy array operations over the
 host's edge array; like core, this module imports numpy inside the
-functions that use it.
+functions that use it, for peak RSS (see core).
 """
 
 from __future__ import annotations
@@ -64,6 +64,8 @@ from .designs import (
 )
 
 if TYPE_CHECKING:
+    from collections.abc import Iterable, Sequence
+
     import numpy as np
 
 
@@ -85,12 +87,14 @@ def base_registry_names() -> list[str]:
     ]
 
 
-def _coloring_from_classes(n: int, r: int, classes: list[list[tuple[int, ...]]]) -> Coloring:
+def _coloring_from_classes(n: int, r: int, classes: Sequence[Iterable[tuple[int, ...]]]) -> Coloring:
     assignment = decomposition_to_coloring_edges(n, r, classes)
     return Coloring(HypergraphShape(n, r), len(classes), tuple(assignment))
 
 
-def _checked_classes(n: int, r: int, classes: list[list[tuple[int, ...]]], f: int, what: str) -> Coloring:
+def _checked_classes(
+    n: int, r: int, classes: Sequence[Iterable[tuple[int, ...]]], f: int, what: str
+) -> Coloring:
     """The coloring giving class i color i, relabelled into first-use color
     order, once its f is checked to be the claimed f."""
     assignment = decomposition_to_coloring_edges(n, r, classes)
@@ -160,9 +164,7 @@ def design_coloring(design: designs.Design) -> Coloring:
     hypergraph; each class touches block_size vertices.
     """
     r = design.strength
-    classes = []
-    for block in design.blocks:
-        classes.append([tuple(sorted(sub)) for sub in combinations(block, r)])
+    classes = [combinations(block, r) for block in design.blocks]
     return _coloring_from_classes(design.v, r, classes)
 
 
@@ -174,8 +176,7 @@ _DIAMOND_NAME = re.compile(r"^diamond\((\d+)\)$")
 def diamond_coloring(n: int) -> Coloring:
     """One color per diamond in a decomposition of K_n into copies of the
     four-vertex five-edge graph; every class touches 4 vertices."""
-    groups = [list(g) for g in k4minus_decomposition(n)]
-    return _coloring_from_classes(n, 2, groups)
+    return _coloring_from_classes(n, 2, k4minus_decomposition(n))
 
 
 # name -> (builder, verified incidence fraction)
@@ -351,10 +352,10 @@ def coloring_nminus1(n: int) -> Coloring:
     if n < 3:
         raise FractureError(f"need n >= 3, got {n}")
     check_host_edges(HypergraphShape(n, 2))
-    classes: list[list[tuple[int, ...]]] = []
     if n % 2 == 0:
-        classes = [list(f) for f in one_factorization(n).factors]
+        classes = one_factorization(n).factors
     else:
+        classes = []
         for cycle in hamiltonian_decomposition(n):
             matching = [cycle[i] for i in range(0, n - 2, 2)]
             in_matching = set(matching)
@@ -372,8 +373,8 @@ def coloring_n(n: int) -> Coloring:
         raise FractureError(f"need n >= 3, got {n}")
     check_host_edges(HypergraphShape(n, 2))
     if n % 2 == 1:
-        classes = [list(f) for f in near_one_factorization(n).factors]
-        return _checked_classes(n, 2, classes, (n - 1) // 2, f"n-coloring of K_{n}")
+        factors = near_one_factorization(n).factors
+        return _checked_classes(n, 2, factors, (n - 1) // 2, f"n-coloring of K_{n}")
     bigger = coloring_nminus1(n + 1)
     # the C(n, 2) edges avoiding vertex n come first in colex order, with
     # the same ranks in K_n

@@ -10,7 +10,7 @@ complete graphs, Baranyai factorizations of complete r-uniform
 hypergraphs into perfect matchings by integral flows, and decompositions
 of K_10 (stored) and K_11 (cyclic) into copies of the diamond K4 minus
 an edge.  Only t disjoint maximum matchings that no factorization can
-supply are searched for, by backtracking.
+supply are searched for, one matching at a time.
 
 Invariants:
     - _partition_ranks, over core.edge_ranks, is the one check that groups
@@ -75,32 +75,16 @@ def _partition_ranks(n: int, r: int, groups, cover: bool):
     return ranks
 
 
-def is_prime(x: int) -> bool:
-    if x < 2:
-        return False
-    d = 2
-    while d * d <= x:
-        if x % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def prime_power_decompose(q: int) -> tuple[int, int] | None:
     """(p, m) with q = p**m and p prime, or None."""
     if q < 2:
         return None
-    for p in range(2, q + 1):
-        if not is_prime(p):
-            continue
-        m = 0
-        x = q
-        while x % p == 0:
-            x //= p
-            m += 1
-        if x == 1:
-            return p, m
-    return None
+    p = next(d for d in range(2, q + 1) if q % d == 0)  # the least divisor is prime
+    m = 0
+    while q % p == 0:
+        q //= p
+        m += 1
+    return (p, m) if q == 1 else None
 
 
 @dataclass(frozen=True)
@@ -590,30 +574,25 @@ def baranyai(n: int, r: int) -> MatchingDecomposition:
 def disjoint_max_matchings(n: int, r: int, t: int) -> MatchingDecomposition:
     """t pairwise edge-disjoint maximum matchings (floor(n/r) edges each).
 
-    For graphs this is sliced from a (near-)one-factorization and exists
-    whenever n >= t + 1.  For r >= 3 with r | n it is sliced from the
-    complete factorization; otherwise a greedy backtracking construction
-    is attempted and failure reported honestly.
+    t of them need t * floor(n/r) of the C(n, r) edges, so a larger t is
+    refused at once.  That limit is n - 1 (n even) or n (n odd) for r = 2
+    and C(n-1, r-1) for r | n, where the matchings are sliced from a
+    (near-)one-factorization or the complete factorization; otherwise a
+    greedy construction is attempted and failure reported honestly.
     """
     if t < 0:
         raise FractureError(f"need t >= 0, got {t}")
     if t == 0:
         return MatchingDecomposition(n, r, (), complete=False)
+    if t > HypergraphShape(n, r).edge_count // (n // r):
+        raise FractureError(f"could not build {t} disjoint maximum matchings in K_{n}^{r}")
     if r == 2:
-        # n >= t + 1 always suffices; odd n = t also works (n maximum matchings)
-        limit = n - 1 if n % 2 == 0 else n
-        if t > limit:
-            raise FractureError(
-                f"K_{n} has at most {limit} disjoint maximum matchings, asked for {t}"
-            )
         base = one_factorization(n) if n % 2 == 0 else near_one_factorization(n)
         factors = base.factors[:t]
-    elif n % r == 0 and t <= comb(n - 1, r - 1):
+    elif n % r == 0:
         factors = baranyai(n, r).factors[:t]
     else:
-        # when r | n every maximum matching is perfect and holds one of the
-        # C(n - 1, r - 1) edges at vertex 0, so no more of them are disjoint
-        factors = None if n % r == 0 else _disjoint_matchings_backtrack(n, r, t)
+        factors = _disjoint_matchings_backtrack(n, r, t)
         if factors is None:
             raise FractureError(f"could not build {t} disjoint maximum matchings in K_{n}^{r}")
     dec = MatchingDecomposition(n, r, tuple(factors), complete=False)
@@ -622,9 +601,10 @@ def disjoint_max_matchings(n: int, r: int, t: int) -> MatchingDecomposition:
 
 
 def _disjoint_matchings_backtrack(n: int, r: int, t: int):
+    """t matchings, each the first that a backtracking search finds among
+    the edges the earlier ones left, or None when one is not found."""
     size = n // r
     edges = list(map(tuple, edge_array(n, r).tolist()))
-
     used: set[tuple[int, ...]] = set()
 
     def build_matching(chosen: list, free: set[int], avail: list):
@@ -645,21 +625,14 @@ def _disjoint_matchings_backtrack(n: int, r: int, t: int):
                 return res
         return None
 
-    def solve(count: int):
-        if count == t:
-            return []
-        avail = [e for e in edges if e not in used]
-        matching = build_matching([], set(range(n)), avail)
+    factors = []
+    for _ in range(t):
+        matching = build_matching([], set(range(n)), [e for e in edges if e not in used])
         if matching is None:
             return None
         used.update(matching)
-        rest = solve(count + 1)
-        if rest is not None:
-            return [_normalize_factor(matching)] + rest
-        used.difference_update(matching)
-        return None
-
-    return solve(0)
+        factors.append(_normalize_factor(matching))
+    return factors
 
 
 # Base block of the cyclic n = 11 decomposition: K_4 on {0, 1, 2, 5} minus

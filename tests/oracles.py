@@ -9,6 +9,7 @@ plain itertools enumeration instead of canonical search.
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import isqrt
 
 
 def components_dfs(n, edge_list):
@@ -237,3 +238,29 @@ def sqrt_rate_vs(k, x):
     if lhs > 1:
         return 1
     return 0
+
+
+def is_prime(x):
+    """Trial division by every d with d * d <= x."""
+    return x >= 2 and all(x % d for d in range(2, isqrt(x) + 1))
+
+
+def prime_power(q):
+    """(p, m) with p prime and p**m == q, trying each prime p and each
+    power of it up to q; None when q is no prime power."""
+    for p in filter(is_prime, range(2, q + 1)):
+        power, m = p, 1
+        while power < q:
+            power, m = power * p, m + 1
+        if power == q:
+            return p, m
+    return None
+
+
+def z_lower_sqrt(k):
+    """1/D for the least integer D with D(D+1) >= k, a closed form that the
+    z lower recursion for graphs implies."""
+    d = 1
+    while d * (d + 1) < k:
+        d += 1
+    return Fraction(1, d)

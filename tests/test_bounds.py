@@ -25,13 +25,12 @@ from fracture import (
     root_value,
     z_lower_best,
     z_lower_recursive,
-    z_lower_sqrt,
     z_upper_constructions,
 )
 from fracture.bounds import Z_LOWER_KR_CAP, RootValue, _iroot_exact
 
 
-from oracles import sqrt_rate_vs
+from oracles import sqrt_rate_vs, z_lower_sqrt
 
 
 def test_sqrt_rate_vs_oracle_agrees_with_floats():
@@ -165,7 +164,7 @@ class TestZLower:
     def test_recursive_beats_sqrt(self):
         for k in range(3, 201):
             rec = z_lower_recursive(k, 2).value
-            srt = z_lower_sqrt(k).value
+            srt = z_lower_sqrt(k)
             assert rec >= srt
             assert z_lower_best(k, 2).value >= rec
 
@@ -193,10 +192,9 @@ class TestZLower:
 
     def test_sqrt_form(self):
         # least D with D(D+1) >= k
-        assert z_lower_sqrt(9).value == Fraction(1, 3)
-        assert z_lower_sqrt(12).value == Fraction(1, 3)
-        assert z_lower_sqrt(13).value == Fraction(1, 4)
-        assert z_lower_sqrt(9).provenance == "sqrt_ceiling"
+        assert z_lower_sqrt(9) == Fraction(1, 3)
+        assert z_lower_sqrt(12) == Fraction(1, 3)
+        assert z_lower_sqrt(13) == Fraction(1, 4)
 
 
 class TestZUpper:

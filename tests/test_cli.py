@@ -579,10 +579,15 @@ class TestSearchCommand:
         code, verdict = run_json(capsys, "verify", str(path))
         assert code == 0 and verdict["valid"] is True
 
-    def test_search_z(self, capsys):
+    def test_search_z(self, capsys, tmp_path):
         code, data = run_json(capsys, "search", "z", "--n", "5", "--k", "4")
         assert code == 0
         assert data["value"] == "3/5"
+        # verify reads z, not f, from its fresh report of the witness
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(data))
+        code, verdict = run_json(capsys, "verify", str(path))
+        assert code == 0 and verdict["valid"] is True
 
     def test_budget_exit_3(self, capsys):
         # f(8, 4) takes 27,309 nodes to prove; 100 reach a leaf but not the end
@@ -1290,14 +1295,25 @@ class TestArtifactFuzz:
         assert "metric" in verdict["reason"]
 
 
+def _readme_block(heading):
+    """The first fenced code block under ``heading`` in the README, without
+    its fence lines."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return text.split(heading, 1)[1].split("```", 2)[1].split("\n", 1)[1]
+
+
 def _readme_cli_lines():
     """The argument lists of the ``fracture ...`` lines in the README's CLI block."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    block = text.split("## CLI", 1)[1].split("```", 2)[1]
+    block = _readme_block("## CLI")
     return [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.startswith("fracture ")]
 
 
 class TestReadmeExamples:
+    def test_library_tour_runs(self, capsys):
+        # a tour line naming a deleted or renamed function fails here
+        exec(compile(_readme_block("## Library tour"), "README.md", "exec"), {})
+        capsys.readouterr()
+
     @pytest.mark.parametrize("argv", _readme_cli_lines(), ids=" ".join)
     def test_cli_line_runs(self, capsys, tmp_path, argv):
         artifact = tmp_path / "artifact.json"

@@ -20,14 +20,11 @@ from fracture import (
     HypergraphShape,
     class_stats,
     coloring_from_dict,
-    coloring_from_json,
     coloring_to_dict,
-    coloring_to_json,
     edge_array,
     edge_ranks,
     f_value,
     fraction_str,
-    parse_fraction,
     relabel_canonical,
     report_dict,
     z_value,
@@ -501,9 +498,9 @@ class TestSerialization:
 
     def test_json_roundtrip_bytes(self):
         c = make(4, 2, 2, (0, 1, 0, 1, 0, 1))
-        text = coloring_to_json(c)
-        assert coloring_from_json(text) == c
-        assert coloring_to_json(coloring_from_json(text)) == text
+        text = json.dumps(coloring_to_dict(c), sort_keys=True)
+        assert coloring_from_dict(json.loads(text)) == c
+        assert json.dumps(coloring_to_dict(coloring_from_dict(json.loads(text))), sort_keys=True) == text
 
     def test_report_shape(self):
         c = make(3, 3, 2, (0, 1, 2))
@@ -550,9 +547,10 @@ class TestSerialization:
     def test_fraction_strings(self):
         assert fraction_str(Fraction(2, 3)) == "2/3"
         assert fraction_str(Fraction(3)) == "3"
-        assert parse_fraction("2/3") == Fraction(2, 3)
-        assert parse_fraction("3") == Fraction(3)
+        assert Fraction("2/3") == Fraction(2, 3)
+        assert Fraction("3") == Fraction(3)
 
     @given(st.fractions(min_value=0, max_value=10))
     def test_fraction_roundtrip(self, x):
-        assert parse_fraction(fraction_str(x)) == x
+        # the stdlib parses what fraction_str writes
+        assert Fraction(fraction_str(x)) == x

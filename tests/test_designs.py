@@ -31,7 +31,8 @@ from fracture import (
     projective_plane,
 )
 from fracture import designs
-from fracture.designs import _partition_ranks, _stage_match, is_prime, prime_power_decompose
+from fracture.designs import _partition_ranks, _stage_match, prime_power_decompose
+from oracles import is_prime
 
 # sha256 (first 16 hex digits) of json.dumps(baranyai(n, r).factors) for
 # every r | n, 2 <= r < n <= 50, with C(n, r) <= 3000, and of
@@ -77,10 +78,98 @@ GF_PINS = {
     59: "8fa4c58167bd6b86", 61: "3452a38910b89cbe", 64: "1ee580560d33b767",
 }
 
+# sha256 (first 8 hex digits) of json.dumps(disjoint_max_matchings(n, r,
+# t).factors) for every r in {3, 4}, r < n <= 12 with r not dividing n,
+# and t = 0, 1, ... up to the first count refused, whose digest is that of
+# "refused: " + its message; recorded from the build whose search recursed
+# over the t matchings
+MATCHING_PINS = {
+    (4, 3): "4f53cda1 98312dec 67f9bd69 884d7495 7cafcbe5 5071b208",
+    (5, 3): (
+        "4f53cda1 98312dec 67f9bd69 884d7495 e64358a0 3b1d2ce7 93ee3d3e 7ba36e1b c7a35266 "
+        "3010c170 99e858c9 09c4f3d2"
+    ),
+    (7, 3): (
+        "4f53cda1 e13d565d 0e74e93e 52251667 32da8ffc d6de5166 4379a7bb 670c6ab8 cab678c3 "
+        "7b679464 a8006bca a6c30a12"
+    ),
+    (8, 3): (
+        "4f53cda1 e13d565d 0e74e93e 52251667 32da8ffc d6de5166 4379a7bb 670c6ab8 cab678c3 "
+        "7b679464 a8006bca b0a539c9 1e84f283 29320d8c fa41495f 12434f54 fd217cbc f20e47d1 "
+        "f0a3bf3b 64fdd32e 7551e2d2 bbec51cf 69e9bdbb ee29b797 fb2f2498 6b7ed0d6"
+    ),
+    (10, 3): (
+        "4f53cda1 ba5a314b c6938bbd 5f8b7cec 458544e1 ce87a907 cb37a631 27e60e21 e94a549e "
+        "7664661e 99f02894 56a3ea3a b64ce3a4 ca73fdb7 320fbd38 889e923f 71828efb 09ceff8c "
+        "64282709 341e7dbf 0f593e14 6e3a4093 d058c7ba fd873736 98e11bd9 da330821 dd4ac349 "
+        "310bd716 eb94e709 de6f2ff0 4a9e4b79 9ddc5a3f 7e5b6956"
+    ),
+    (11, 3): (
+        "4f53cda1 ba5a314b c6938bbd 5f8b7cec 7eda01b8 433fa131 69cac266 58e76d72 9d1c1343 "
+        "7c64629e f0231abd dfe75c34 d45efdb1 a6973aa9 74c4c8b6 50c4a126 7c0920e1 bcf388d4 "
+        "447b3cd7 d4c96b35 f203c9f0 025a8559 aa6eaed9 fe18c1fa 9e0398ea f5f24465 cf8a530c "
+        "f3b5fcb8 5a45bb58 f62471a7 4bf70e30 287b3aef dcfa029d 1b46601c 3b392b36 15a89634 "
+        "8ebb1867 860cd46f 483b6ae8 05b7da61 13ecbce6 ac2adfe5 33bad8ad 8bfa33ca a042b165 "
+        "49e19488 7a9ca4ec f8ed807c"
+    ),
+    (5, 4): "4f53cda1 f196f42f 260074bf 056df2af c5f63369 3b4998e7 9244f3ab",
+    (6, 4): (
+        "4f53cda1 f196f42f 260074bf 056df2af c5f63369 847b133a 2d01683f 5a24ffdd 0b5a593e "
+        "29536299 92f44d17 9f6d3afe 1f9a6b2f ca2235b9 b102c016 efaaa242 8d5c09ad"
+    ),
+    (7, 4): (
+        "4f53cda1 f196f42f 260074bf 056df2af c5f63369 847b133a 2d01683f 5a24ffdd 0b5a593e "
+        "29536299 92f44d17 dd79b045 34882ff7 873cd6a6 d11515b4 067ca805 091c7151 fd42363b "
+        "e0508024 aff5aa74 6cfd06fd 8262e653 4629cdc3 df3d8e7a 80d71100 9ffff345 2f5456cb "
+        "f3d7666d ad3bca78 41853fc6 6f3e806a 31442013 8761c37a 1c84b4fb 908c4bb8 b2ee733d "
+        "201f8d3f"
+    ),
+    (9, 4): (
+        "4f53cda1 70683a6a 8f37edc5 c2a35e80 67488b36 98dd3aa2 373aa923 aed32860 26348dea "
+        "1ef3c989 032ee937 55227a8c 799b883c 80252eeb f1131ac8 51b502ad 07a7dd27 02501fba "
+        "f009a2d8 8b2e4cd8 9777794c 168c0e66 3a4d3800 d165a7e7 422918db a93d650c b3fdea90 "
+        "6b9a48b1 d5bf88b8 1d4888f5 c9137e04 f6aeb6bd 4f8e468d 14380a40 08e4ff8b bcd21437 "
+        "6aed6738"
+    ),
+    (10, 4): (
+        "4f53cda1 70683a6a 8f37edc5 c2a35e80 67488b36 98dd3aa2 373aa923 aed32860 26348dea "
+        "1ef3c989 032ee937 55227a8c 799b883c 80252eeb f1131ac8 51b502ad 07a7dd27 02501fba "
+        "f009a2d8 8b2e4cd8 9777794c 168c0e66 3a4d3800 d165a7e7 422918db a93d650c b3fdea90 "
+        "6b9a48b1 d5bf88b8 1d4888f5 c9137e04 f6aeb6bd 4f8e468d 14380a40 08e4ff8b bcd21437 "
+        "77a90d25 eed78a86 95c9f8fb cbc534c1 978b7621 ad1f3228 2a5b7ab0 dd314d07 245dd31e "
+        "d50b3783 1d336c95 408349a2 81082415 bca0fce7 d956edbb c32128b0 2e74bb12 d8f5cfe9 "
+        "babe5e8e cca2f049 b8d9e686 ceef4c1d afc36d5f f4dd5bfb 56509837 f1e5a4d1 e5a9cdcc "
+        "ef6a8192 e92b9435 19895f24 a0dcc754 c85ebeef be376f38 762ae760 f9fadcfb bd67ed12 "
+        "3a0e474d 78364913 fcccbd0d dd0ef43a e65132db c8732eb9 f72ba6ed 1cc7d303 b8844b10 "
+        "ac1c5577 4bb2458d 042628df dd98fec6"
+    ),
+    (11, 4): (
+        "4f53cda1 70683a6a 8f37edc5 c2a35e80 67488b36 98dd3aa2 373aa923 aed32860 26348dea "
+        "1ef3c989 032ee937 55227a8c 799b883c 80252eeb f1131ac8 51b502ad 07a7dd27 02501fba "
+        "f009a2d8 8b2e4cd8 9777794c 168c0e66 3a4d3800 d165a7e7 422918db a93d650c b3fdea90 "
+        "6b9a48b1 d5bf88b8 1d4888f5 c9137e04 f6aeb6bd 4f8e468d 14380a40 08e4ff8b bcd21437 "
+        "77a90d25 eed78a86 95c9f8fb cbc534c1 978b7621 ad1f3228 2a5b7ab0 dd314d07 245dd31e "
+        "d50b3783 1d336c95 408349a2 81082415 bca0fce7 d956edbb c32128b0 2e74bb12 d8f5cfe9 "
+        "babe5e8e cca2f049 424227a7 6fb46a14 474f2a4a 15cb5b16 1ffa6f7e 4d45ee85 06603d3c "
+        "682d4f7f 6fc26427 59527963 3a9af6f5 3cdf13e3 325ac2fe 70598314 66c53da0 923fa91c "
+        "8ee2b0fc 10f7b901 7954c128 b21b07c0 9e24aa8c 546ac710 3be6c984 22032e68 a8e46f7b "
+        "b13ccef2 915fc693 2c8395c4 4caa232c e38a267c 8acc4be9 722a82dc 4fe41a24 65d9ef7c "
+        "356d4f13 513dba86 c0213fa4 3272e7a1 e223ac72 ce9591c2 48a6b4e9 9234ce6c 4380d0b2 "
+        "6e5e144e 6efb89e8 8cf6510f cecf88bd 9963a92e 98cb7310 d45fe720 2b24d0bd a2bc5250 "
+        "2ead8151 8267f4ca b1f66f28 d421ad58 cee3f676 44d265ee 2cb2354c ab6446d3 7d6ca022 "
+        "600ae450 9ab6cd26 396e7411 8f97cdad 917cfac0 c451ca55 4906cf7d fe84a214 323d0ad3 "
+        "32acf237 141f3430 b8f77533 905dec82 60377ce3 69bfb961 5a925683 40e22b78 3f749d76 "
+        "49a421f1 bab7285b"
+    ),
+}
+
 
 class TestFiniteField:
     def test_prime_helpers(self):
         assert [x for x in range(2, 20) if is_prime(x)] == [2, 3, 5, 7, 11, 13, 17, 19]
+        assert [prime_power_decompose(q) for q in range(201)] == [
+            oracles.prime_power(q) for q in range(201)
+        ]
         assert prime_power_decompose(8) == (2, 3)
         assert prime_power_decompose(9) == (3, 2)
         assert prime_power_decompose(12) is None
@@ -124,6 +213,16 @@ class TestFiniteField:
     def test_non_prime_power_rejected(self):
         with pytest.raises(FractureError):
             gf(6)
+
+
+@pytest.fixture
+def no_backtrack(monkeypatch):
+    """Fail any test that reaches the disjoint-matching search."""
+
+    def fail(*args):
+        raise AssertionError("backtracking search started")
+
+    monkeypatch.setattr(designs, "_disjoint_matchings_backtrack", fail)
 
 
 class TestDesigns:
@@ -276,14 +375,38 @@ class TestFactorizations:
     # backtracking search took 12 s on (18, 3, 137) and ran for minutes on
     # (16, 4, 456)
     @pytest.mark.parametrize("n,r,t", [(18, 3, 137), (16, 4, 456), (12, 6, 463)])
-    def test_too_many_perfect_matchings_refused_at_once(self, monkeypatch, n, r, t):
-        def no_backtrack(*args):
-            raise AssertionError("backtracking search started")
-
-        monkeypatch.setattr(designs, "_disjoint_matchings_backtrack", no_backtrack)
+    def test_too_many_perfect_matchings_refused_at_once(self, no_backtrack, n, r, t):
         assert t == math.comb(n - 1, r - 1) + 1
         with pytest.raises(FractureError, match=f"could not build {t} disjoint"):
             disjoint_max_matchings(n, r, t)
+
+    # t matchings of floor(n/r) edges need t * floor(n/r) of the C(n, r)
+    # edges, so K_25^3 holds at most 287, K_20^3 190, and K_7 and K_8
+    # seven; a search ran past 60 s on (25, 3, 300) and took 6 s to refuse
+    # (20, 3, 400)
+    @pytest.mark.parametrize(
+        "n,r,t,limit", [(25, 3, 300, 287), (20, 3, 400, 190), (25, 3, 288, 287), (7, 2, 8, 7), (8, 2, 8, 7)]
+    )
+    def test_more_matchings_than_edges_refused_at_once(self, no_backtrack, n, r, t, limit):
+        assert math.comb(n, r) // (n // r) == limit < t
+        start = time.perf_counter()
+        with pytest.raises(FractureError, match=f"could not build {t} disjoint"):
+            disjoint_max_matchings(n, r, t)
+        assert time.perf_counter() - start < 1
+
+    def test_matching_pins(self):
+        cases = [(n, r) for r in (3, 4) for n in range(r + 1, 13) if n % r]
+        assert list(MATCHING_PINS) == cases
+        for (n, r), pins in MATCHING_PINS.items():
+            digests = []
+            for t in range(len(pins.split())):
+                try:
+                    text = json.dumps(disjoint_max_matchings(n, r, t).factors)
+                except FractureError as exc:
+                    text = f"refused: {exc}"
+                digests.append(hashlib.sha256(text.encode()).hexdigest()[:8])
+            assert " ".join(digests) == pins, (n, r)
+            assert text.startswith("refused: could not build")
 
     @pytest.mark.parametrize("n", [10, 11])
     def test_k4minus_decomposition(self, n):
