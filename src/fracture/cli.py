@@ -110,7 +110,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_designs(args) -> int:
-    # constructors validate before returning
+    # a Design or MatchingDecomposition checks itself when it is built
     _dump({**_DESIGNS[args.kind][2](args), "valid": True}, args.output)
     return EXIT_OK
 
@@ -208,22 +208,20 @@ def _same(claim, fresh) -> bool:
 
 def _verify_payload(data: dict) -> tuple[bool, str]:
     if "blocks" in data:
-        design = designs_mod.Design(
+        designs_mod.Design(
             data["v"],
             data["strength"],
             data["block_size"],
             tuple(tuple(b) for b in data["blocks"]),
         )
-        design.validate()
         return True, "design covers every subset exactly once"
     if "factors" in data:
-        dec = designs_mod.MatchingDecomposition(
+        designs_mod.MatchingDecomposition(
             data["n"],
             data["r"],
             tuple(tuple(tuple(e) for e in f) for f in data["factors"]),
             complete=data.get("complete", False),
         )
-        dec.validate()
         return True, "factors are disjoint maximum matchings"
     if "groups" in data:
         designs_mod.check_diamonds(data["n"], data["groups"])

@@ -16,6 +16,8 @@ Invariants:
     - _partition_ranks, over core.edge_ranks, is the one check that groups
       of edges are disjoint (and cover K_n^r): for designs' subsets,
       factors, Hamiltonian cycles, diamonds and colorings by groups,
+    - a Design or MatchingDecomposition checks itself in __post_init__,
+      so none is built invalid and no caller checks one again,
     - every Design has each strength-subset in exactly one block,
     - every MatchingDecomposition has edge-disjoint factors of pairwise
       disjoint edges, covering all of C(n, r) when complete,
@@ -35,8 +37,8 @@ from .core import (
 
 DESK_FIELD_CAP = 64
 DESK_PLANE_CAP = 8
-# Design.validate enumerates every strength-subset it covers; the largest
-# design built here, boolean_sqs(5), has C(32, 3) = 4,960 of them
+# a Design enumerates every strength-subset it covers when it is built; the
+# largest design built here, boolean_sqs(5), has C(32, 3) = 4,960 of them
 DESK_SUBSET_CAP = 10**5
 
 
@@ -194,7 +196,7 @@ class Design:
     block_size: int
     blocks: tuple[tuple[int, ...], ...]
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in ("v", "strength", "block_size"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
@@ -268,9 +270,7 @@ def projective_plane(q: int) -> Design:
             if s == 0:
                 line.append(i)
         blocks.append(tuple(sorted(line)))
-    design = Design(q * q + q + 1, 2, q + 1, _sorted_blocks(blocks))
-    design.validate()
-    return design
+    return Design(q * q + q + 1, 2, q + 1, _sorted_blocks(blocks))
 
 
 @functools.lru_cache(maxsize=None)
@@ -288,9 +288,7 @@ def affine_plane(q: int) -> Design:
             blocks.append(tuple(sorted(x * q + F.add(F.mul(m, x), b) for x in range(q))))
     for c in range(q):
         blocks.append(tuple(sorted(c * q + y for y in range(q))))
-    design = Design(q * q, 2, q, _sorted_blocks(blocks))
-    design.validate()
-    return design
+    return Design(q * q, 2, q, _sorted_blocks(blocks))
 
 
 @functools.lru_cache(maxsize=None)
@@ -305,9 +303,7 @@ def boolean_sqs(m: int) -> Design:
         for quad in combinations(range(v), 4)
         if quad[0] ^ quad[1] ^ quad[2] ^ quad[3] == 0
     ]
-    design = Design(v, 3, 4, _sorted_blocks(blocks))
-    design.validate()
-    return design
+    return Design(v, 3, 4, _sorted_blocks(blocks))
 
 
 @functools.lru_cache(maxsize=None)
@@ -340,9 +336,7 @@ def inversive_plane(q: int) -> Design:
                     if F.sub(F.mul(a, d), F.mul(b, c)) == 0:
                         continue
                     blocks.add(tuple(sorted(moebius(a, b, c, d, z) for z in base)))
-    design = Design(q * q + 1, 3, q + 1, _sorted_blocks(blocks))
-    design.validate()
-    return design
+    return Design(q * q + 1, 3, q + 1, _sorted_blocks(blocks))
 
 
 @dataclass(frozen=True)
@@ -355,7 +349,7 @@ class MatchingDecomposition:
     factors: tuple[tuple[tuple[int, ...], ...], ...]
     complete: bool
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         import numpy as np
 
         for name, value in (("n", self.n), ("r", self.r)):
@@ -410,9 +404,7 @@ def one_factorization(n: int) -> MatchingDecomposition:
         for j in range(1, n // 2):
             edges.append(((i + j) % (n - 1), (i - j) % (n - 1)))
         factors.append(_normalize_factor(edges))
-    dec = MatchingDecomposition(n, 2, tuple(factors), complete=True)
-    dec.validate()
-    return dec
+    return MatchingDecomposition(n, 2, tuple(factors), complete=True)
 
 
 @functools.lru_cache(maxsize=None)
@@ -427,9 +419,7 @@ def near_one_factorization(n: int) -> MatchingDecomposition:
     if n < 3 or n % 2 == 0:
         raise FractureError(f"near-one-factorization needs odd n >= 3, got {n}")
     factors = tuple(factor[:-1] for factor in one_factorization(n + 1).factors)
-    dec = MatchingDecomposition(n, 2, factors, complete=True)
-    dec.validate()
-    return dec
+    return MatchingDecomposition(n, 2, factors, complete=True)
 
 
 @functools.lru_cache(maxsize=None)
@@ -549,7 +539,7 @@ def _baranyai_flow(n: int, r: int) -> list[tuple[tuple[int, ...], ...]]:
             fac[grown] = fac.get(grown, 0) + 1
     # each factor's n / r traces, never longer than r, take one vertex per
     # stage, so all end full; a trace twice is one key and leaves its factor
-    # short, which validate refuses
+    # short, which MatchingDecomposition refuses
     return [_normalize_factor(fac) for fac in factors]
 
 
@@ -559,16 +549,12 @@ def baranyai(n: int, r: int) -> MatchingDecomposition:
     by Baranyai's stage-by-stage integral-flow construction (Baranyai, "On
     the factorization of the complete uniform hypergraph", 1975).
     """
-    if r < 2 or n < r:
-        raise FractureError(f"invalid ({n}, {r})")
+    HypergraphShape(n, r)  # refuses r < 2 and n < r before n % r divides by r
     if n % r:
         raise FractureError(f"factorization needs r | n, got n={n}, r={r}")
-    check_binomial_size(n, r)
     if comb(n, r) > 3000:
         raise FractureError(f"C({n},{r}) above desk cap 3000")
-    dec = MatchingDecomposition(n, r, tuple(_baranyai_flow(n, r)), complete=True)
-    dec.validate()
-    return dec
+    return MatchingDecomposition(n, r, tuple(_baranyai_flow(n, r)), complete=True)
 
 
 def disjoint_max_matchings(n: int, r: int, t: int) -> MatchingDecomposition:
@@ -595,9 +581,7 @@ def disjoint_max_matchings(n: int, r: int, t: int) -> MatchingDecomposition:
         factors = _disjoint_matchings_backtrack(n, r, t)
         if factors is None:
             raise FractureError(f"could not build {t} disjoint maximum matchings in K_{n}^{r}")
-    dec = MatchingDecomposition(n, r, tuple(factors), complete=False)
-    dec.validate()
-    return dec
+    return MatchingDecomposition(n, r, tuple(factors), complete=False)
 
 
 def _disjoint_matchings_backtrack(n: int, r: int, t: int):

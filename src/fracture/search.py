@@ -219,6 +219,7 @@ def bulk_eval(n: int, r: int, k: int, colorings: np.ndarray) -> np.ndarray:
     """
     shape = HypergraphShape(n, r)
     m = shape.edge_count
+    check_desk_edges(n, r, m)
     arr = np.asarray(colorings)
     if arr.ndim != 2 or arr.shape[1] != m:
         raise FractureError(f"colorings must be (num, {m})")

@@ -195,17 +195,14 @@ def build_digest():
         designs[f"inversive({q})"] = [len(d.blocks), len(cover), max(cover.values())]
     for n in [2, 4, 6, 8, 10, 12]:
         dec = one_factorization(n)
-        dec.validate()
         designs[f"1f({n})"] = len(dec.factors)
     for n in [3, 5, 7, 9, 11, 13]:
         dec = near_one_factorization(n)
-        dec.validate()
         designs[f"n1f({n})"] = len(dec.factors)
     for n in [3, 5, 7, 9, 11]:
         designs[f"ham({n})"] = len(hamiltonian_decomposition(n))
     for n, r in [(4, 2), (6, 2), (6, 3), (8, 4), (9, 3)]:
         dec = baranyai(n, r)
-        dec.validate()
         designs[f"baranyai({n},{r})"] = len(dec.factors)
     for n in [10, 11]:
         designs[f"diamonds({n})"] = len(k4minus_decomposition(n))

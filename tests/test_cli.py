@@ -848,8 +848,8 @@ class TestVerifyRejections:
 
 # Factor and design artifacts and mutations of them, each with the verdict
 # (valid, exit code) that verify gave before one partition check over colex
-# ranks replaced the per-edge Python sets of Design and
-# MatchingDecomposition.validate
+# ranks replaced the per-edge Python sets of the Design and
+# MatchingDecomposition checks
 _OF4 = {"n": 4, "r": 2, "complete": True, "factors": [[[1, 2], [0, 3]], [[0, 2], [1, 3]], [[0, 1], [2, 3]]]}
 _OF6 = {
     "n": 6, "r": 2, "complete": True,

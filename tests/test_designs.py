@@ -1,7 +1,8 @@
 """Designs, factorizations, and decompositions checked from the definitions.
 
 Coverage counts are recomputed with the independent subset_coverage oracle
-rather than trusting the validate() methods under test.
+rather than trusting the checks that Design and MatchingDecomposition
+run when they are built.
 """
 
 import hashlib
@@ -272,6 +273,11 @@ class TestDesigns:
         assert len(cover) == math.comb(d.v, 3)
         assert set(cover.values()) == {1}
 
+    def test_invalid_design_cannot_be_built(self):
+        # one line of a 2-(7, 3, 1) design covers 3 of its 21 pairs
+        with pytest.raises(FractureError, match="blocks hold 3 subsets, expected 21"):
+            designs.Design(7, 2, 3, ((0, 1, 2),))
+
 
 class TestFactorizations:
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
@@ -369,6 +375,19 @@ class TestFactorizations:
             for e in factor:
                 assert e not in seen
                 seen.add(e)
+
+    def test_zero_matchings_checked(self):
+        # t = 0 builds no matching, but its empty decomposition is still
+        # checked: K_2^5 has no edges
+        with pytest.raises(FractureError, match="need 1 <= r <= n"):
+            disjoint_max_matchings(2, 5, 0)
+        dec = disjoint_max_matchings(6, 3, 0)
+        assert (dec.n, dec.r, dec.factors, dec.complete) == (6, 3, (), False)
+
+    def test_invalid_decomposition_cannot_be_built(self):
+        # (0, 1) and (0, 2) share vertex 0
+        with pytest.raises(FractureError, match="is not a matching"):
+            designs.MatchingDecomposition(4, 2, (((0, 1), (0, 2)),), False)
 
     # every perfect matching holds one of the C(n-1, r-1) edges at vertex 0
     # (136 for K_18^3, 455 for K_16^4), so one more is refused at once; the

@@ -465,3 +465,16 @@ class TestBulkEval:
         # as for a Coloring: 1 <= k <= C(4, 2) = 6
         with pytest.raises(FractureError, match="need 1 <= k <= 6"):
             bulk_eval(4, 2, k, np.zeros((2, 6), dtype=np.int64))
+
+    @pytest.mark.parametrize("n,k,rows", [(70, 2415, 1), (2000, 2, 0)])
+    def test_refused_above_desk_cap(self, monkeypatch, n, k, rows):
+        # the kernel takes k * n slots a row, and k may be C(n, 2): one row
+        # of K_2000 with k = C(2000, 2) would ask for about 4e9 slots
+        def refuse(*args):
+            raise AssertionError("edge table or kernel reached above the desk cap")
+
+        monkeypatch.setattr(search_mod, "_edges_flat", refuse)
+        monkeypatch.setattr(_kernels, "bulk_eval_kernel", refuse)
+        colorings = np.zeros((rows, math.comb(n, 2)), dtype=np.int64)
+        with pytest.raises(FractureError, match=rf"C\({n},2\)={math.comb(n, 2)} above desk cap"):
+            bulk_eval(n, 2, k, colorings)
