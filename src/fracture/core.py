@@ -38,6 +38,7 @@ Invariants:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -62,6 +63,18 @@ def check_desk_edges(n: int, r: int, m: int) -> None:
         # past 2^64 the count can have more digits than Python will print
         count = f"={m}" if m < 2**64 else " >= 2^64"
         raise FractureError(f"C({n},{r}){count} above desk cap {DESK_EDGE_CAP}")
+
+
+def as_int(value: object, name: str) -> int:
+    """value as the Python int operator.index gives: an int or a numpy
+    integer passes; a bool, a float or anything else raises
+    FractureError, so no decision ever rounds."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise FractureError(f"{name} must be an integer, got {value!r}")
 
 
 HOST_EDGE_CAP = 100_000
@@ -95,6 +108,9 @@ class HypergraphShape:
     bipartite = False
 
     def __post_init__(self) -> None:
+        # frozen: store the checked ints in place of what was passed
+        object.__setattr__(self, "n", as_int(self.n, "n"))
+        object.__setattr__(self, "r", as_int(self.r, "r"))
         if self.r < 2:
             raise FractureError(f"uniformity must be >= 2, got r={self.r}")
         if self.n < self.r:

@@ -20,7 +20,8 @@ exact_f and exact_z share one driver and one kernel; they differ only in
 the objective passed down and in how the best score is turned into a
 value.  The first leaf lies m = C(n, r) nodes down, so a budget below m
 raises SearchBudgetError, and a host with more than DESK_EDGE_CAP edges
-raises FractureError.
+raises FractureError.  n, r, k and the node budget must be integers
+(numpy integers pass); a bool, a float or a string raises FractureError.
 
 verify_k_le_r runs the same kernel under its span objective,
 unbudgeted, with cap 1: the walk skips every subtree below a class that
@@ -44,6 +45,7 @@ from .core import (
     Coloring,
     FractureError,
     HypergraphShape,
+    as_int,
     check_desk_edges,
     edge_array,
     edge_ranks,
@@ -116,14 +118,18 @@ def _exact(n: int, k: int, r: int, options: SearchOptions | None, objective: int
     the maximum incident count, so both are maximized here.
     """
     shape = HypergraphShape(n, r)
-    m = shape.edge_count
+    n, r, m = shape.n, shape.r, shape.edge_count
+    k = as_int(k, "k")
     if not 1 <= k <= m:
         raise FractureError(f"need 1 <= k <= {m}, got k={k}")
     budget = _UNLIMITED
     if options is not None and options.node_budget is not None:
-        if options.node_budget < 0:
-            raise FractureError(f"need node budget >= 0, got {options.node_budget}")
-        budget = min(options.node_budget, _UNLIMITED)
+        # the kernel counts a run of lex-leader prunes in one step and may
+        # copy the budget into its node count: it must be an int
+        node_budget = as_int(options.node_budget, "node budget")
+        if node_budget < 0:
+            raise FractureError(f"need node budget >= 0, got {node_budget}")
+        budget = min(node_budget, _UNLIMITED)
         if budget < m:
             # the first leaf lies m nodes down: fail before the edge table
             # is built, which a hopeless budget on a huge n would pay for
@@ -196,6 +202,7 @@ def verify_k_le_r(n: int, k: int, r: int = 2) -> ExhaustiveCheck:
     instances whose k^m exceeds the enumeration cap, without computing
     k^m when m alone shows it.
     """
+    k = as_int(k, "k")
     if k > r:
         raise FractureError(f"claim only holds for k <= r, got k={k} > r={r}")
     if k < 1:
@@ -225,6 +232,7 @@ def bulk_eval(n: int, r: int, k: int, colorings: np.ndarray) -> np.ndarray:
         raise FractureError(f"colorings must be (num, {m})")
     if not np.issubdtype(arr.dtype, np.integer):
         raise FractureError(f"colorings must be integers, got {arr.dtype}")
+    k = as_int(k, "k")
     if not 1 <= k <= m:
         raise FractureError(f"need 1 <= k <= {m}, got k={k}")
     if arr.size and (arr.min() < 0 or arr.max() >= k):

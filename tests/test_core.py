@@ -464,6 +464,18 @@ class TestValidation:
         with pytest.raises(FractureError):
             HypergraphShape(10**7, 5 * 10**6)  # far too many edges to color
 
+    @pytest.mark.parametrize(
+        "n,r", [(7.0, 2), (7, 2.0), (True, 2), (5, True), ("7", 2), (np.float64(7), 2)], ids=repr
+    )
+    def test_shape_needs_integers(self, n, r):
+        with pytest.raises(FractureError, match="must be an integer"):
+            HypergraphShape(n, r)
+
+    def test_shape_takes_numpy_integers_as_ints(self):
+        shape = HypergraphShape(np.int64(7), np.int32(2))
+        assert shape == HypergraphShape(7, 2)
+        assert type(shape.n) is int and type(shape.r) is int
+
     def test_bipartite_checks(self):
         for n in (0, -1):
             with pytest.raises(FractureError):

@@ -267,6 +267,61 @@ def test_nodes_never_exceed_budget(kind, n, k, r, budget):
     assert res.nodes <= budget
 
 
+# sha256 of (value, exhausted, nodes, witness) at every node budget from
+# C(n, r) to 700 on these searches, recorded while the kernel still
+# counted each lex-leader prune as a node of its own.  It now counts a
+# run of them in one step, and many of these budgets stop inside a run.
+BOUNDARY_CASES = [("z", 6, 4, 2), ("f", 8, 4, 2), ("z", 6, 3, 3)]
+BOUNDARY_DIGEST = "1ec18db5538977eadc8ef534eb0d11d7c90197e6b3a87e16e6ef0bff2df8dd42"
+
+
+def test_every_budget_boundary():
+    digest = hashlib.sha256()
+    for kind, n, k, r in BOUNDARY_CASES:
+        search = exact_f if kind == "f" else exact_z
+        for budget in range(math.comb(n, r), 701):
+            res = search(n, k, r, SearchOptions(node_budget=budget))
+            if not res.exhausted:
+                assert res.nodes == budget, (kind, n, k, r, budget)
+            digest.update(repr((res.value, res.exhausted, res.nodes, res.witness.assignment)).encode())
+    assert digest.hexdigest() == BOUNDARY_DIGEST
+
+
+class TestIntegerInputs:
+    """Counts are ints: a bool, a float or a string is refused, never
+    rounded or read as 0 or 1; numpy integers pass as operator.index
+    reads them."""
+
+    @pytest.mark.parametrize("bad", [3.0, True, np.float64(3), "3"], ids=repr)
+    def test_k_refused(self, bad):
+        for call in (
+            lambda: exact_f(7, bad),
+            lambda: exact_z(7, bad),
+            lambda: bulk_eval(4, 2, bad, np.zeros((1, 6), dtype=np.int64)),
+        ):
+            with pytest.raises(FractureError, match="k must be an integer"):
+                call()
+
+    @pytest.mark.parametrize("bad", [True, 2.0, np.float64(2)], ids=repr)
+    def test_verifier_k_refused(self, bad):
+        with pytest.raises(FractureError, match="k must be an integer"):
+            verify_k_le_r(5, bad, 2)
+
+    @pytest.mark.parametrize("bad", [1e5, 100.5, True, "500"], ids=repr)
+    def test_node_budget_refused(self, bad):
+        with pytest.raises(FractureError, match="node budget must be an integer"):
+            exact_f(7, 3, 2, SearchOptions(node_budget=bad))
+
+    def test_numpy_integers_accepted(self):
+        i64 = np.int64
+        res = exact_f(i64(7), i64(3), i64(2), SearchOptions(node_budget=i64(500)))
+        assert res == exact_f(7, 3, 2, SearchOptions(node_budget=500))
+        assert type(res.nodes) is int and type(res.witness.n) is int
+        assert verify_k_le_r(i64(4), i64(2), i64(2)) == verify_k_le_r(4, 2, 2)
+        rows = np.zeros((1, 6), dtype=np.int64)
+        assert bulk_eval(i64(4), i64(2), i64(2), rows).tolist() == bulk_eval(4, 2, 2, rows).tolist()
+
+
 class TestVerifier:
     def test_small_claims_hold(self):
         for n, k, r in [(4, 2, 2), (5, 2, 2), (4, 2, 3)]:
