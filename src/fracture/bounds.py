@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache, total_ordering
 from math import comb, isqrt
 
-from .core import FractureError, check_binomial_size
+from .core import FractureError, as_int, check_binomial_size
 from . import constructions
 
 
@@ -127,7 +127,7 @@ _Z_ADHOC_LOWER = {
 Z_LOWER_KR_CAP = 1500
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def z_lower_recursive(k: int, r: int) -> BoundRecord:
     """Recursive lower bound on the limiting incidence fraction for at
     most k colors on r-uniform edges.
@@ -139,6 +139,7 @@ def z_lower_recursive(k: int, r: int) -> BoundRecord:
     r == 1 answers, k*r above Z_LOWER_KR_CAP is refused before any
     recursion; every inner call has a smaller k*r.
     """
+    k, r = as_int(k, "k"), as_int(r, "r")
     if k < 1 or r < 1:
         raise FractureError(f"need k, r >= 1, got k={k}, r={r}")
     if k <= r:
@@ -211,6 +212,7 @@ def z_upper_constructions(k: int, r: int) -> BoundRecord:
     coloring and checks, never a stored constant.  Ties prefer
     structured colorings over one color per edge.
     """
+    k, r = as_int(k, "k"), as_int(r, "r")
     if k < 1 or r < 1:
         raise FractureError(f"need k, r >= 1, got k={k}, r={r}")
     if k <= r:
@@ -234,16 +236,24 @@ def z_upper_constructions(k: int, r: int) -> BoundRecord:
     return BoundRecord(z, prov)
 
 
-def f_upper_counting(n: int, k: int, r: int) -> BoundRecord:
-    """Largest t such that k classes can reach t components each by the
-    edge count alone: a class with t components misses at most the edges
-    inside n - r(t-1) vertices plus t-1 bridging choices, and the k
-    classes together must still cover all C(n, r) edges."""
+def _check_nkr(n: int, k: int, r: int) -> tuple[int, int, int]:
+    """n, k and r as ints, once 1 <= r <= n, k >= 1 and C(n, r) passes
+    check_binomial_size."""
+    n, k, r = as_int(n, "n"), as_int(k, "k"), as_int(r, "r")
     if not 1 <= r <= n:
         raise FractureError(f"need 1 <= r <= n, got n={n}, r={r}")
     if k < 1:
         raise FractureError(f"need k >= 1, got k={k}")
     check_binomial_size(n, r)
+    return n, k, r
+
+
+def f_upper_counting(n: int, k: int, r: int) -> BoundRecord:
+    """Largest t such that k classes can reach t components each by the
+    edge count alone: a class with t components misses at most the edges
+    inside n - r(t-1) vertices plus t-1 bridging choices, and the k
+    classes together must still cover all C(n, r) edges."""
+    n, k, r = _check_nkr(n, k, r)
     total = comb(n, r)
 
     def passes(t: int) -> bool:
@@ -265,11 +275,7 @@ def f_upper_counting(n: int, k: int, r: int) -> BoundRecord:
 def f_upper_trivial(n: int, k: int, r: int) -> BoundRecord:
     """Components are at most disjoint edges overall and at most the
     size of the smallest class forced by averaging."""
-    if not 1 <= r <= n:
-        raise FractureError(f"need 1 <= r <= n, got n={n}, r={r}")
-    if k < 1:
-        raise FractureError(f"need k >= 1, got k={k}")
-    check_binomial_size(n, r)
+    n, k, r = _check_nkr(n, k, r)
     return BoundRecord(Fraction(min(n // r, comb(n, r) // k)), "trivial_ratio")
 
 

@@ -118,7 +118,11 @@ def _cmd_designs(args) -> int:
 def _record_dict(rec: bounds_mod.BoundRecord) -> dict:
     v = rec.value
     rendered = fraction_str(v) if isinstance(v, Fraction) else str(v)
-    return {"value": rendered, "float": float(rec), "provenance": rec.provenance}
+    try:
+        approx = float(rec)
+    except OverflowError:
+        raise FractureError(f"{rec.provenance} bound is too large for a float") from None
+    return {"value": rendered, "float": approx, "provenance": rec.provenance}
 
 
 def _cmd_bounds(args) -> int:

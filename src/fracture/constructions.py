@@ -38,6 +38,7 @@ from .core import (
     Coloring,
     FractureError,
     HypergraphShape,
+    as_int,
     check_desk_edges,
     check_host_edges,
     class_stats,
@@ -188,6 +189,14 @@ _EXPLICIT_BASES = {
 }
 
 
+def _number(digits: str) -> int:
+    """A number in a base name, refused past Python's limit on int digits."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise FractureError(f"a number of {len(digits)} digits in a base name is too long") from None
+
+
 def base_registry(name: str) -> BaseColoring:
     """Look up a base coloring by name.
 
@@ -202,10 +211,10 @@ def base_registry(name: str) -> BaseColoring:
         build, expected = _EXPLICIT_BASES[name]
         coloring = build()
     elif trivial:
-        coloring = trivial_coloring(int(trivial.group(1)), int(trivial.group(2)))
+        coloring = trivial_coloring(_number(trivial.group(1)), _number(trivial.group(2)))
         expected = Fraction(coloring.r, coloring.n)
     elif diamond:
-        coloring = diamond_coloring(int(diamond.group(1)))
+        coloring = diamond_coloring(_number(diamond.group(1)))
         expected = Fraction(4, coloring.n)
     elif design_name:
         ctor = {
@@ -214,7 +223,7 @@ def base_registry(name: str) -> BaseColoring:
             "sqs": boolean_sqs,
             "inversive": inversive_plane,
         }[design_name.group(1)]
-        design = ctor(int(design_name.group(2)))
+        design = ctor(_number(design_name.group(2)))
         coloring = design_coloring(design)
         expected = Fraction(design.block_size, design.v)
     else:
@@ -402,6 +411,7 @@ def coloring_tk2(n: int, k: int) -> Coloring:
     edges, and t edges make at most t components, so f == t forces every
     class to be a matching.
     """
+    n, k = as_int(n, "n"), as_int(k, "k")
     if n < 2:
         raise FractureError(f"need n >= 2, got n={n}")
     if n > 14:
@@ -436,6 +446,7 @@ def coloring_baranyai_split(n: int, r: int, t: int) -> Coloring:
     """Split every perfect-matching factor of K_n^r into t equal groups;
     each group is one color with exactly n/(r*t) components."""
     HypergraphShape(n, r)  # refuses r < 2 and n < r before n % r divides by r
+    t = as_int(t, "t")
     if n % r:
         raise FractureError(f"need r | n, got n={n}, r={r}")
     per_factor = n // r
@@ -488,7 +499,7 @@ def coloring_equitable(n: int, r: int, k: int) -> Coloring:
     least 2, so the moves end; a largest class with no such chain is an
     error.
     """
-    shape = HypergraphShape(n, r)
+    shape, k = HypergraphShape(n, r), as_int(k, "k")
     check_host_edges(shape)  # first: the desk cap's message prints C(n, r)
     m = shape.edge_count
     check_desk_edges(n, r, m)

@@ -140,6 +140,7 @@ class BipartiteShape:
     bipartite = True
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", as_int(self.n, "n"))
         if self.n < 1:
             raise FractureError(f"bipartite host needs n >= 1, got n={self.n}")
 
@@ -159,7 +160,7 @@ class BipartiteShape:
         return np.stack([index // self.n, self.n + index % self.n], axis=1)
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=1, typed=True)
 def edge_array(n: int, r: int) -> np.ndarray:
     """All r-subsets of range(n) in colex order, as a read-only
     (C(n, r), r) int64 array: row ``rank`` is the edge with that colex
@@ -245,7 +246,7 @@ class Coloring:
     ``assignment[i]`` is the color of ``shape.edge_array()[i]``: the edge
     with colex rank i on K_n^r, the edge (i // n, n + i % n) on K_{n,n}.
     Colors need not all be used; empty classes are ignored by the metric
-    functions.
+    functions.  k goes through as_int; every color must be a Python int.
     """
 
     shape: HypergraphShape | BipartiteShape
@@ -253,11 +254,17 @@ class Coloring:
     assignment: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "k", as_int(self.k, "k"))
         m = self.shape.edge_count
         if len(self.assignment) != m:
             raise FractureError(
                 f"assignment length {len(self.assignment)} != edge count {m}"
             )
+        # by type: a set of the colors would merge True and 1.0 into 1
+        strays = set(map(type, self.assignment)) - {int}
+        if strays:
+            names = ", ".join(sorted(t.__name__ for t in strays))
+            raise FractureError(f"colors must be integers, got {names}")
         if not 1 <= self.k <= m:
             raise FractureError(f"need 1 <= k <= edge count {m}, got k={self.k}")
         for c in set(self.assignment):
@@ -390,13 +397,9 @@ def z_value(coloring: Coloring) -> Fraction:
 
 def relabel_canonical(assignment: Sequence[int]) -> tuple[int, ...]:
     """Renumber colors by first appearance so label choices are canonical."""
-    mapping: dict[int, int] = {}
-    out = []
-    for c in assignment:
-        if c not in mapping:
-            mapping[c] = len(mapping)
-        out.append(mapping[c])
-    return tuple(out)
+    # a dict keeps its keys in first-insertion order
+    mapping = {c: i for i, c in enumerate(dict.fromkeys(assignment))}
+    return tuple(map(mapping.__getitem__, assignment))
 
 
 def fraction_str(x: Fraction) -> str:
@@ -411,8 +414,8 @@ coloring_to_dict = Coloring.to_dict
 def coloring_from_dict(d: dict) -> Coloring:
     """Inverse of coloring_to_dict; a bipartite coloring needs no ``r``.
 
-    ``n``, ``r``, ``k`` and every color must be an ``int`` as JSON parses
-    it: a float, a numeric string or a bool is refused, never rounded.
+    The shape and Coloring check ``n``, ``r``, ``k`` and the colors, so a
+    float, a numeric string or a bool is refused, never rounded.
     ``bipartite`` must be a JSON bool when present: absent or false means
     K_n^r, true means K_{n,n}."""
     if not isinstance(d, dict):
@@ -421,16 +424,8 @@ def coloring_from_dict(d: dict) -> Coloring:
         bipartite = d.get("bipartite", False)
         if type(bipartite) is not bool:
             raise FractureError(f"coloring JSON: bipartite must be true or false, got {bipartite!r}")
-        for key in ("n", "k") if bipartite else ("n", "r", "k"):
-            if type(d[key]) is not int:
-                raise FractureError(f"coloring JSON: {key} must be an integer, got {d[key]!r}")
-        colors = tuple(d["colors"])
-        strays = set(map(type, colors)) - {int}
-        if strays:
-            names = ", ".join(sorted(t.__name__ for t in strays))
-            raise FractureError(f"coloring JSON: colors must be integers, got {names}")
         shape = BipartiteShape(d["n"]) if bipartite else HypergraphShape(d["n"], d["r"])
-        return Coloring(shape, d["k"], colors)
+        return Coloring(shape, d["k"], tuple(d["colors"]))
     except KeyError as exc:
         raise FractureError(f"coloring JSON missing key {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:

@@ -32,7 +32,7 @@ from itertools import chain, combinations
 from math import comb
 
 from .core import (
-    FractureError, HypergraphShape, check_binomial_size, check_host_edges, edge_array, edge_ranks,
+    FractureError, HypergraphShape, as_int, check_binomial_size, check_host_edges, edge_array, edge_ranks,
 )
 
 DESK_FIELD_CAP = 64
@@ -107,31 +107,17 @@ class FiniteField:
     def add(self, a: int, b: int) -> int:
         return self.add_table[a][b]
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add_table[a][self.neg(b)]
-
-    def neg(self, a: int) -> int:
-        return self.add_table[a].index(0)
-
     def mul(self, a: int, b: int) -> int:
         return self.mul_table[a][b]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no inverse")
-        for b in range(1, self.q):
-            if self.mul_table[a][b] == 1:
-                return b
-        raise FractureError("field table corrupt: no inverse found")
+        # gf builds no table with a zero product, so each row holds a 1
+        return self.mul_table[a].index(1)
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
-
-    def pow(self, a: int, e: int) -> int:
-        out = 1
-        for _ in range(e):
-            out = self.mul(out, a)
-        return out
 
 
 def _product_table(p: int, m: int, add_table, low: int) -> tuple[tuple[int, ...], ...] | None:
@@ -198,9 +184,7 @@ class Design:
 
     def __post_init__(self) -> None:
         for name in ("v", "strength", "block_size"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise FractureError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
         if not 1 <= self.strength <= self.block_size <= self.v:
             raise FractureError(
                 "need 1 <= strength <= block_size <= v, got "
@@ -315,8 +299,8 @@ def inversive_plane(q: int) -> Design:
         raise FractureError(f"inversive plane implemented for q in {{2, 3}}, got {q}")
     F = gf(q * q)
     infinity = F.q  # point index q^2 is the point at infinity
-    subfield = [x for x in range(F.q) if F.pow(x, q) == x]
-    base = tuple(sorted(subfield + [infinity]))
+    # q is prime, so the subfield GF(q) is the constant polynomials 0..q-1
+    base = (*range(q), infinity)
 
     def moebius(a: int, b: int, c: int, d: int, z: int) -> int:
         if z == infinity:
@@ -333,7 +317,7 @@ def inversive_plane(q: int) -> Design:
         for b in range(F.q):
             for c in range(F.q):
                 for d in range(F.q):
-                    if F.sub(F.mul(a, d), F.mul(b, c)) == 0:
+                    if F.mul(a, d) == F.mul(b, c):
                         continue
                     blocks.add(tuple(sorted(moebius(a, b, c, d, z) for z in base)))
     return Design(q * q + 1, 3, q + 1, _sorted_blocks(blocks))
@@ -352,9 +336,8 @@ class MatchingDecomposition:
     def __post_init__(self) -> None:
         import numpy as np
 
-        for name, value in (("n", self.n), ("r", self.r)):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise FractureError(f"{name} must be an integer, got {value!r}")
+        for name in ("n", "r"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
         if not 1 <= self.r <= self.n:
             raise FractureError(f"need 1 <= r <= n, got n={self.n}, r={self.r}")
         if type(self.complete) is not bool:
@@ -543,7 +526,7 @@ def _baranyai_flow(n: int, r: int) -> list[tuple[tuple[int, ...], ...]]:
     return [_normalize_factor(fac) for fac in factors]
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def baranyai(n: int, r: int) -> MatchingDecomposition:
     """Partition of all of K_n^r into C(n-1, r-1) perfect matchings, r | n,
     by Baranyai's stage-by-stage integral-flow construction (Baranyai, "On
@@ -566,6 +549,7 @@ def disjoint_max_matchings(n: int, r: int, t: int) -> MatchingDecomposition:
     (near-)one-factorization or the complete factorization; otherwise a
     greedy construction is attempted and failure reported honestly.
     """
+    t = as_int(t, "t")
     if t < 0:
         raise FractureError(f"need t >= 0, got {t}")
     if t == 0:
@@ -674,9 +658,7 @@ def k4minus_decomposition(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
 def check_diamonds(n: int, groups) -> None:
     """Refuse groups that do not partition K_n into diamonds, each group
     five edges (a, b), a < b, on exactly four vertices: K_4 minus an edge."""
-    if type(n) is not int:
-        raise FractureError(f"n must be an integer, got {n!r}")
-    _partition_ranks(n, 2, groups, cover=True)
+    _partition_ranks(as_int(n, "n"), 2, groups, cover=True)
     for group in groups:
         vertices = set(chain.from_iterable(group))
         if len(group) != 5 or len(vertices) != 4 or any(a > b for a, b in group):

@@ -205,6 +205,24 @@ class TestConstructAndEval:
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    # int() refuses more than 4,300 digits, which once left a traceback
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["construct", "base", "trivial(NUMBER,2)"],
+            ["construct", "base", "trivial(3,NUMBER)"],
+            ["construct", "base", "design(pg(NUMBER))"],
+            ["construct", "base", "diamond(NUMBER)"],
+            ["construct", "blow-up", "--base", "design(sqs(NUMBER))", "--n", "10"],
+        ],
+        ids=["trivial-n", "trivial-r", "design", "diamond", "blow-up-base"],
+    )
+    def test_long_numbers_in_base_names_exit_2(self, capsys, argv):
+        code = main([arg.replace("NUMBER", "9" * 5000) for arg in argv])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: a number of 5000 digits in a base name is too long\n"
+
     def test_output_flag(self, capsys, tmp_path):
         target = tmp_path / "out.json"
         code, text = run(
@@ -551,6 +569,12 @@ class TestBoundsAndTable:
             assert captured.out == "" and captured.err == "error: C(1000000,500000) exceeds 2^64\n"
         else:
             assert int(json.loads(captured.out)["upper"]["value"]) >= 1
+
+    def test_f_bounds_past_float_range_exit_2(self, capsys):
+        code = main(["bounds", "f", "--n", str(10**400), "--k", str(10**800), "--r", "2"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: counting bound is too large for a float\n"
 
     def test_table_text(self, capsys):
         code, text = run(capsys, "table")

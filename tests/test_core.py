@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from fracture import constructions, core
+from fracture import bounds, constructions, core, designs
 from fracture.search import _edges_flat
 from fracture import (
     BipartiteShape,
@@ -501,6 +501,75 @@ class TestValidation:
         )
         assert groups(colors) == groups(canon)
         assert canon[0] == 0
+
+
+_FANO = designs.projective_plane(2).blocks
+_K4_FACTORS = designs.one_factorization(4).factors
+
+# entry point name -> (call taking the valid arguments, the valid arguments);
+# each argument in turn is replaced by a float, a bool or a string of its value
+INTEGER_ENTRY_POINTS = {
+    "BipartiteShape": (BipartiteShape, (2,)),
+    "Coloring": (lambda k: Coloring(HypergraphShape(3, 2), k, (0, 1, 1)), (2,)),
+    "Design": (lambda v, t, b: designs.Design(v, t, b, _FANO), (7, 2, 3)),
+    "MatchingDecomposition": (lambda n, r: designs.MatchingDecomposition(n, r, _K4_FACTORS, True), (4, 2)),
+    "check_diamonds": (lambda n: designs.check_diamonds(n, designs.DIAMONDS_10), (10,)),
+    "f_upper_counting": (bounds.f_upper_counting, (10, 3, 2)),
+    "f_upper_trivial": (bounds.f_upper_trivial, (10, 3, 2)),
+    "z_lower_recursive": (bounds.z_lower_recursive, (5, 2)),
+    "z_upper_constructions": (bounds.z_upper_constructions, (5, 2)),
+    "coloring_tk2": (constructions.coloring_tk2, (6, 5)),
+    "coloring_baranyai_split": (lambda t: constructions.coloring_baranyai_split(12, 3, t), (2,)),
+    "coloring_equitable": (lambda k: constructions.coloring_equitable(5, 2, k), (9,)),
+    "disjoint_max_matchings": (lambda t: designs.disjoint_max_matchings(6, 2, t), (2,)),
+    "edge_array": (edge_array, (7, 2)),
+    "baranyai": (designs.baranyai, (6, 3)),
+}
+
+
+def _same(a, b):
+    return np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+
+
+class TestOneIntegerRule:
+    """Every object and bound takes its integers through core.as_int."""
+
+    CASES = [
+        (name, i, bad)
+        for name, (_, args) in INTEGER_ENTRY_POINTS.items()
+        for i in range(len(args))
+        for bad in (float(args[i]), True, str(args[i]))
+    ]
+
+    @pytest.mark.parametrize("name,i,bad", CASES, ids=[f"{n}-{i}-{b!r}" for n, i, b in CASES])
+    def test_refuses_float_bool_and_string(self, name, i, bad):
+        call, args = INTEGER_ENTRY_POINTS[name]
+        with pytest.raises(FractureError, match="must be an integer"):
+            call(*args[:i], bad, *args[i + 1 :])
+
+    @pytest.mark.parametrize("name", INTEGER_ENTRY_POINTS)
+    def test_takes_numpy_integers(self, name):
+        call, args = INTEGER_ENTRY_POINTS[name]
+        assert _same(call(*map(np.int64, args)), call(*args))
+
+    @pytest.mark.parametrize("color", [1.0, True, np.int64(1)], ids=repr)
+    def test_coloring_refuses_non_int_colors(self, color):
+        with pytest.raises(FractureError, match="colors must be integers"):
+            Coloring(HypergraphShape(3, 2), 2, (0, color, 1))
+
+    def test_stored_values_are_ints(self):
+        assert type(BipartiteShape(np.int64(2)).n) is int
+        assert type(Coloring(HypergraphShape(3, 2), np.int64(2), (0, 1, 1)).k) is int
+        design = designs.Design(np.int64(7), np.int64(2), np.int64(3), _FANO)
+        assert {type(design.v), type(design.strength), type(design.block_size)} == {int}
+
+    # an untyped cache answered a float from the entry its int had made
+    @pytest.mark.parametrize("name", ["edge_array", "z_lower_recursive", "baranyai"])
+    def test_warm_cache_refuses_float(self, name):
+        call, args = INTEGER_ENTRY_POINTS[name]
+        call(*args)
+        with pytest.raises(FractureError, match="must be an integer"):
+            call(float(args[0]), *args[1:])
 
 
 class TestSerialization:
