@@ -6,10 +6,11 @@ designs builds and validates block designs and factorizations, bounds
 and table print exact bound records, search runs the exhaustive search
 for f or z (under --budget, the best coloring found when the budget
 runs out), and verify re-derives whatever a JSON artifact claims and
-fails loudly on any mismatch.  Each construct and designs
-subcommand is declared once, in ``_CONSTRUCT`` / ``_DESIGNS``: one table
-entry gives its help, its arguments and its builder, and drives both the
-parser and the dispatch.
+fails loudly on any mismatch.  Each command is declared once, in
+``_COMMANDS``, and each construct and designs subcommand once, in
+``_CONSTRUCT`` / ``_DESIGNS``: one table entry gives its help, its
+arguments and its handler or builder, and drives both the parser and
+the dispatch.  A call builds the arguments of the one command it names.
 
 Exit codes: 0 success, 2 bad arguments, unreadable or malformed input,
 or infeasible construction, 3 search stopped by budget before proving
@@ -321,8 +322,10 @@ def _add_output(p) -> None:
     p.add_argument("--output", help="write JSON here instead of stdout")
 
 
-def _add_table(sub, command: str, text: str, dest: str, table: dict) -> None:
-    group = sub.add_parser(command, help=text).add_subparsers(dest=dest, required=True)
+def _fill_subcommands(dest: str, table: dict, parser) -> None:
+    """Give ``parser`` one subcommand per entry of ``table``, ``dest``
+    naming the one chosen."""
+    group = parser.add_subparsers(dest=dest, required=True)
     for name, (help_text, arguments, _) in table.items():
         p = group.add_parser(name, help=help_text)
         for arg, default in arguments.items():
@@ -335,28 +338,13 @@ def _add_table(sub, command: str, text: str, dest: str, table: dict) -> None:
         _add_output(p)
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command line parser, built once per process: every call returns
-    the same object, so callers must not mutate it.  argparse keeps no
-    state between ``parse_args`` calls, so reusing it is safe."""
-    parser = argparse.ArgumentParser(
-        prog="fracture",
-        description="colorings of complete uniform hypergraphs with many "
-        "components per color class",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    _add_table(sub, "construct", "build a named coloring", "what", _CONSTRUCT)
-
-    p = sub.add_parser("eval", help="recompute the report for a coloring JSON")
+def _fill_file(p) -> None:
     p.add_argument("file", nargs="?", help="path or - for stdin")
     _add_output(p)
 
-    _add_table(sub, "designs", "build and validate a design", "kind", _DESIGNS)
 
-    pb = sub.add_parser("bounds", help="exact bound records")
-    pbs = pb.add_subparsers(dest="quantity", required=True)
+def _fill_bounds(parser) -> None:
+    pbs = parser.add_subparsers(dest="quantity", required=True)
     p = pbs.add_parser("z", help="incidence fraction bounds")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--r", type=int, default=2)
@@ -367,41 +355,70 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, default=2)
     _add_output(p)
 
-    p = sub.add_parser("table", help="two-sided summary for k = 3..13")
+
+def _fill_table(p) -> None:
     p.add_argument("--json", action="store_true")
     _add_output(p)
 
-    ps = sub.add_parser("search", help="exact optimum, or the best found within --budget")
-    ps.add_argument("mode", choices=["f", "z"])
-    ps.add_argument("--n", type=int, required=True)
-    ps.add_argument("--k", type=int, required=True)
-    ps.add_argument("--r", type=int, default=2)
-    ps.add_argument("--budget", type=int, help="node budget; exit 3 with the best found if hit")
-    _add_output(ps)
 
-    p = sub.add_parser("verify", help="recheck any JSON artifact this tool emits")
-    p.add_argument("file", nargs="?", help="path or - for stdin")
+def _fill_search(p) -> None:
+    p.add_argument("mode", choices=["f", "z"])
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--r", type=int, default=2)
+    p.add_argument("--budget", type=int, help="node budget; exit 3 with the best found if hit")
     _add_output(p)
 
-    return parser
 
-
-_HANDLERS = {
-    "construct": _cmd_construct,
-    "eval": _cmd_eval,
-    "designs": _cmd_designs,
-    "bounds": _cmd_bounds,
-    "table": _cmd_table,
-    "search": _cmd_search,
-    "verify": _cmd_verify,
+# name -> (help, filler of its parser, handler of the parsed args), in the
+# order the top-level help lists them
+_COMMANDS = {
+    "construct": ("build a named coloring",
+                  functools.partial(_fill_subcommands, "what", _CONSTRUCT), _cmd_construct),
+    "eval": ("recompute the report for a coloring JSON", _fill_file, _cmd_eval),
+    "designs": ("build and validate a design",
+                functools.partial(_fill_subcommands, "kind", _DESIGNS), _cmd_designs),
+    "bounds": ("exact bound records", _fill_bounds, _cmd_bounds),
+    "table": ("two-sided summary for k = 3..13", _fill_table, _cmd_table),
+    "search": ("exact optimum, or the best found within --budget", _fill_search, _cmd_search),
+    "verify": ("recheck any JSON artifact this tool emits", _fill_file, _cmd_verify),
 }
 
 
+@functools.cache
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command line parser, built once per process for each
+    ``command``: every call with the same argument returns the same
+    object, so callers must not mutate it.  argparse keeps no state
+    between ``parse_args`` calls, so reusing it is safe.
+
+    Every command is registered by name and help text, so the top-level
+    usage and its errors are the same whichever tree is built.  With no
+    argument every command also gets its arguments and nested
+    subcommands: the whole tree, which parses any argv, such as
+    ``--help`` or an unknown command.  With a command name only that
+    command is filled in, which is all an argv starting with that name
+    reaches; ``main`` builds that branch alone.
+    """
+    parser = argparse.ArgumentParser(
+        prog="fracture",
+        description="colorings of complete uniform hypergraphs with many "
+        "components per color class",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, fill, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if command is None or command == name:
+            fill(p)
+    return parser
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        return _COMMANDS[args.command][2](args)
     except (FractureError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET if isinstance(exc, search_mod.SearchBudgetError) else EXIT_USAGE

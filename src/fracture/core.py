@@ -247,6 +247,9 @@ class Coloring:
     with colex rank i on K_n^r, the edge (i // n, n + i % n) on K_{n,n}.
     Colors need not all be used; empty classes are ignored by the metric
     functions.  k goes through as_int; every color must be a Python int.
+    The assignment is stored as a tuple, so a list the caller changes later
+    cannot change the coloring, and ``class_stats`` keeps its result on
+    the instance.
     """
 
     shape: HypergraphShape | BipartiteShape
@@ -255,6 +258,7 @@ class Coloring:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "k", as_int(self.k, "k"))
+        object.__setattr__(self, "assignment", tuple(self.assignment))
         m = self.shape.edge_count
         if len(self.assignment) != m:
             raise FractureError(
@@ -303,15 +307,32 @@ class ColorClassStats:
 
 
 def class_stats(coloring: Coloring) -> list[ColorClassStats]:
-    """Stats for every nonempty color class, ordered by color index.
+    """Stats for every nonempty color class, ordered by color index, as a
+    new list on every call.
 
-    One union-find over the (color, vertex) slots, in numpy:
-    ``_slot_components`` links the slots of each edge.  When there are
-    more slots (k*n) than edge entries (m*r), the touched ones are
+    A coloring is evaluated once: the first call stores the stats on the
+    instance, as a tuple of frozen records, and later calls copy them.  A
+    constructor's self-check and the report of the same object so share
+    one evaluation, while an equal coloring built anew (as
+    ``coloring_from_dict`` builds one) is evaluated from scratch.  No
+    cache outside the instance holds colorings or hashes assignments.
+
+    The evaluation is one union-find over the (color, vertex) slots, in
+    numpy: ``_slot_components`` links the slots of each edge.  When there
+    are more slots (k*n) than edge entries (m*r), the touched ones are
     numbered by ``np.unique`` first, so memory follows m*r and never
     k*n.  A class's incident vertices are its touched slots and its
     components the touched slots left as roots.
     """
+    stats = coloring.__dict__.get("_class_stats")
+    if stats is None:
+        stats = _evaluate(coloring)
+        # frozen: the one attribute set outside the fields, never compared
+        object.__setattr__(coloring, "_class_stats", stats)
+    return list(stats)
+
+
+def _evaluate(coloring: Coloring) -> tuple[ColorClassStats, ...]:
     import numpy as np
 
     shape = coloring.shape
@@ -333,12 +354,12 @@ def class_stats(coloring: Coloring) -> list[ColorClassStats]:
     incident = np.bincount(slot_color[touched], minlength=k)
     comps = np.bincount(slot_color[touched & (parent == np.arange(len(keys)))], minlength=k)
     used = np.flatnonzero(sizes)
-    return [
+    return tuple(
         ColorClassStats(c, e, p, i)
         for c, e, p, i in zip(
             used.tolist(), sizes[used].tolist(), comps[used].tolist(), incident[used].tolist()
         )
-    ]
+    )
 
 
 def _slot_components(slots: np.ndarray, count: int) -> tuple[np.ndarray, int]:

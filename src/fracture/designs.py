@@ -144,7 +144,7 @@ def _product_table(p: int, m: int, add_table, low: int) -> tuple[tuple[int, ...]
     return tuple(rows)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def gf(q: int) -> FiniteField:
     """The finite field of order q, for prime powers q <= 64.
 
@@ -154,6 +154,7 @@ def gf(q: int) -> FiniteField:
     coefficients, whose product table has no zero product of nonzero
     elements; for a prime q that is x, and the tables are arithmetic mod q.
     """
+    q = as_int(q, "q")
     if q > DESK_FIELD_CAP:
         raise FractureError(f"field order {q} above desk cap {DESK_FIELD_CAP}")
     pm = prime_power_decompose(q)
@@ -221,7 +222,7 @@ def _sorted_blocks(blocks) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(tuple(sorted(b)) for b in blocks))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def projective_plane(q: int) -> Design:
     """Points and lines of the projective plane of order q (q <= 8).
 
@@ -229,6 +230,7 @@ def projective_plane(q: int) -> Design:
     first nonzero coordinate is 1 and ordered lexicographically; lines are
     the 2-dimensional subspaces.
     """
+    q = as_int(q, "q")
     if q > DESK_PLANE_CAP:
         raise FractureError(f"plane order {q} above desk cap {DESK_PLANE_CAP}")
     F = gf(q)
@@ -257,12 +259,13 @@ def projective_plane(q: int) -> Design:
     return Design(q * q + q + 1, 2, q + 1, _sorted_blocks(blocks))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def affine_plane(q: int) -> Design:
     """Points and lines of the affine plane of order q (q <= 8).
 
     Point (x, y) gets index x*q + y; lines are y = m*x + b plus verticals.
     """
+    q = as_int(q, "q")
     if q > DESK_PLANE_CAP:
         raise FractureError(f"plane order {q} above desk cap {DESK_PLANE_CAP}")
     F = gf(q)
@@ -275,10 +278,11 @@ def affine_plane(q: int) -> Design:
     return Design(q * q, 2, q, _sorted_blocks(blocks))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def boolean_sqs(m: int) -> Design:
     """The quadruple system on 2**m points whose blocks are the 4-sets
     with XOR zero (m >= 2); a 3-(2**m, 4, 1) design."""
+    m = as_int(m, "m")
     if not 2 <= m <= 5:
         raise FractureError(f"need 2 <= m <= 5 for the desk cap, got {m}")
     v = 2**m
@@ -290,11 +294,12 @@ def boolean_sqs(m: int) -> Design:
     return Design(v, 3, 4, _sorted_blocks(blocks))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def inversive_plane(q: int) -> Design:
     """The 3-(q**2 + 1, q + 1, 1) design on the projective line over
     GF(q**2): blocks are the images of the subline GF(q) + infinity under
     all fractional-linear maps.  Desk cap q in {2, 3}."""
+    q = as_int(q, "q")
     if q not in (2, 3):
         raise FractureError(f"inversive plane implemented for q in {{2, 3}}, got {q}")
     F = gf(q * q)

@@ -23,7 +23,7 @@ from fracture import constructions as cons
 from fracture import core
 from fracture import designs as designs_mod
 from fracture import search as search_mod
-from fracture.cli import _CONSTRUCT, _DESIGNS, _dump, build_parser, main
+from fracture.cli import _COMMANDS, _CONSTRUCT, _DESIGNS, _dump, build_parser, main
 
 
 def run(capsys, *argv):
@@ -304,8 +304,70 @@ class TestParserReuse:
         "verify": "ffb29b945900c3d5c4c3a7d2e2134276f1a1f91f3ba113dbcf6a76c7cff983fb",
     }
 
+    # exit code and stderr at 80 columns of each usage error, recorded
+    # while every call built the whole parser tree
+    USAGE_ERRORS = {
+        (): "usage: fracture [-h] {construct,eval,designs,bounds,table,search,verify} ...\n"
+        "fracture: error: the following arguments are required: command\n",
+        ("bogus",): "usage: fracture [-h] {construct,eval,designs,bounds,table,search,verify} ...\n"
+        "fracture: error: argument command: invalid choice: 'bogus' (choose from 'construct', "
+        "'eval', 'designs', 'bounds', 'table', 'search', 'verify')\n",
+        ("verify", "x", "--nosuch"): "usage: fracture [-h] {construct,eval,designs,bounds,table,search,verify} ...\n"
+        "fracture: error: unrecognized arguments: --nosuch\n",
+        ("construct", "blow-up", "--base", "k5-four"): "usage: fracture construct blow-up [-h] --base BASE "
+        "--n N [--output OUTPUT]\n"
+        "fracture construct blow-up: error: the following arguments are required: --n\n",
+        ("bounds", "f", "--n", "x", "--k", "2"): "usage: fracture bounds f [-h] --n N --k K [--r R] "
+        "[--output OUTPUT]\n"
+        "fracture bounds f: error: argument --n: invalid int value: 'x'\n",
+        ("search", "q", "--n", "5", "--k", "3"): "usage: fracture search [-h] --n N --k K [--r R] "
+        "[--budget BUDGET]\n"
+        "                       [--output OUTPUT]\n"
+        "                       {f,z}\n"
+        "fracture search: error: argument mode: invalid choice: 'q' (choose from 'f', 'z')\n",
+    }
+
     def test_built_once(self):
         assert build_parser() is build_parser()
+
+    def test_built_once_per_command(self):
+        assert build_parser("verify") is build_parser("verify")
+        assert build_parser("verify") is not build_parser()
+
+    def test_main_builds_only_the_named_branch(self, capsys):
+        build_parser.cache_clear()
+        code, data = run_json(capsys, "bounds", "z", "--k", "3")
+        assert code == 0 and data["k"] == 3
+        assert build_parser.cache_info().currsize == 1
+        commands = build_parser("bounds")._subparsers._group_actions[0].choices
+        assert build_parser.cache_info().hits == 1
+        assert list(commands) == list(_COMMANDS)
+        for name, command in commands.items():
+            # every other command holds only its -h
+            assert (len(command._actions) > 1) == (name == "bounds")
+
+    @pytest.mark.parametrize("first", ["cold", "others"])
+    @pytest.mark.parametrize("argv", sorted(USAGE_ERRORS), ids=lambda argv: "_".join(argv) or "none")
+    def test_usage_error_bytes(self, capsys, monkeypatch, argv, first):
+        # "others": every parser but the one this argv needs is built first
+        monkeypatch.setenv("COLUMNS", "80")
+        build_parser.cache_clear()
+        if first == "others":
+            needed = argv[0] if argv and argv[0] in _COMMANDS else None
+            for command in [None, *_COMMANDS]:
+                if command != needed:
+                    build_parser(command)
+        with pytest.raises(SystemExit) as exit_:
+            main(list(argv))
+        assert exit_.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        with pytest.raises(SystemExit) as exit_:
+            build_parser.__wrapped__().parse_args(list(argv))
+        assert exit_.value.code == 2
+        assert captured.err == capsys.readouterr().err
+        if sys.version_info[:2] == (3, 11):  # argparse words its errors differently elsewhere
+            assert captured.err == self.USAGE_ERRORS[argv]
 
     def test_every_help_page_is_pinned(self):
         def pages(parser, prefix=()):

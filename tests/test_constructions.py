@@ -482,3 +482,27 @@ class TestBipartite:
             bipartite_blow_up(base, 12)
         with pytest.raises(FractureError):
             blow_up(base, 12)
+
+
+class TestOneEvaluation:
+    """A constructor's self-check evaluates the coloring it returns, so
+    the report of that object makes no second union-find pass."""
+
+    BUILDS = {
+        "blow_up.rainbow-triangle.240": lambda: blow_up(base_registry("rainbow-triangle"), 240),
+        "blow_up.k6r3-six.60": lambda: blow_up(base_registry("k6r3-six"), 60),
+        "blow_up.k9-five.90": lambda: blow_up(base_registry("k9-five"), 90),
+        "coloring_nminus1.201": lambda: coloring_nminus1(201),
+        "coloring_baranyai_split.12.3.2": lambda: coloring_baranyai_split(12, 3, 2),
+        "bipartite_blow_up.k5-four.100": lambda: bipartite_blow_up(base_registry("k5-four"), 100),
+    }
+
+    @pytest.mark.parametrize("name", BUILDS)
+    def test_report_reuses_self_check(self, union_finds, name):
+        coloring = self.BUILDS[name]()
+        built = len(union_finds)
+        report = core.report_dict(coloring)
+        assert len(union_finds) == built
+        # the same report as a fresh object's evaluation, which does pass
+        assert core.report_dict(core.coloring_from_dict(coloring.to_dict())) == report
+        assert len(union_finds) == built + 1

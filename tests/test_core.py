@@ -524,7 +524,18 @@ INTEGER_ENTRY_POINTS = {
     "disjoint_max_matchings": (lambda t: designs.disjoint_max_matchings(6, 2, t), (2,)),
     "edge_array": (edge_array, (7, 2)),
     "baranyai": (designs.baranyai, (6, 3)),
+    "gf": (designs.gf, (4,)),
+    "projective_plane": (designs.projective_plane, (2,)),
+    "affine_plane": (designs.affine_plane, (3,)),
+    "boolean_sqs": (designs.boolean_sqs, (3,)),
+    "inversive_plane": (designs.inversive_plane, (2,)),
 }
+
+# the entry points whose results are lru-cached
+CACHED_ENTRY_POINTS = [
+    "edge_array", "z_lower_recursive", "baranyai",
+    "gf", "projective_plane", "affine_plane", "boolean_sqs", "inversive_plane",
+]
 
 
 def _same(a, b):
@@ -564,12 +575,57 @@ class TestOneIntegerRule:
         assert {type(design.v), type(design.strength), type(design.block_size)} == {int}
 
     # an untyped cache answered a float from the entry its int had made
-    @pytest.mark.parametrize("name", ["edge_array", "z_lower_recursive", "baranyai"])
+    @pytest.mark.parametrize("name", CACHED_ENTRY_POINTS)
     def test_warm_cache_refuses_float(self, name):
         call, args = INTEGER_ENTRY_POINTS[name]
         call(*args)
         with pytest.raises(FractureError, match="must be an integer"):
             call(float(args[0]), *args[1:])
+
+
+class TestColoringMemo:
+    """A coloring's assignment is a tuple, and its class stats are
+    evaluated once per object."""
+
+    def test_assignment_copied_from_a_list(self):
+        colors = [0, 1, 1]
+        c = Coloring(HypergraphShape(3, 2), 2, colors)
+        colors[0] = 5
+        assert c.assignment == (0, 1, 1)
+        assert hash(c) == hash(make(3, 2, 2, (0, 1, 1)))
+
+    def test_evaluated_once(self, union_finds):
+        c = random_coloring(random.Random(7), 8, 4, 3)
+        first = class_stats(c)
+        assert len(union_finds) == 1
+        kept = list(first)
+        first.pop()
+        first.append("stray")
+        second = class_stats(c)
+        assert second == kept and second is not first
+        assert f_value(c) == min(s.components for s in second)
+        assert report_dict(c)["per_class"][-1]["color"] == second[-1].color
+        z_value(c)
+        assert len(union_finds) == 1
+        assert stats_dict(c) == oracle_stats(c.shape, c.assignment)
+
+    def test_parsed_copy_evaluated_afresh(self, union_finds):
+        c = random_coloring(random.Random(8), 7, 3, 2)
+        report = report_dict(c)
+        copy = coloring_from_dict(c.to_dict())
+        assert copy == c and copy is not c
+        assert report_dict(copy) == report
+        assert len(union_finds) == 2
+        # equal colorings share no stats: each object is evaluated on its own
+        assert report_dict(make(7, 3, 2, c.assignment)) == report
+        assert len(union_finds) == 3
+
+    def test_memo_is_not_a_field(self):
+        c = make(4, 2, 2, (0, 1, 0, 1, 0, 1))
+        before = (repr(c), c.to_dict(), hash(c))
+        class_stats(c)
+        assert (repr(c), c.to_dict(), hash(c)) == before
+        assert c == make(4, 2, 2, (0, 1, 0, 1, 0, 1))
 
 
 class TestSerialization:
