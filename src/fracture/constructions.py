@@ -30,37 +30,16 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import ceil, comb
+from math import comb
 from typing import TYPE_CHECKING
 
 from .core import (
-    BipartiteShape,
-    Coloring,
-    FractureError,
-    HypergraphShape,
-    as_int,
-    check_desk_edges,
-    check_host_edges,
-    class_stats,
-    edge_array,
-    edge_ranks,
-    f_value,
-    relabel_canonical,
-    report_dict,
-    z_value,
+    BipartiteShape, Coloring, FractureError, HypergraphShape, as_int, check_desk_edges, check_host_edges,
+    class_stats, edge_array, edge_ranks, f_value, relabel_canonical, report_dict, z_value,
 )
-from . import designs
 from .designs import (
-    affine_plane,
-    baranyai,
-    boolean_sqs,
-    decomposition_to_coloring_edges,
-    disjoint_max_matchings,
-    hamiltonian_decomposition,
-    inversive_plane,
-    k4minus_decomposition,
-    near_one_factorization,
-    one_factorization,
+    Design, affine_plane, baranyai, boolean_sqs, decomposition_to_coloring_edges, disjoint_max_matchings,
+    hamiltonian_edges, inversive_plane, k4minus_decomposition, near_one_factorization, one_factorization,
     projective_plane,
 )
 
@@ -93,13 +72,19 @@ def _coloring_from_classes(n: int, r: int, classes: Sequence[Iterable[tuple[int,
     return Coloring(HypergraphShape(n, r), len(classes), tuple(assignment))
 
 
-def _checked_classes(
-    n: int, r: int, classes: Sequence[Iterable[tuple[int, ...]]], f: int, what: str
-) -> Coloring:
-    """The coloring giving class i color i, relabelled into first-use color
-    order, once its f is checked to be the claimed f."""
-    assignment = decomposition_to_coloring_edges(n, r, classes)
-    return _checked(HypergraphShape(n, r), len(classes), assignment, f, what)
+def _ranked(n: int, r: int, ranks: np.ndarray, color, f: int, what: str) -> Coloring:
+    """The coloring giving the edge ranks[i, p], place p of factor i, the
+    color color(i, p) (on index arrays), relabelled into first-use order,
+    once every edge has a color and its f is checked to be the claimed f."""
+    import numpy as np
+
+    shape = HypergraphShape(n, r)
+    colors = color(*np.indices(ranks.shape))
+    assignment = np.full(shape.edge_count, -1, dtype=np.int64)
+    assignment[ranks] = colors
+    if (assignment < 0).any():
+        raise FractureError(f"{what} left an edge uncolored")
+    return _checked(shape, int(colors.max()) + 1, assignment.tolist(), f, what)
 
 
 def _checked(shape: HypergraphShape, k: int, assignment, f: int, what: str) -> Coloring:
@@ -157,7 +142,7 @@ def trivial_coloring(n: int, r: int) -> Coloring:
     return Coloring(shape, shape.edge_count, tuple(range(shape.edge_count)))
 
 
-def design_coloring(design: designs.Design) -> Coloring:
+def design_coloring(design: Design) -> Coloring:
     """One color per block: each strength-subset is colored by its block.
 
     Valid because the blocks cover every strength-subset exactly once, so
@@ -322,9 +307,8 @@ def _blow_up_assignment(base: BaseColoring, shape: HypergraphShape) -> tuple[int
             continue
         # constructive feasibility: the matchings must actually exist
         dec = disjoint_max_matchings(len(part), r, len(absent[i]))
-        for color, factor in zip(absent[i], dec.factors):
-            local = np.array(factor, dtype=np.int64).reshape(-1, r)
-            assignment[edge_ranks(local + part.start, shape)] = color
+        ranks = edge_ranks(dec.edges.reshape(-1, r) + part.start, shape)
+        assignment[ranks] = np.repeat(np.array(absent[i], dtype=np.int64), dec.edges.shape[1])
     if (assignment < 0).any():
         raise FractureError("blow-up left an edge uncolored")
     return tuple(assignment.tolist())
@@ -358,39 +342,32 @@ def coloring_nminus1(n: int) -> Coloring:
     """A (n-1)-coloring of K_n with every class splitting into floor(n/2)
     components: perfect matchings for even n; for odd n each Hamiltonian
     cycle contributes a maximum matching and its complement."""
+    n = as_int(n, "n")
     if n < 3:
         raise FractureError(f"need n >= 3, got {n}")
     check_host_edges(HypergraphShape(n, 2))
+    what = f"(n-1)-coloring of K_{n}"
     if n % 2 == 0:
-        classes = one_factorization(n).factors
-    else:
-        classes = []
-        for cycle in hamiltonian_decomposition(n):
-            matching = [cycle[i] for i in range(0, n - 2, 2)]
-            in_matching = set(matching)
-            rest = [e for e in cycle if e not in in_matching]
-            classes.append(matching)
-            classes.append(rest)
-    return _checked_classes(n, 2, classes, n // 2, f"(n-1)-coloring of K_{n}")
+        return _ranked(n, 2, one_factorization(n).ranks, lambda i, p: i, n // 2, what)
+    # cycle i's edges 0, 2, ..., n - 3 take color 2i, the rest 2i + 1
+    return _ranked(n, 2, hamiltonian_edges(n)[1], lambda i, p: 2 * i + (p % 2 | (p == n - 1)), n // 2, what)
 
 
 def coloring_n(n: int) -> Coloring:
     """An n-coloring of K_n with every class splitting into
     floor((n-1)/2) components: a near-one-factorization for odd n; for
-    even n, delete the extra vertex from the (n+1)-vertex coloring."""
+    even n, the (n-1)-coloring of K_{n+1} with the extra vertex deleted."""
+    n = as_int(n, "n")
     if n < 3:
         raise FractureError(f"need n >= 3, got {n}")
     check_host_edges(HypergraphShape(n, 2))
+    what = f"n-coloring of K_{n}"
     if n % 2 == 1:
-        factors = near_one_factorization(n).factors
-        return _checked_classes(n, 2, factors, (n - 1) // 2, f"n-coloring of K_{n}")
-    bigger = coloring_nminus1(n + 1)
-    # the C(n, 2) edges avoiding vertex n come first in colex order, with
-    # the same ranks in K_n
-    assignment = bigger.assignment[: comb(n, 2)]
-    if len(set(assignment)) < bigger.k:
-        raise FractureError("vertex deletion emptied a class")
-    return _checked(HypergraphShape(n, 2), bigger.k, assignment, (n - 1) // 2, f"n-coloring of K_{n}")
+        return _ranked(n, 2, near_one_factorization(n).ranks, lambda i, p: i, (n - 1) // 2, what)
+    # the cycles of K_{n+1} less their two hub edges, whose other edges keep
+    # their colex ranks in K_n: cycle edge p + 1 took color 2i + (p + 1) % 2
+    paths = hamiltonian_edges(n + 1)[1][:, 1:-1]
+    return _ranked(n, 2, paths, lambda i, p: 2 * i + (p + 1) % 2, (n - 1) // 2, what)
 
 
 def coloring_tk2(n: int, k: int) -> Coloring:
@@ -401,8 +378,9 @@ def coloring_tk2(n: int, k: int) -> Coloring:
     runs of t edges.  Otherwise take every stride-th edge of a
     Hamiltonian walk, stride = len(walk) // t: for odd n, Walecki's
     n-edge cycles of K_n; for even n, the cycles of K_{n+1} less their
-    two hub edges, n/2 paths of n - 1 edges partitioning K_n.  Edges of
-    a walk at least 2 apart share no vertex, so every class is a matching.
+    two hub edges, n/2 paths of n - 1 edges partitioning K_n, each edge
+    with the same colex rank in K_n as in K_{n+1}.  Edges of a walk at
+    least 2 apart share no vertex, so every class is a matching.
 
     Together they cover every admissible n <= 14 (checked pair by pair):
     either t divides floor(n/2), or t divides the walk length with a
@@ -422,24 +400,15 @@ def coloring_tk2(n: int, k: int) -> Coloring:
     if m % k:
         raise FractureError(f"k={k} does not divide C({n},2)={m}")
     t = m // k
-    classes: list[list[tuple[int, int]]] = []
     if (n // 2) % t == 0:
-        base = one_factorization(n) if n % 2 == 0 else near_one_factorization(n)
-        for factor in base.factors:
-            for j in range(0, len(factor), t):
-                classes.append(list(factor[j : j + t]))
-    else:
-        if n % 2:
-            walks = hamiltonian_decomposition(n)
-        else:
-            walks = [cycle[1:-1] for cycle in hamiltonian_decomposition(n + 1)]
-        for walk in walks:
-            stride = len(walk) // t
-            for j in range(stride):
-                classes.append(list(walk[j::stride]))
-    if any(len(cl) != t for cl in classes):
+        ranks = (one_factorization(n) if n % 2 == 0 else near_one_factorization(n)).ranks
+        return _ranked(n, 2, ranks, lambda i, p: (i * ranks.shape[1] + p) // t, t, "matching split")
+    ranks = hamiltonian_edges(n)[1] if n % 2 else hamiltonian_edges(n + 1)[1][:, 1:-1]
+    # class p % stride of a walk has t edges exactly when t divides its length
+    if ranks.shape[1] % t:
         raise FractureError("class has wrong size")
-    return _checked_classes(n, 2, classes, t, "matching split")
+    stride = ranks.shape[1] // t
+    return _ranked(n, 2, ranks, lambda i, p: i * stride + p % stride, t, "matching split")
 
 
 def coloring_baranyai_split(n: int, r: int, t: int) -> Coloring:
@@ -453,11 +422,7 @@ def coloring_baranyai_split(n: int, r: int, t: int) -> Coloring:
     if t < 1 or per_factor % t:
         raise FractureError(f"t={t} must divide factor size {per_factor}")
     group = per_factor // t
-    classes = []
-    for factor in baranyai(n, r).factors:
-        for j in range(0, per_factor, group):
-            classes.append(list(factor[j : j + group]))
-    return _checked_classes(n, r, classes, n // (r * t), "factor split")
+    return _ranked(n, r, baranyai(n, r).ranks, lambda i, p: i * t + p // group, n // (r * t), "factor split")
 
 
 def _move_chain(
@@ -534,7 +499,8 @@ def coloring_equitable(n: int, r: int, k: int) -> Coloring:
             used[y].update(e)
     if max(sz) - min(sz) > 1 or min(sz) != m // k:
         raise FractureError(f"sizes {sorted(sz)} not equitable for m={m}, k={k}")
-    return _checked_classes(n, r, classes, m // k, "equitable coloring")
+    assignment = decomposition_to_coloring_edges(n, r, classes)
+    return _checked(shape, k, assignment, m // k, "equitable coloring")
 
 
 # The K_{n,n} report is the one report; this name is kept for callers.

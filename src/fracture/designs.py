@@ -16,8 +16,12 @@ Invariants:
     - _partition_ranks, over core.edge_ranks, is the one check that groups
       of edges are disjoint (and cover K_n^r): for designs' subsets,
       factors, Hamiltonian cycles, diamonds and colorings by groups,
-    - a Design or MatchingDecomposition checks itself in __post_init__,
+    - a Design or MatchingDecomposition checks itself when it is built,
       so none is built invalid and no caller checks one again,
+    - factorizations and Hamiltonian cycles are built as one read-only
+      int64 array (factors, edges, r), checked once, its colex ranks
+      kept; tuples of edges are only read back from it, and only tuples
+      (as JSON gives them) have the types of their points checked,
     - every Design has each strength-subset in exactly one block,
     - every MatchingDecomposition has edge-disjoint factors of pairwise
       disjoint edges, covering all of C(n, r) when complete,
@@ -51,6 +55,8 @@ def _partition_ranks(n: int, r: int, groups, cover: bool):
     import numpy as np
 
     if isinstance(groups, np.ndarray):
+        if groups.shape[-1:] != (r,):
+            raise FractureError(f"every edge needs {r} vertices")
         vertices = groups.reshape(-1, r)
     else:
         edges = list(chain.from_iterable(groups))
@@ -328,99 +334,125 @@ def inversive_plane(q: int) -> Design:
     return Design(q * q + 1, 3, q + 1, _sorted_blocks(blocks))
 
 
-@dataclass(frozen=True)
 class MatchingDecomposition:
     """Edge-disjoint factors of K_n^r, each factor a set of pairwise
-    disjoint edges.  ``complete`` means the factors cover every edge."""
+    disjoint edges; ``complete`` means they cover every edge.  Factors come
+    as tuples or lists of edges (as JSON gives them) or as one int array
+    (factors, n // r, r) (as the builders make them), are checked once,
+    and are kept as ``edges``, that array as read-only int64, and
+    ``ranks``, the colex rank of each edge from that check."""
 
-    n: int
-    r: int
-    factors: tuple[tuple[tuple[int, ...], ...], ...]
-    complete: bool
-
-    def __post_init__(self) -> None:
+    def __init__(self, n: int, r: int, factors, complete: bool) -> None:
         import numpy as np
 
-        for name in ("n", "r"):
-            object.__setattr__(self, name, as_int(getattr(self, name), name))
-        if not 1 <= self.r <= self.n:
-            raise FractureError(f"need 1 <= r <= n, got n={self.n}, r={self.r}")
-        if type(self.complete) is not bool:
-            raise FractureError(f"complete must be true or false, got {self.complete!r}")
-        check_binomial_size(self.n, self.r)
-        size = self.n // self.r
-        for factor in self.factors:
+        n, r = as_int(n, "n"), as_int(r, "r")
+        if not 1 <= r <= n:
+            raise FractureError(f"need 1 <= r <= n, got n={n}, r={r}")
+        if type(complete) is not bool:
+            raise FractureError(f"complete must be true or false, got {complete!r}")
+        check_binomial_size(n, r)
+        size = n // r
+        for factor in factors:
             if len(factor) != size:
                 raise FractureError(f"factor has {len(factor)} edges, not n // r = {size}")
-        _partition_ranks(self.n, self.r, self.factors, self.complete)
-        points = np.array(self.factors, dtype=np.int64).reshape(len(self.factors), size, self.r)
-        if (points[:, :, 1:] < points[:, :, :-1]).any():
+        ranks = _partition_ranks(n, r, factors, complete).reshape(len(factors), size)
+        edges = np.array(factors, dtype=np.int64).reshape(len(factors), size, r)
+        if (edges[:, :, 1:] < edges[:, :, :-1]).any():
             raise FractureError("an edge does not list its points in increasing order")
-        points = np.sort(points.reshape(len(self.factors), size * self.r), axis=1)
+        points = np.sort(edges.reshape(len(edges), size * r), axis=1)
         repeated = (points[:, 1:] == points[:, :-1]).any(axis=1)
         if repeated.any():
-            raise FractureError(f"factor {self.factors[int(repeated.argmax())]} is not a matching")
+            bad = edges[repeated.argmax()].tolist()
+            raise FractureError(f"factor {tuple(map(tuple, bad))} is not a matching")
+        edges.flags.writeable = ranks.flags.writeable = False
+        self.n, self.r, self.complete, self.edges, self.ranks = n, r, complete, edges, ranks
+
+    def first(self, t: int) -> MatchingDecomposition:
+        """The first t factors, incomplete, on this one's checked arrays."""
+        out = object.__new__(MatchingDecomposition)
+        out.__dict__.update(n=self.n, r=self.r, complete=False, edges=self.edges[:t], ranks=self.ranks[:t])
+        return out
+
+    @functools.cached_property
+    def factors(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """The factors as tuples of edges, read from ``edges`` on first use."""
+        return tuple(tuple(map(tuple, factor)) for factor in self.edges.tolist())
+
+    def _key(self) -> tuple:
+        return (self.n, self.r, self.factors, self.complete)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, MatchingDecomposition) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return "MatchingDecomposition(n={!r}, r={!r}, factors={!r}, complete={!r})".format(*self._key())
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "r": self.r,
-            "complete": self.complete,
-            "factors": [[list(e) for e in f] for f in self.factors],
-        }
+        return {"n": self.n, "r": self.r, "complete": self.complete, "factors": self.edges.tolist()}
 
 
-def _colex_key(e: tuple[int, ...]) -> tuple[int, ...]:
-    """Sort key putting sorted edges of equal size in colex order."""
-    return tuple(reversed(e))
+def _circle_rounds(n: int):
+    """The n - 1 rounds of the circle method on K_n, n even, as an int64
+    array (rounds, n // 2, 2).  In round i the hub n - 1 meets i, and each
+    other point v of the circle Z_{n-1} meets 2i - v.  Taken at its larger
+    point, each pair comes in colex order, the hub's last."""
+    import numpy as np
+
+    ring = n - 1
+    rounds, points = np.arange(ring)[:, None], np.arange(n)
+    partner = np.where(points == ring, rounds, (2 * rounds - points) % ring)
+    partner[points == rounds] = ring
+    larger = partner < points
+    pairs = np.stack([partner[larger], np.broadcast_to(points, partner.shape)[larger]], axis=1)
+    return pairs.reshape(ring, n // 2, 2)
 
 
-def _normalize_factor(edges) -> tuple[tuple[int, ...], ...]:
-    return tuple(sorted((tuple(sorted(e)) for e in edges), key=_colex_key))
+def _colex_factors(factors):
+    """Matchings of one size as an int64 array (factors, edges, r), each
+    factor's edges in colex order: by largest point, distinct in a matching."""
+    import numpy as np
+
+    return np.array([sorted(factor, key=lambda e: e[-1]) for factor in factors], dtype=np.int64)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def one_factorization(n: int) -> MatchingDecomposition:
     """Perfect matchings partitioning K_n, n even, by the circle method:
     round i pairs the hub n-1 with i and j-rotations around the circle."""
+    n = as_int(n, "n")
     if n < 2 or n % 2:
         raise FractureError(f"one-factorization needs even n >= 2, got {n}")
     check_host_edges(HypergraphShape(n, 2))
-    factors = []
-    for i in range(n - 1):
-        edges = [(n - 1, i)]
-        for j in range(1, n // 2):
-            edges.append(((i + j) % (n - 1), (i - j) % (n - 1)))
-        factors.append(_normalize_factor(edges))
-    return MatchingDecomposition(n, 2, tuple(factors), complete=True)
+    return MatchingDecomposition(n, 2, _circle_rounds(n), complete=True)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def near_one_factorization(n: int) -> MatchingDecomposition:
-    """n maximum matchings partitioning K_n for odd n; matching i misses
-    exactly vertex i.
-
-    It is one_factorization(n + 1) with the hub n deleted: round i's hub
-    edge (i, n) is the last edge of its factor in colex order, and
-    dropping it leaves vertex i unmatched.
-    """
+    """n maximum matchings partitioning K_n for odd n: the circle rounds of
+    K_{n+1} less their last edge in colex order, the hub edge (i, n), so
+    matching i misses exactly vertex i."""
+    n = as_int(n, "n")
     if n < 3 or n % 2 == 0:
         raise FractureError(f"near-one-factorization needs odd n >= 3, got {n}")
-    factors = tuple(factor[:-1] for factor in one_factorization(n + 1).factors)
-    return MatchingDecomposition(n, 2, factors, complete=True)
+    check_host_edges(HypergraphShape(n + 1, 2))
+    return MatchingDecomposition(n, 2, _circle_rounds(n + 1)[:, :-1], complete=True)
 
 
-@functools.lru_cache(maxsize=None)
-def hamiltonian_decomposition(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """(n-1)/2 Hamiltonian cycles partitioning K_n for odd n.
-
+@functools.lru_cache(maxsize=None, typed=True)
+def hamiltonian_edges(n: int):
+    """(n-1)/2 Hamiltonian cycles partitioning K_n for odd n, as a
+    read-only int64 array (cycles, n, 2) of (min, max) pairs in cycle
+    order, and the colex ranks of its edges, from its one partition check.
     Cycle j walks the zigzag j, j+1, j-1, j+2, j-2, ... through Z_{n-1}
-    and closes through the hub n-1.  Edges are returned in cycle order.
-    """
-    if n < 3 or n % 2 == 0:
-        raise FractureError(f"Hamiltonian decomposition needs odd n >= 3, got {n}")
+    and closes through the hub n-1."""
     import numpy as np
 
+    n = as_int(n, "n")
+    if n < 3 or n % 2 == 0:
+        raise FractureError(f"Hamiltonian decomposition needs odd n >= 3, got {n}")
     check_host_edges(HypergraphShape(n, 2))
     ring = n - 1
     # the zigzag offsets 0, +1, -1, +2, -2, ..., +ring/2
@@ -428,10 +460,16 @@ def hamiltonian_decomposition(n: int) -> tuple[tuple[tuple[int, int], ...], ...]
     offsets = np.where(steps % 2, (steps + 1) // 2, -(steps // 2))
     verts = np.full((ring // 2, n + 1), ring, dtype=np.int64)  # hub n - 1 at both ends
     verts[:, 1:-1] = (np.arange(ring // 2)[:, None] + offsets) % ring
-    tail, head = verts[:, :-1], verts[:, 1:]
-    pairs = np.stack([np.minimum(tail, head), np.maximum(tail, head)], axis=2)
-    _partition_ranks(n, 2, pairs, cover=True)
-    return tuple(tuple(map(tuple, cycle)) for cycle in pairs.tolist())
+    pairs = np.sort(np.stack([verts[:, :-1], verts[:, 1:]], axis=2), axis=2)
+    ranks = _partition_ranks(n, 2, pairs, cover=True).reshape(ring // 2, n)
+    pairs.flags.writeable = ranks.flags.writeable = False
+    return pairs, ranks
+
+
+@functools.lru_cache(maxsize=None, typed=True)
+def hamiltonian_decomposition(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The cycles of hamiltonian_edges(n) as tuples, edges in cycle order."""
+    return tuple(tuple(map(tuple, cycle)) for cycle in hamiltonian_edges(n)[0].tolist())
 
 
 def _stage_match(arcs: list[list[int]], quotas: list[int]) -> list[int]:
@@ -484,7 +522,7 @@ def _stage_match(arcs: list[list[int]], quotas: list[int]) -> list[int]:
     return choice
 
 
-def _baranyai_flow(n: int, r: int) -> list[tuple[tuple[int, ...], ...]]:
+def _baranyai_flow(n: int, r: int):
     """Vertex-by-vertex factorization of K_n^r into perfect matchings.
 
     Each factor holds a multiset of partial edges (traces on the vertices
@@ -526,9 +564,8 @@ def _baranyai_flow(n: int, r: int) -> list[tuple[tuple[int, ...], ...]]:
             grown = chosen + (i,)
             fac[grown] = fac.get(grown, 0) + 1
     # each factor's n / r traces, never longer than r, take one vertex per
-    # stage, so all end full; a trace twice is one key and leaves its factor
-    # short, which MatchingDecomposition refuses
-    return [_normalize_factor(fac) for fac in factors]
+    # stage, so all end full and disjoint: n / r keys, none of them twice
+    return _colex_factors(factors)
 
 
 @functools.lru_cache(maxsize=None, typed=True)
@@ -542,7 +579,7 @@ def baranyai(n: int, r: int) -> MatchingDecomposition:
         raise FractureError(f"factorization needs r | n, got n={n}, r={r}")
     if comb(n, r) > 3000:
         raise FractureError(f"C({n},{r}) above desk cap 3000")
-    return MatchingDecomposition(n, r, tuple(_baranyai_flow(n, r)), complete=True)
+    return MatchingDecomposition(n, r, _baranyai_flow(n, r), complete=True)
 
 
 def disjoint_max_matchings(n: int, r: int, t: int) -> MatchingDecomposition:
@@ -554,7 +591,7 @@ def disjoint_max_matchings(n: int, r: int, t: int) -> MatchingDecomposition:
     (near-)one-factorization or the complete factorization; otherwise a
     greedy construction is attempted and failure reported honestly.
     """
-    t = as_int(t, "t")
+    n, r, t = as_int(n, "n"), as_int(r, "r"), as_int(t, "t")
     if t < 0:
         raise FractureError(f"need t >= 0, got {t}")
     if t == 0:
@@ -562,20 +599,16 @@ def disjoint_max_matchings(n: int, r: int, t: int) -> MatchingDecomposition:
     if t > HypergraphShape(n, r).edge_count // (n // r):
         raise FractureError(f"could not build {t} disjoint maximum matchings in K_{n}^{r}")
     if r == 2:
-        base = one_factorization(n) if n % 2 == 0 else near_one_factorization(n)
-        factors = base.factors[:t]
-    elif n % r == 0:
-        factors = baranyai(n, r).factors[:t]
-    else:
-        factors = _disjoint_matchings_backtrack(n, r, t)
-        if factors is None:
-            raise FractureError(f"could not build {t} disjoint maximum matchings in K_{n}^{r}")
-    return MatchingDecomposition(n, r, tuple(factors), complete=False)
+        return (one_factorization(n) if n % 2 == 0 else near_one_factorization(n)).first(t)
+    if n % r == 0:
+        return baranyai(n, r).first(t)
+    return MatchingDecomposition(n, r, _disjoint_matchings_backtrack(n, r, t), complete=False)
 
 
 def _disjoint_matchings_backtrack(n: int, r: int, t: int):
     """t matchings, each the first that a backtracking search finds among
-    the edges the earlier ones left, or None when one is not found."""
+    the edges the earlier ones left, as _colex_factors gives them; refused
+    at the first that is not found."""
     size = n // r
     edges = list(map(tuple, edge_array(n, r).tolist()))
     used: set[tuple[int, ...]] = set()
@@ -602,10 +635,10 @@ def _disjoint_matchings_backtrack(n: int, r: int, t: int):
     for _ in range(t):
         matching = build_matching([], set(range(n)), [e for e in edges if e not in used])
         if matching is None:
-            return None
+            raise FractureError(f"could not build {t} disjoint maximum matchings in K_{n}^{r}")
         used.update(matching)
-        factors.append(_normalize_factor(matching))
-    return factors
+        factors.append(matching)
+    return _colex_factors(factors)
 
 
 # Base block of the cyclic n = 11 decomposition: K_4 on {0, 1, 2, 5} minus
@@ -653,7 +686,7 @@ def k4minus_decomposition(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
         copies = []
         for t in range(n):
             shifted = (tuple(sorted(((a + t) % n, (b + t) % n))) for a, b in DIAMOND_BASE_11)
-            copies.append(tuple(sorted(shifted, key=_colex_key)))
+            copies.append(tuple(sorted(shifted, key=lambda e: e[::-1])))  # colex
     else:
         copies = DIAMONDS_10
     check_diamonds(n, copies)

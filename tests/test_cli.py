@@ -178,8 +178,8 @@ class TestConstructAndEval:
             (cons, "_part_plan"),
             (cons, "one_factorization"),
             (cons, "near_one_factorization"),
-            (cons, "hamiltonian_decomposition"),
-            (designs_mod, "_normalize_factor"),
+            (cons, "hamiltonian_edges"),
+            (designs_mod, "_circle_rounds"),
             (designs_mod, "_baranyai_flow"),
         ]:
             monkeypatch.setattr(module, name, no_work)
@@ -1100,6 +1100,30 @@ class TestVerifyParity:
         # C(200000, 2) edges under "complete": true are refused from the
         # edges given, with nothing allocated per edge of the host
         assert time.perf_counter() - start < 1
+
+
+# factor artifacts, as JSON text, that verify refused before the library's
+# factorizations became int arrays; MatchingDecomposition still type-checks
+# what JSON gives it
+FACTOR_REFUSALS = {
+    "factors-of-ints": '{"n": 4, "r": 2, "factors": [5]}',
+    "factor-of-ints": '{"n": 4, "r": 2, "factors": [[5]]}',
+    "factor-of-ints-n2": '{"n": 2, "r": 2, "factors": [[5]]}',
+    "factors-string": '{"n": 4, "r": 2, "factors": "ab"}',
+    "factors-object": '{"n": 4, "r": 2, "factors": {"a": 1}}',
+    "null-point": '{"n": 4, "r": 2, "factors": [[[null, 1], [2, 3]]]}',
+    "1e400-point": '{"n": 4, "r": 2, "factors": [[[0, 1], [2, 1e400]]]}',
+    "10**23-point": '{"n": 4, "r": 2, "factors": [[[0, 1], [2, 100000000000000000000000]]]}',
+}
+
+
+class TestFactorRefusals:
+    @pytest.mark.parametrize("text", FACTOR_REFUSALS.values(), ids=FACTOR_REFUSALS)
+    def test_exits_4(self, capsys, tmp_path, text):
+        path = tmp_path / "artifact.json"
+        path.write_text(text)
+        code, verdict = run_json(capsys, "verify", str(path))
+        assert (code, verdict["valid"]) == (4, False)
 
 
 class TestStrictIntegers:

@@ -5,6 +5,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import oracles
@@ -152,6 +153,44 @@ ASSIGNMENT_PINS = {
     (bipartite_blow_up, "design(ag(3))"): {72: "d82bf44f5050337f", 91: "3640e8f63be18d91", 109: "9a9064246f5cbbe6"},
 }
 
+# sha256 (first 16 hex digits) of json.dumps(coloring_nminus1(n).assignment)
+# and of json.dumps(coloring_n(n).assignment) for n in 3..60, 200 and 201,
+# recorded from the build that colored each factor's Python edge tuples
+NMINUS1_PINS = {
+    3: "1c6b98687a07a54a", 4: "2bb577bb192c737c", 5: "f2b0a70e0deb5e7d", 6: "4b75d51f4bcf1da5",
+    7: "92ef71fca1df7eed", 8: "7ac8dc7377a37441", 9: "e97e27fcbfa28da8", 10: "542784d7d43df550",
+    11: "52b5a90d322b4601", 12: "1cfec96fbdff8075", 13: "5ec8d8f9a61878b0", 14: "64859155342627b1",
+    15: "ccc22c4faaad3381", 16: "fd1a327cc4ceffda", 17: "1e230c9ebcfaea99", 18: "c3d7c9a69aec8fb6",
+    19: "ffe7b6fd6d247de9", 20: "d4407bc1a2388e7d", 21: "7a39d8a203d7e69d", 22: "a45aa935d7dba021",
+    23: "9d0acf3db0b14c0b", 24: "61885a033efa44d4", 25: "f15000734d5b35a7", 26: "cf65fa4552679f8c",
+    27: "c38f81393b78c917", 28: "30e8391687af9787", 29: "e71b5434e1d6c2c7", 30: "e8cc656eaf1828d4",
+    31: "9afef8596e5b94e3", 32: "42515ac496e93c88", 33: "f0ba6478737f836c", 34: "3cad3daa2e6e8b77",
+    35: "ccd8b874b5c2ae7f", 36: "e768bbe96bb1ca19", 37: "8c4f1359361dbcae", 38: "4d91812ab052d04c",
+    39: "0dbd93ae3227759f", 40: "068ad8c9e38502bb", 41: "eb62cb88f272957a", 42: "1c53ec3d6601ed84",
+    43: "62469af719dace30", 44: "78b6390364cc0751", 45: "cb71714f2f7847a1", 46: "cdbd8597b6aabc95",
+    47: "eb47c27434bb0aea", 48: "9df9db464bf97a2a", 49: "e29422734fd8cb5b", 50: "494d7d26c70e678a",
+    51: "870dc6f4ca17a779", 52: "e999282a3b33adcd", 53: "86e00153e3f94237", 54: "edfc88c1bb7df108",
+    55: "57aa2c08f49773e6", 56: "bd14453569cd5c74", 57: "a5a1c8e480e91f6d", 58: "16ab17be74c99dbc",
+    59: "e36b2fb5468c2715", 60: "97664bb05dcfbefe", 200: "333cc06c35887d70", 201: "8e60a30b425e250b",
+}
+NCOLORS_PINS = {
+    3: "1d226b8db3e15d55", 4: "5077e7f3f2e2531b", 5: "fc23a3be1dc7f4bf", 6: "42546512bad80422",
+    7: "07b7a63daba838c7", 8: "c02fdb0dec9ae941", 9: "f0b1ac8f8db84441", 10: "34c2d166f8915ffd",
+    11: "e7e87534d87ded88", 12: "25d8ec550fcf989b", 13: "a7b9251350b37a47", 14: "11dd4bfa13449f8a",
+    15: "019f4263ed795ba0", 16: "acc8147f9fa1bb0d", 17: "7d07ffbb462c9b54", 18: "c4ac4ca039b5dede",
+    19: "13b8ee85b17403d2", 20: "68d803c9f907e2fe", 21: "29ca272e2c9f39b9", 22: "4f4d16484afd7f12",
+    23: "00f1939ff52e1f5f", 24: "8dbd2fc921152dcb", 25: "c772cbe3ba6a0a43", 26: "9628b963cb6dca78",
+    27: "5d26c27a95d91ac1", 28: "6bd4fbbf9f1f3cec", 29: "e2e1a618e88dc23f", 30: "df8f428faa8b66a9",
+    31: "a6a81578bd361ea3", 32: "9ab186b2c60d1399", 33: "2b12c784a62fde52", 34: "3f639fef620b7386",
+    35: "4fef77a244895a3e", 36: "a371f2310aafada9", 37: "106b0fba067cf74f", 38: "c3c81510d7289461",
+    39: "358fc3ceb03b180a", 40: "4b631a853eb3931a", 41: "05cd35464ac254ce", 42: "d4fa63d5dc73fa2d",
+    43: "eaab1b085880b784", 44: "0fb158a11b4b92dc", 45: "fdcf4c18920a79cf", 46: "8e6fe300404727a6",
+    47: "d5a0070f9c5950f7", 48: "ace27d4f4ef100da", 49: "4d682cf156dc98d4", 50: "23511051b516f82b",
+    51: "ce795da1554d2aa2", 52: "24f6f760fa72c9f4", 53: "372fc641a4c53d83", 54: "38d23bc93e0cff46",
+    55: "61e3f346bf9fce63", 56: "28a906d9f008aa26", 57: "364bb45061c6a41a", 58: "c0ce6cedf28a2cda",
+    59: "15a8ee858f5e17fc", 60: "308dcebcdfb97f60", 200: "9e0c70383d090274", 201: "9f8695438640c55c",
+}
+
 # sha256 (first 16 hex digits) of json.dumps(coloring_tk2(n, k).assignment),
 # recorded from the build that equalized a factorization by Kempe-chain
 # swaps, except (10, 15): that was its one equalized pair, and its pin is
@@ -248,6 +287,14 @@ class TestArrayBuilds:
     def test_double_cover_unchanged(self, build, pin):
         c = bipartite_from_clique(build())
         assert hashlib.sha256(json.dumps(c.assignment).encode()).hexdigest()[:16] == pin
+
+    def test_factor_colorings_unchanged(self):
+        ns = list(range(3, 61)) + [200, 201]
+        assert sorted(NMINUS1_PINS) == sorted(NCOLORS_PINS) == ns
+        for build, pins in [(coloring_nminus1, NMINUS1_PINS), (coloring_n, NCOLORS_PINS)]:
+            for n, pin in pins.items():
+                text = json.dumps(build(n).assignment)
+                assert hashlib.sha256(text.encode()).hexdigest()[:16] == pin, (build.__name__, n)
 
     def test_pins_cover_every_registry_base(self):
         kinds = {name.split("(")[0] for _, name in ASSIGNMENT_PINS}
@@ -359,17 +406,17 @@ class TestMatchingColorings:
                     patch.setattr(cons, "one_factorization", unused)
                     patch.setattr(cons, "near_one_factorization", unused)
                 else:
-                    patch.setattr(cons, "hamiltonian_decomposition", unused)
+                    patch.setattr(cons, "hamiltonian_edges", unused)
                 coloring_tk2(n, k)
 
     def test_non_matching_classes_fail_the_f_check(self):
         # coloring_tk2 checks only class sizes: a class of t edges that is not
         # a matching has fewer than t components, which the f check refuses
-        cycles = cons.hamiltonian_decomposition(9)
-        classes = [list(cycle[j : j + 3]) for cycle in cycles for j in (0, 3, 6)]
-        assert len(classes) == 12 and all(len(cl) == 3 for cl in classes)
-        with pytest.raises(FractureError, match="has f != 3"):
-            cons._checked_classes(9, 2, classes, 3, "matching split")
+        # here each of the 12 classes is a run of 3 edges of a cycle of K_9
+        ranks = designs.hamiltonian_edges(9)[1]
+        assert ranks.shape == (4, 9)
+        with pytest.raises(FractureError, match="matching split has f != 3"):
+            cons._ranked(9, 2, ranks, lambda i, p: 3 * i + p // 3, 3, "matching split")
 
     def test_tk2_preconditions(self):
         with pytest.raises(FractureError):
@@ -482,6 +529,44 @@ class TestBipartite:
             bipartite_blow_up(base, 12)
         with pytest.raises(FractureError):
             blow_up(base, 12)
+
+
+class TestOneCheck:
+    """Each factorization a construction builds is partition-checked once,
+    as the int array it is built as, and no Python edge list is checked."""
+
+    BUILDS = {
+        "coloring_nminus1.201": lambda: coloring_nminus1(201),
+        "coloring_nminus1.200": lambda: coloring_nminus1(200),
+        "coloring_n.201": lambda: coloring_n(201),
+        "coloring_n.200": lambda: coloring_n(200),
+        "coloring_baranyai_split.12.3.2": lambda: coloring_baranyai_split(12, 3, 2),
+        "blow_up.rainbow-triangle.240": lambda: blow_up(base_registry("rainbow-triangle"), 240),
+    }
+
+    @pytest.mark.parametrize("name", BUILDS)
+    def test_one_partition_check_per_factorization(self, monkeypatch, name):
+        for cached in (
+            designs.one_factorization, designs.near_one_factorization,
+            designs.hamiltonian_edges, designs.baranyai,
+        ):
+            cached.cache_clear()
+        calls = []
+        inner = designs._partition_ranks
+
+        def counted(n, r, groups, cover):
+            calls.append(groups)
+            return inner(n, r, groups, cover)
+
+        monkeypatch.setattr(designs, "_partition_ranks", counted)
+        self.BUILDS[name]()
+        # one factorization each: the Hamiltonian cycles of K_201 (for
+        # both K_201 and K_200 colorings), the rounds of K_200, the
+        # near-one-factorization of K_201, the factorization of K_12^3,
+        # and one one-factorization of K_80 that the three parts of the
+        # blow-up each take a matching from
+        assert len(calls) == 1
+        assert isinstance(calls[0], np.ndarray)
 
 
 class TestOneEvaluation:

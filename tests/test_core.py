@@ -522,6 +522,12 @@ INTEGER_ENTRY_POINTS = {
     "coloring_baranyai_split": (lambda t: constructions.coloring_baranyai_split(12, 3, t), (2,)),
     "coloring_equitable": (lambda k: constructions.coloring_equitable(5, 2, k), (9,)),
     "disjoint_max_matchings": (lambda t: designs.disjoint_max_matchings(6, 2, t), (2,)),
+    "disjoint_max_matchings-n-r": (lambda n, r: designs.disjoint_max_matchings(n, r, 2), (6, 2)),
+    "one_factorization": (designs.one_factorization, (8,)),
+    "near_one_factorization": (designs.near_one_factorization, (7,)),
+    "hamiltonian_decomposition": (designs.hamiltonian_decomposition, (7,)),
+    "coloring_nminus1": (constructions.coloring_nminus1, (8,)),
+    "coloring_n": (constructions.coloring_n, (7,)),
     "edge_array": (edge_array, (7, 2)),
     "baranyai": (designs.baranyai, (6, 3)),
     "gf": (designs.gf, (4,)),
@@ -535,7 +541,36 @@ INTEGER_ENTRY_POINTS = {
 CACHED_ENTRY_POINTS = [
     "edge_array", "z_lower_recursive", "baranyai",
     "gf", "projective_plane", "affine_plane", "boolean_sqs", "inversive_plane",
+    "one_factorization", "near_one_factorization", "hamiltonian_decomposition",
 ]
+
+# the builders of the circle rounds and Hamiltonian cycles, and the entry
+# points that reach them with n: a numpy n was refused as "a point is not
+# an integer", and a bool n was read as 1 or 0 ("needs even n >= 2")
+CIRCLE_ENTRY_POINTS = {
+    "one_factorization": (designs.one_factorization, 8),
+    "near_one_factorization": (designs.near_one_factorization, 7),
+    "disjoint_max_matchings-even": (lambda n: designs.disjoint_max_matchings(n, 2, 3), 8),
+    "disjoint_max_matchings-odd": (lambda n: designs.disjoint_max_matchings(n, 2, 3), 7),
+    "coloring_nminus1-even": (constructions.coloring_nminus1, 8),
+    "coloring_nminus1-odd": (constructions.coloring_nminus1, 7),
+    "coloring_n-odd": (constructions.coloring_n, 7),
+    "coloring_n-even": (constructions.coloring_n, 8),
+}
+
+
+def _clear_factorization_caches():
+    for cached in (
+        designs.one_factorization, designs.near_one_factorization,
+        designs.hamiltonian_edges, designs.hamiltonian_decomposition,
+    ):
+        cached.cache_clear()
+
+
+def _bytes(result) -> str:
+    """The JSON of a decomposition's factors or a coloring's assignment,
+    which json refuses to write if any entry is a numpy integer."""
+    return json.dumps(result.factors if isinstance(result, designs.MatchingDecomposition) else result.assignment)
 
 
 def _same(a, b):
@@ -562,6 +597,24 @@ class TestOneIntegerRule:
     def test_takes_numpy_integers(self, name):
         call, args = INTEGER_ENTRY_POINTS[name]
         assert _same(call(*map(np.int64, args)), call(*args))
+
+    @pytest.mark.parametrize("name", CIRCLE_ENTRY_POINTS)
+    def test_numpy_n_gives_the_int_bytes(self, name):
+        call, n = CIRCLE_ENTRY_POINTS[name]
+        _clear_factorization_caches()
+        numpy_first = _bytes(call(np.int64(n)))
+        assert numpy_first == _bytes(call(n)) == _bytes(call(np.int64(n)))
+
+    @pytest.mark.parametrize("name", CIRCLE_ENTRY_POINTS)
+    def test_refused_cold_and_warm(self, name):
+        call, n = CIRCLE_ENTRY_POINTS[name]
+        for warm in (False, True):
+            _clear_factorization_caches()
+            if warm:
+                call(n)
+            for bad in (float(n), True, str(n)):
+                with pytest.raises(FractureError, match="must be an integer"):
+                    call(bad)
 
     @pytest.mark.parametrize("color", [1.0, True, np.int64(1)], ids=repr)
     def test_coloring_refuses_non_int_colors(self, color):

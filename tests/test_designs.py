@@ -66,6 +66,35 @@ HAMILTONIAN_PINS = {
     59: "3fba4c6540d01e12", 201: "a66c0e1b53662880",
 }
 
+# sha256 (first 16 hex digits) of json.dumps(one_factorization(n).factors)
+# for even n in 2..80 and of json.dumps(near_one_factorization(n).factors)
+# for odd n in 3..79, recorded from the build that walked the circle
+# rounds in Python and sorted every edge by a Python key
+ONE_FACTORIZATION_PINS = {
+    2: "84ff3ba1744224ed", 4: "5048dd686c48084d", 6: "316c3d1e5556e994", 8: "0ecc5f1c0c927dc0",
+    10: "bc2fb6ad47b7043d", 12: "4ebc35c0a9d02ed0", 14: "4b8bdd3aab085bb9", 16: "03984ed3349fbfb4",
+    18: "8473f671e3bcbe25", 20: "20e3c043bfdda475", 22: "a5c659f52ff5eab2", 24: "6ed06beacb7587ee",
+    26: "c9ba71bd022a6897", 28: "8b90c07404ccf4e5", 30: "af739a5b9dc7f552", 32: "148bb062314f753c",
+    34: "a92cc924159dca35", 36: "2aa4630b6722bed5", 38: "6fd590377d74ee08", 40: "859766a01ba61688",
+    42: "1103685fb7f5b52e", 44: "fd7dca093a497a70", 46: "6aabca8d53f3c0b7", 48: "dd55c8dc5e2fad7f",
+    50: "df37dcb6074c62f5", 52: "d202358f0c49c22d", 54: "867ece48e5388416", 56: "faf8924f9685880e",
+    58: "d0e7e25145094122", 60: "cf8994013b7df031", 62: "c06996a1c526a5e5", 64: "3f6eed0b688a05fc",
+    66: "d18a2c9bc1442730", 68: "d8f1721a30f897d3", 70: "775f8590a14f654e", 72: "8ca78236ad25ba18",
+    74: "ab6bc7ef1fb9905f", 76: "be47d4520ef14e76", 78: "cefb6209a9aa1b14", 80: "bdf0ff9e97ffed71",
+}
+NEAR_ONE_FACTORIZATION_PINS = {
+    3: "3b524dbf58d19a85", 5: "57bdb0f7815be89d", 7: "e7f621c17064fa75", 9: "e717e3d5e2fdf18e",
+    11: "b78c6a93eb8afb98", 13: "9ed27ddc70a62353", 15: "da5755c8d755c37d", 17: "f2d68155a48c7213",
+    19: "59793026e4a907fb", 21: "eac81ca96551d846", 23: "37807c8cfb6aa8d8", 25: "4f9e8fd1cd9c6aa1",
+    27: "793357e59f5aaa98", 29: "6eacff86ceb49db5", 31: "c1ff53aa0359da1d", 33: "4eb53faac8d0f2b8",
+    35: "3fc0d237d46805c0", 37: "7d5b80b5b5462809", 39: "6f4b8495e905b909", 41: "38bf8e232c70c4b7",
+    43: "53082672afee07dc", 45: "85015c6fba9f08ba", 47: "afdc089bc2c66b5d", 49: "af27762ff47ea12a",
+    51: "04ef4ff9a5ecd63f", 53: "763c28830c8da8e9", 55: "bd42e22d5d2caded", 57: "ad8298ae8459e1a9",
+    59: "1367898e3d06a657", 61: "523bb6133882efa5", 63: "1eac6e2b33ff8350", 65: "e6f8289712e1abfd",
+    67: "db4b28428741300a", 69: "07f5566aed254cd1", 71: "41a9a2981189dd77", 73: "871f63388108efa5",
+    75: "ef5128b8ebb83020", 77: "ddc14131dbf9a479", 79: "fad4168d3ef6e4d9",
+}
+
 # sha256 (first 16 hex digits) of json.dumps([modulus, add_table, mul_table,
 # [add_table[a].index(0) for a in range(q)]]) of gf(q) for every prime power q <= 64,
 # recorded from the build that tested each modulus by polynomial division
@@ -325,6 +354,48 @@ class TestFactorizations:
         for n, pin in HAMILTONIAN_PINS.items():
             text = json.dumps(hamiltonian_decomposition(n))
             assert hashlib.sha256(text.encode()).hexdigest()[:16] == pin, n
+
+    def test_factorization_pins(self):
+        assert sorted(ONE_FACTORIZATION_PINS) == list(range(2, 81, 2))
+        assert sorted(NEAR_ONE_FACTORIZATION_PINS) == list(range(3, 80, 2))
+        for build, pins in [
+            (one_factorization, ONE_FACTORIZATION_PINS),
+            (near_one_factorization, NEAR_ONE_FACTORIZATION_PINS),
+        ]:
+            for n, pin in pins.items():
+                text = json.dumps(build(n).factors)
+                assert hashlib.sha256(text.encode()).hexdigest()[:16] == pin, (build.__name__, n)
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 9, 80, 201])
+    def test_edges_are_the_factors(self, n):
+        # one read-only array, each factor's edges in colex order, and the
+        # colex ranks its one check returned
+        dec = one_factorization(n) if n % 2 == 0 else near_one_factorization(n)
+        edges, ranks = dec.edges, dec.ranks
+        assert edges.dtype == np.int64 and edges.shape == (len(dec.factors), n // 2, 2)
+        assert not edges.flags.writeable and not ranks.flags.writeable
+        assert edges.tolist() == [[list(e) for e in f] for f in dec.factors]
+        rank = {e: i for i, e in enumerate(oracles.colex_edges(n, 2))}
+        assert ranks.tolist() == [[rank[e] for e in f] for f in dec.factors]
+        assert all(row == sorted(row) for row in ranks.tolist())
+
+    def test_first_shares_the_checked_arrays(self, monkeypatch):
+        dec = one_factorization(12)
+        monkeypatch.setattr(designs, "_partition_ranks", None)  # no second check
+        head = dec.first(4)
+        assert (head.n, head.r, head.complete) == (12, 2, False)
+        assert head.factors == dec.factors[:4] and head.ranks.tolist() == dec.ranks[:4].tolist()
+        assert head == disjoint_max_matchings(12, 2, 4) and head != dec
+
+    def test_array_and_tuples_build_equal_decompositions(self):
+        dec = near_one_factorization(7)
+        again = designs.MatchingDecomposition(7, 2, dec.factors, True)
+        assert again == dec and hash(again) == hash(dec) and repr(again) == repr(dec)
+        assert again.to_dict() == dec.to_dict() and again.ranks.tolist() == dec.ranks.tolist()
+        with pytest.raises(FractureError, match="every edge needs 2 vertices"):
+            designs.MatchingDecomposition(4, 2, np.zeros((1, 2, 3), dtype=np.int64), False)
+        with pytest.raises(FractureError, match="vertices must be integers"):
+            designs.MatchingDecomposition(4, 2, np.array([[[0.0, 1.0], [2.0, 3.0]]]), False)
 
     def test_baranyai_pins(self):
         cases = [
