@@ -3,12 +3,15 @@
 A coloring lives on a host shape.  The main host is the complete
 r-uniform hypergraph K_n^r, whose edges are the r-subsets of
 {0, ..., n-1}; they are identified with their rank in colexicographic
-order, so a coloring is just a flat tuple of color indices.  The second
-host is the complete bipartite graph K_{n,n} (``BipartiteShape``), with
-sides {0, ..., n-1} and {n, ..., 2n-1} and the edge (i, n + j) at index
-i*n + j.  Every metric and serializer below reads the host only through
-``shape.edge_array()`` and ``shape.vertex_count``, so both hosts share
-one path.  Two quantities are measured per color class:
+order, so a coloring is a flat tuple of color indices, one per rank.
+The library's constructors build it as one int64 array, which is checked
+and evaluated as that array; only a tuple or JSON input is checked item
+by item (see ``Coloring``).  The second host is the complete bipartite
+graph K_{n,n} (``BipartiteShape``), with sides {0, ..., n-1} and
+{n, ..., 2n-1} and the edge (i, n + j) at index i*n + j.  Every metric
+and serializer below reads the host only through ``shape.edge_array()``
+and ``shape.vertex_count``, so both hosts share one path.  Two
+quantities are measured per color class:
 
 * the number of connected components the class induces (vertices touched
   by no edge of the class never count), and
@@ -246,10 +249,18 @@ class Coloring:
     ``assignment[i]`` is the color of ``shape.edge_array()[i]``: the edge
     with colex rank i on K_n^r, the edge (i // n, n + i % n) on K_{n,n}.
     Colors need not all be used; empty classes are ignored by the metric
-    functions.  k goes through as_int; every color must be a Python int.
-    The assignment is stored as a tuple, so a list the caller changes later
+    functions.  k goes through as_int.  The assignment is stored as a
+    tuple of Python ints, so a list or array the caller changes later
     cannot change the coloring, and ``class_stats`` keeps its result on
     the instance.
+
+    It is given one of two ways.  A 1-D integer numpy array, as every
+    library constructor builds one, is checked in numpy (its length, and
+    its ``min`` and ``max`` against range(k)), with no pass over its items
+    in Python; a read-only int64 copy of it is kept until ``class_stats``
+    consumes it.  Anything else (a tuple or list, JSON's colors, an array
+    of another dtype or shape) is read item by item, and every color must
+    be a Python int.  The two ways refuse bad input with the same messages.
     """
 
     shape: HypergraphShape | BipartiteShape
@@ -257,23 +268,45 @@ class Coloring:
     assignment: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "k", as_int(self.k, "k"))
-        object.__setattr__(self, "assignment", tuple(self.assignment))
+        import numpy as np
+
+        k = as_int(self.k, "k")
+        object.__setattr__(self, "k", k)
+        colors = self.assignment
+        array = isinstance(colors, np.ndarray) and colors.ndim == 1 and colors.dtype.kind in "iu"
+        if not array:
+            # any other array is read as its Python items, so it is refused
+            # with the message a list of them gets
+            colors = tuple(colors.tolist() if isinstance(colors, np.ndarray) else colors)
         m = self.shape.edge_count
-        if len(self.assignment) != m:
-            raise FractureError(
-                f"assignment length {len(self.assignment)} != edge count {m}"
-            )
-        # by type: a set of the colors would merge True and 1.0 into 1
-        strays = set(map(type, self.assignment)) - {int}
-        if strays:
-            names = ", ".join(sorted(t.__name__ for t in strays))
-            raise FractureError(f"colors must be integers, got {names}")
-        if not 1 <= self.k <= m:
-            raise FractureError(f"need 1 <= k <= edge count {m}, got k={self.k}")
-        for c in set(self.assignment):
-            if not 0 <= c < self.k:
-                raise FractureError(f"color {c} out of range for k={self.k}")
+        if len(colors) != m:
+            raise FractureError(f"assignment length {len(colors)} != edge count {m}")
+        if not array:
+            # by type: a set of the colors would merge True and 1.0 into 1
+            strays = set(map(type, colors)) - {int}
+            if strays:
+                names = ", ".join(sorted(t.__name__ for t in strays))
+                raise FractureError(f"colors must be integers, got {names}")
+        if not 1 <= k <= m:
+            raise FractureError(f"need 1 <= k <= edge count {m}, got k={k}")
+        if array:
+            low, high = int(colors.min()), int(colors.max())
+            if low < 0 or high >= k:
+                raise FractureError(f"color {low if low < 0 else high} out of range for k={k}")
+            # the tuple before the copy: a copy made first, alive beside the
+            # caller's array, the list and the tuple, raised the construct
+            # benchmark's peak RSS by 0.06-0.16 MiB
+            held, colors = colors, tuple(colors.tolist())
+            held = held.astype(np.int64)
+            held.flags.writeable = False
+            # frozen, and not a field: never compared, hashed or printed;
+            # class_stats consumes it
+            object.__setattr__(self, "_colors", held)
+        else:
+            for c in set(colors):
+                if not 0 <= c < k:
+                    raise FractureError(f"color {c} out of range for k={k}")
+        object.__setattr__(self, "assignment", colors)
 
     @property
     def n(self) -> int:
@@ -337,10 +370,16 @@ def _evaluate(coloring: Coloring) -> tuple[ColorClassStats, ...]:
 
     shape = coloring.shape
     k, n = coloring.k, shape.vertex_count
+    # an array-built coloring's array is taken off it, so that its m int64s
+    # are freed, with offsets', before the hooking rounds, which set the peak
+    colors = coloring.__dict__.pop("_colors", None)
+    if colors is None:
+        colors = np.array(coloring.assignment, dtype=np.int64)
+    offsets = colors * n
+    del colors
     # built as r contiguous columns, the layout _slot_components reads
-    offsets = np.array(coloring.assignment, dtype=np.int64) * n
     columns = np.add(shape.edge_array().T, offsets, order="C")
-    del offsets  # free its m int64s before the hooking rounds, which set the peak
+    del offsets
     sizes = np.bincount(columns[0] // n, minlength=k)
     if k * n > columns.size:
         keys, columns = np.unique(columns.reshape(-1), return_inverse=True)

@@ -34,10 +34,14 @@ import functools
 from dataclasses import dataclass
 from itertools import chain, combinations
 from math import comb
+from typing import TYPE_CHECKING
 
 from .core import (
     FractureError, HypergraphShape, as_int, check_binomial_size, check_host_edges, edge_array, edge_ranks,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DESK_FIELD_CAP = 64
 DESK_PLANE_CAP = 8
@@ -660,7 +664,7 @@ DIAMONDS_10 = (
 )
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def k4minus_decomposition(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Partition of E(K_n) into copies of the diamond (K_4 minus an edge);
     9 copies for n = 10, 11 copies for n = 11.
@@ -680,6 +684,7 @@ def k4minus_decomposition(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
 
     Both are checked by check_diamonds.
     """
+    n = as_int(n, "n")
     if n not in (10, 11):
         raise FractureError(f"diamond decomposition implemented for n in 10..11, got {n}")
     if n == 11:
@@ -703,11 +708,12 @@ def check_diamonds(n: int, groups) -> None:
             raise FractureError(f"group {group} is not a diamond")
 
 
-def decomposition_to_coloring_edges(n: int, r: int, groups) -> list[int]:
-    """Color assignment (colex order) giving group i color i; groups must
-    partition all edges, each edge's vertices in any order."""
+def decomposition_to_coloring_edges(n: int, r: int, groups) -> np.ndarray:
+    """Color assignment (colex order) giving group i color i, as an int64
+    array; groups must partition all edges, each edge's vertices in any
+    order."""
     import numpy as np
 
     groups = [list(group) for group in groups]
-    colors = np.repeat(np.arange(len(groups)), [len(group) for group in groups])
-    return colors[np.argsort(_partition_ranks(n, r, groups, cover=True))].tolist()
+    colors = np.repeat(np.arange(len(groups), dtype=np.int64), [len(group) for group in groups])
+    return colors[np.argsort(_partition_ranks(n, r, groups, cover=True))]

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from fracture import constructions as cons
@@ -313,9 +315,9 @@ class TestArrayBuilds:
 
     def test_decomposition_refuses_bad_groups(self):
         edges = oracles.colex_edges(4, 2)
-        assert designs.decomposition_to_coloring_edges(4, 2, [edges[:3], edges[3:]]) == [0, 0, 0, 1, 1, 1]
+        assert designs.decomposition_to_coloring_edges(4, 2, [edges[:3], edges[3:]]).tolist() == [0, 0, 0, 1, 1, 1]
         # edges may come unsorted
-        assert designs.decomposition_to_coloring_edges(4, 2, [[e[::-1] for e in edges]]) == [0] * 6
+        assert designs.decomposition_to_coloring_edges(4, 2, [[e[::-1] for e in edges]]).tolist() == [0] * 6
         with pytest.raises(FractureError, match=r"edge \(0, 1\) colored twice"):
             designs.decomposition_to_coloring_edges(4, 2, [edges, edges[:1]])
         with pytest.raises(FractureError, match="do not cover"):
@@ -591,3 +593,68 @@ class TestOneEvaluation:
         # the same report as a fresh object's evaluation, which does pass
         assert core.report_dict(core.coloring_from_dict(coloring.to_dict())) == report
         assert len(union_finds) == built + 1
+
+
+class TestArrayRoute:
+    """Every library constructor hands Coloring its int64 array, which is
+    checked and evaluated as that array, never walked color by color."""
+
+    BUILDS = {
+        **TestOneEvaluation.BUILDS,
+        "coloring_n.200": lambda: coloring_n(200),
+        "coloring_tk2.9.12": lambda: coloring_tk2(9, 12),
+        "coloring_equitable.6.2.11": lambda: coloring_equitable(6, 2, 11),
+        "bipartite_from_clique.nminus1.31": lambda: bipartite_from_clique(coloring_nminus1(31)),
+        "trivial.7.3": lambda: trivial_coloring(7, 3),
+        "base.k5-four": lambda: base_registry("k5-four").coloring,
+        "base.diamond(11)": lambda: base_registry("diamond(11)").coloring,
+        "base.design(sqs(3))": lambda: base_registry("design(sqs(3))").coloring,
+    }
+
+    @pytest.mark.parametrize("name", BUILDS)
+    def test_builder_passes_its_array(self, monkeypatch, name):
+        given_colors = []
+
+        def spy(shape, k, assignment):
+            given_colors.append(assignment)
+            return Coloring(shape, k, assignment)
+
+        monkeypatch.setattr(cons, "Coloring", spy)
+        c = self.BUILDS[name]()
+        assert given_colors and all(isinstance(a, np.ndarray) for a in given_colors)
+        assert type(c.assignment) is tuple and set(map(type, c.assignment)) == {int}
+        fresh = core.coloring_from_dict(json.loads(json.dumps(c.to_dict())))
+        assert fresh == c and hash(fresh) == hash(c)
+        assert core.class_stats(fresh) == core.class_stats(c)
+        # the array is held only until the coloring is evaluated
+        assert "_colors" not in c.__dict__
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(-3, 40), min_size=1, max_size=200))
+    def test_first_use_is_relabel_canonical(self, colors):
+        assert cons._first_use(np.array(colors)).tolist() == list(core.relabel_canonical(colors))
+
+    @staticmethod
+    def colors_at_per_edge(coloring):
+        out = [set() for _ in range(coloring.shape.vertex_count)]
+        for e, c in zip(coloring.shape.edge_array().tolist(), coloring.assignment):
+            for v in e:
+                out[v].add(c)
+        return out
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: coloring_nminus1(31),
+            lambda: coloring_n(30),
+            lambda: trivial_coloring(7, 3),
+            lambda: base_registry("k6r3-six").coloring,
+            lambda: coloring_equitable(7, 2, 21),
+            lambda: bipartite_from_clique(coloring_nminus1(12)),
+            lambda: bipartite_blow_up(base_registry("k5-four"), 20),
+            lambda: Coloring(BipartiteShape(1), 1, (0,)),
+        ],
+    )
+    def test_colors_at_is_the_per_edge_sets(self, build):
+        c = build()
+        assert cons._colors_at(c) == self.colors_at_per_edge(c)

@@ -535,6 +535,7 @@ INTEGER_ENTRY_POINTS = {
     "affine_plane": (designs.affine_plane, (3,)),
     "boolean_sqs": (designs.boolean_sqs, (3,)),
     "inversive_plane": (designs.inversive_plane, (2,)),
+    "k4minus_decomposition": (designs.k4minus_decomposition, (11,)),
 }
 
 # the entry points whose results are lru-cached
@@ -542,6 +543,7 @@ CACHED_ENTRY_POINTS = [
     "edge_array", "z_lower_recursive", "baranyai",
     "gf", "projective_plane", "affine_plane", "boolean_sqs", "inversive_plane",
     "one_factorization", "near_one_factorization", "hamiltonian_decomposition",
+    "k4minus_decomposition",
 ]
 
 # the builders of the circle rounds and Hamiltonian cycles, and the entry
@@ -616,6 +618,18 @@ class TestOneIntegerRule:
                 with pytest.raises(FractureError, match="must be an integer"):
                     call(bad)
 
+    # k4minus_decomposition took no as_int and had an untyped cache: a
+    # numpy n was refused as "a point is not an integer", a float n raised
+    # a raw TypeError, and 10.0 was answered from np.int64(10)'s entry
+    def test_diamond_decomposition_n(self):
+        designs.k4minus_decomposition.cache_clear()
+        assert designs.k4minus_decomposition(np.int64(11)) == designs.k4minus_decomposition(11)
+        with pytest.raises(FractureError, match="must be an integer"):
+            designs.k4minus_decomposition(11.0)
+        assert designs.k4minus_decomposition(np.int64(10)) == designs.DIAMONDS_10
+        with pytest.raises(FractureError, match="must be an integer"):
+            designs.k4minus_decomposition(10.0)
+
     @pytest.mark.parametrize("color", [1.0, True, np.int64(1)], ids=repr)
     def test_coloring_refuses_non_int_colors(self, color):
         with pytest.raises(FractureError, match="colors must be integers"):
@@ -679,6 +693,65 @@ class TestColoringMemo:
         class_stats(c)
         assert (repr(c), c.to_dict(), hash(c)) == before
         assert c == make(4, 2, 2, (0, 1, 0, 1, 0, 1))
+
+
+class TestArrayRoute:
+    """A 1-D integer array is checked in numpy and gives the coloring a
+    tuple-built one is; anything else is read as a tuple of its items."""
+
+    SHAPE = HypergraphShape(3, 2)
+
+    # (k, array): each refused with the message of the tuple of its items
+    REFUSED = {
+        "bool": (2, np.array([0, 1, 1], dtype=bool)),
+        "float": (2, np.array([0.0, 1.0, 1.0])),
+        "2-D": (2, np.array([[0], [1], [1]])),
+        "2-D-wide": (2, np.array([[0, 1, 1]])),
+        "short": (2, np.array([0, 1])),
+        "long": (2, np.array([0, 1, 1, 0])),
+        "negative": (2, np.array([0, -1, 1])),
+        "color-k": (2, np.array([0, 2, 1])),
+        "color-k-uint": (2, np.array([0, 2, 1], dtype=np.uint8)),
+        "k-zero": (0, np.array([0, 0, 0])),
+        "k-above-m": (4, np.array([0, 1, 2])),
+    }
+
+    @pytest.mark.parametrize("name", REFUSED)
+    def test_refused_as_the_tuple_is(self, name):
+        k, colors = self.REFUSED[name]
+        with pytest.raises(FractureError) as from_tuple:
+            Coloring(self.SHAPE, k, tuple(colors.tolist()))
+        with pytest.raises(FractureError) as from_array:
+            Coloring(self.SHAPE, k, colors)
+        assert str(from_array.value) == str(from_tuple.value)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.int8, np.uint16, np.uint64])
+    def test_equals_the_tuple_built_coloring(self, dtype):
+        rng = random.Random(11)
+        tuple_built = random_coloring(rng, 9, 5, 3)
+        array_built = Coloring(tuple_built.shape, 5, np.array(tuple_built.assignment, dtype=dtype))
+        assert type(array_built.assignment) is tuple
+        assert set(map(type, array_built.assignment)) == {int}
+        assert array_built == tuple_built
+        assert hash(array_built) == hash(tuple_built)
+        assert repr(array_built) == repr(tuple_built)
+        assert json.dumps(array_built.to_dict()) == json.dumps(tuple_built.to_dict())
+        assert class_stats(array_built) == class_stats(tuple_built)
+
+    def test_caller_array_is_copied(self):
+        colors = np.array([0, 1, 1, 0, 1, 1])
+        c = Coloring(HypergraphShape(4, 2), 2, colors)
+        colors[:] = 0
+        assert c.assignment == (0, 1, 1, 0, 1, 1)
+        assert class_stats(c) == class_stats(make(4, 2, 2, (0, 1, 1, 0, 1, 1)))
+
+    def test_held_array_read_only_and_released_once_evaluated(self, union_finds):
+        c = Coloring(HypergraphShape(4, 2), 2, np.array([0, 1, 1, 0, 1, 1]))
+        held = c.__dict__["_colors"]
+        assert held.dtype == np.int64 and not held.flags.writeable
+        first = class_stats(c)
+        assert "_colors" not in c.__dict__
+        assert class_stats(c) == first and len(union_finds) == 1
 
 
 class TestSerialization:
