@@ -55,15 +55,18 @@ and flat bodies compile the same as they interpret.
 bulk_eval_kernel evaluates many colorings at once without a loop per
 row: every row colors the same edges, so one union-find over all
 (row, color) pairs of a block takes the edges a few numpy gathers and
-scatters at a time (Tarjan, JACM 1975, with the linking done for a
-whole block at a time).  Its slots are color-major, row-minor, so one
-edge's slots over the rows of a block are k runs of adjacent addresses,
-and it links all the edges that share their largest vertex in one step,
-under that vertex's root: K_8 takes 7 steps a block, not 28.  On the
-certify benchmark (10,000 colorings of K_8 with 6 colors, pure Python,
-2 cores) a call takes 14-21 ms, against 27-36 ms for an edge at a time
-over row-major slots; a loop per row, interpreted, manages 34k
-colorings/s.
+scatters at a time.  Its slots are vertex-major, then color, then row,
+and it links all the edges that share their largest vertex in one step:
+K_8 takes 7 steps a block, not 28.  Between steps every slot's parent
+is its root, so a step is one gather of roots, one scatter that hooks
+them under the root at the shared vertex and one shortcut over the
+slots of the vertices seen so far (Shiloach and Vishkin, J. Algorithms
+1982), with no pointer-jumping loop.  On the certify benchmark's call
+(10,000 colorings of K_8 with 6 colors, pure Python, numba absent, 2
+shared cores) a warm call takes 7.3-7.7 ms and a first call in a fresh
+process 13 ms (medians), against 10.8-11.0 and 18 ms for pointer
+jumping over color-major slots and 27-36 ms for an edge at a time over
+row-major slots; a loop per row, interpreted, manages 34k colorings/s.
 """
 
 from __future__ import annotations
@@ -364,7 +367,8 @@ search_kernel = IMPLS["numba" if NUMBA_ENABLED else "python"]
 
 
 # at most this many rows share one union-find array, and at most
-# _BLOCK_SLOTS (row, color, vertex) slots: memory stays flat in the row count
+# _BLOCK_SLOTS (vertex, color, row) slots or (edge, vertex, row) indices:
+# memory stays flat in the row count
 _BLOCK_ROWS = 512
 _BLOCK_SLOTS = 1 << 20
 
@@ -373,21 +377,26 @@ def bulk_eval_kernel(n, r, k, m, edges_flat, colorings, rows_out):
     """Row i of rows_out becomes (min components over nonempty classes, max
     incident count) for colorings[i], whose colors must lie in [0, k).
 
-    numpy on every backend, a block of b rows at a time.  The union-find
-    slot of color c and vertex v in block row i is (c*n + v)*b + i of
-    one flat parent array, so an edge's slots over the rows of a block
-    lie in k runs of adjacent addresses.  The edges are taken in groups,
-    each a run of consecutive edges that share their largest vertex w
-    (colex order makes n - r + 1 groups; any order is correct), one
-    step per group: find the roots of every slot of the group's edges by
-    pointer jumping, then hook each of those roots, and each of those
-    slots, under the root of the edge's slot at w.  The hook is sound
-    because that target depends only on the (row, color) a slot belongs
-    to: every edge of one row and color in the group holds w, so all
-    writes to one root carry the same value, and the target, itself a
-    root, is written only with itself, so no cycle forms.  Colors never
-    mix, so no write crosses from one row's or one color's union-find
-    into another's.
+    numpy on every backend, a block of b rows at a time.  The slot of
+    vertex v and color c in block row i is (v*k + c)*b + i of one flat
+    parent array, so the slots of the vertices seen so far are a prefix.
+    Edges are taken in groups of consecutive edges sharing their largest
+    vertex w (colex order makes n - r + 1; any order is correct).
+    Between groups every slot's parent is its root, and a group is one
+    gather of its slots' roots, one scatter hooking each edge's other
+    roots under the root of its slot at w (the hub), and one shortcut of
+    the prefix, parent = parent[parent] (Shiloach and Vishkin, 1982).
+
+    Sound: all writes to one root in a group carry the same value, as
+    the root belongs to one (row, color) and all of that row's edges of
+    that color in the group hold w, so repeated scatter indices are safe
+    on any numpy.  A hub is a root, written only with itself, so no
+    cycle forms.  A hooked root lies one step below a hub, so every tree
+    has depth at most 2 and one shortcut flattens it.  The hub is the
+    root of the slot at w, not the slot, which an earlier group (as in
+    descending colex order) may have linked below another root.  The
+    last group skips the shortcut: roots are the slots that are their
+    own parent, which a shortcut never changes.
     """
     # each edge's largest vertex first, then its others in any order
     edges = edges_flat.reshape(m, r)
@@ -395,31 +404,30 @@ def bulk_eval_kernel(n, r, k, m, edges_flat, colorings, rows_out):
     others = edges[edges != largest[:, None]].reshape(m, r - 1)
     edges = np.concatenate([largest[:, None], others], axis=1)
     cuts = (np.flatnonzero(np.diff(largest)) + 1).tolist()
-    groups = list(zip([0, *cuts], [*cuts, m]))
+    starts = [0, *cuts]
+    # a group's shortcut covers the first end * b slots: those of every
+    # vertex up to the largest one seen so far
+    ends = (np.maximum.accumulate(largest[starts]) + 1) * k
+    groups = list(zip(starts, [*cuts, m], ends.tolist()))
     kn = k * n
-    rows = max(1, min(_BLOCK_ROWS, _BLOCK_SLOTS // kn))
+    rows = max(1, min(_BLOCK_ROWS, _BLOCK_SLOTS // max(kn, m * r)))
     for lo in range(0, len(colorings), rows):
         block = colorings[lo : lo + rows]
         b = len(block)
-        # the slot of (row, color, vertex 0) for each edge and row
-        base = block.T * (n * b) + np.arange(b)
-        offsets = edges * b
+        # idx[e, j, i]: the slot of edge e's vertex j in row i
+        idx = (edges * (k * b))[:, :, None] + (block.T * b + np.arange(b))[:, None, :]
         slots = np.arange(b * kn, dtype=np.int64)
         parent = slots.copy()
         touched = np.zeros(b * kn, dtype=bool)
-        for g0, g1 in groups:
-            idx = base[g0:g1, None, :] + offsets[g0:g1, :, None]
-            touched[idx] = True
-            roots = parent[idx]
-            up = parent[roots]
-            while not np.array_equal(up, roots):
-                roots = up
-                up = parent[roots]
-            hub = roots[:, :1]
-            parent[roots] = hub
-            parent[idx] = hub
-        touched = touched.reshape(k, n, b)
-        incident = touched.sum(axis=1)
-        comps = (touched & (parent == slots).reshape(k, n, b)).sum(axis=1)
+        touched[idx] = True
+        for g0, g1, end in groups:
+            roots = parent[idx[g0:g1]]
+            parent[roots[:, 1:]] = roots[:, :1]
+            if g1 < m:
+                hi = end * b
+                parent[:hi] = parent[parent[:hi]]
+        touched = touched.reshape(n, k, b)
+        incident = touched.sum(axis=0)
+        comps = (touched & (parent == slots).reshape(n, k, b)).sum(axis=0)
         rows_out[lo : lo + b, 0] = np.where(incident > 0, comps, 2**62).min(axis=0)
         rows_out[lo : lo + b, 1] = incident.max(axis=0)

@@ -539,13 +539,16 @@ def bipartite_from_clique(base: Coloring) -> Coloring:
     cover: (a_i, b_j) copies the color of {i, j}, and each diagonal
     (a_i, b_i) takes the smallest color already incident with i, so every
     color touches exactly twice as many vertices as before."""
+    import numpy as np
+
     _require_complete_host(base, "bipartite transfer")
     if base.r != 2:
         raise FractureError("bipartite transfer needs a graph coloring")
     n = base.n
     check_host_edges(BipartiteShape(n))
     grid = _pair_colors(base)
-    grid[range(n), range(n)] = [min(cs) for cs in _colors_at(base)]
+    # the smallest color in each row, the diagonal's -1 read as k
+    grid[range(n), range(n)] = np.where(grid < 0, base.k, grid).min(axis=1)
     out = Coloring(BipartiteShape(n), base.k, grid.reshape(-1))
     base_inc = {s.color: s.incident_vertices for s in class_stats(base)}
     for s in class_stats(out):

@@ -37,7 +37,7 @@ from math import comb
 from typing import TYPE_CHECKING
 
 from .core import (
-    FractureError, HypergraphShape, as_int, check_binomial_size, check_host_edges, edge_array, edge_ranks,
+    FractureError, HypergraphShape, as_int, check_binomial_size, check_host_edges, edge_ranks,
 )
 
 if TYPE_CHECKING:
@@ -612,9 +612,11 @@ def disjoint_max_matchings(n: int, r: int, t: int) -> MatchingDecomposition:
 def _disjoint_matchings_backtrack(n: int, r: int, t: int):
     """t matchings, each the first that a backtracking search finds among
     the edges the earlier ones left, as _colex_factors gives them; refused
-    at the first that is not found."""
+    at the first that is not found.  The edges are its own colex tuples:
+    edge_array caches one shape, and a blow-up part read through it would
+    evict the host's table that the blow-up's self-check reads next."""
     size = n // r
-    edges = list(map(tuple, edge_array(n, r).tolist()))
+    edges = sorted(combinations(range(n), r), key=lambda e: e[::-1])
     used: set[tuple[int, ...]] = set()
 
     def build_matching(chosen: list, free: set[int], avail: list):

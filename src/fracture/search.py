@@ -221,8 +221,8 @@ def bulk_eval(n: int, r: int, k: int, colorings: np.ndarray) -> np.ndarray:
     the (num, C(n,r)) integer array, each color in [0, k).
 
     k must lie in [1, C(n, r)], as for a Coloring: the kernel's slots
-    are color-major, so a color outside [0, k) would index another
-    color's union-find or fall outside the block's slots.
+    are k per vertex, so a color outside [0, k) would index another
+    vertex's slots or fall outside the block's.
     """
     shape = HypergraphShape(n, r)
     m = shape.edge_count

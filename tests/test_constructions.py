@@ -129,6 +129,23 @@ class TestBlowUp:
         base = base_registry("rainbow-triangle")
         assert blow_up(base, 3).assignment == base.coloring.assignment
 
+    def test_host_edge_table_built_once(self, monkeypatch):
+        # the K_10^3 parts' matchings are backtracked on their own edge
+        # tuples, so the one-shape edge_array cache still holds the K_60^3
+        # table when the blow-up's f_value self-check reads it
+        built = []
+        level = core._colex_level
+
+        def counted(n, j):
+            built.append((n, j))
+            return level(n, j)
+
+        base = base_registry("k6r3-six")
+        monkeypatch.setattr(core, "_colex_level", counted)
+        core.edge_array.cache_clear()
+        blow_up(base, 60)
+        assert built.count((60, 3)) == 1
+
 
 # sha256 (first 16 hex digits) of json.dumps(coloring.assignment), recorded
 # from the per-edge loop builds these array builds replaced
@@ -327,16 +344,22 @@ class TestArrayBuilds:
                 designs.decomposition_to_coloring_edges(4, 2, [edges[1:], bad])
 
     def test_no_tuple_table_above_desk_cap(self, monkeypatch):
-        # the per-edge Python walks (the equitable coloring and the matching
-        # backtrack) turn edge_array rows into tuples, at desk size only
+        # the per-edge Python walks (the equitable coloring, over edge_array
+        # rows, and the matching backtrack, over its own edge tuples) build
+        # tuples at desk size only
         table = core.edge_array
+        backtrack = designs._disjoint_matchings_backtrack
 
         def desk_table(n, r):
             assert math.comb(n, r) <= core.DESK_EDGE_CAP, f"tuple edge table of K_{n}^{r}"
             return table(n, r)
 
-        for module in (cons, designs):
-            monkeypatch.setattr(module, "edge_array", desk_table)
+        def desk_backtrack(n, r, t):
+            assert math.comb(n, r) <= core.DESK_EDGE_CAP, f"tuple edge list of K_{n}^{r}"
+            return backtrack(n, r, t)
+
+        monkeypatch.setattr(cons, "edge_array", desk_table)
+        monkeypatch.setattr(designs, "_disjoint_matchings_backtrack", desk_backtrack)
         for c in [
             blow_up(base_registry("rainbow-triangle"), 240),
             blow_up(base_registry("k6r3-six"), 60),

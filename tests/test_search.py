@@ -494,13 +494,52 @@ class TestBulkEval:
             n += 1
         assert digest.hexdigest() == _PARITY_DIGESTS[r]
 
+    @pytest.mark.parametrize("n,r,k", [(9, 2, 3), (12, 2, 2), (7, 3, 2), (8, 3, 3)])
+    def test_descending_colex_order(self, n, r, k):
+        # largest vertices fall from group to group, so each group's slot
+        # at its largest vertex already lies in a component: the hook must
+        # go under that slot's root, not under the slot
+        m = math.comb(n, r)
+        colorings = np.random.default_rng([n, r, k]).integers(0, k, size=(200, m))
+        colorings[0] = 0
+        edges = search_mod._edges_flat(HypergraphShape(n, r)).reshape(m, r)[::-1]
+        out = np.zeros((200, 2), dtype=np.int64)
+        _kernels.bulk_eval_kernel(n, r, k, m, edges.reshape(-1), colorings[:, ::-1], out)
+        self.check_rows(n, r, colorings, out)
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    @pytest.mark.parametrize("n,r,k", [(6, 2, 3), (6, 3, 4), (5, 4, 2), (6, 2, 6)])
+    def test_block_slots_bound(self, monkeypatch, block, n, r, k):
+        # _BLOCK_SLOTS caps the union-find slots, k * n a row, and the
+        # index entries, C(n, r) * r a row: just under block + 1 rows of
+        # the larger gives blocks of block rows
+        m = math.comb(n, r)
+        monkeypatch.setattr(_kernels, "_BLOCK_SLOTS", (block + 1) * max(k * n, m * r) - 1)
+        sizes = []
+
+        class Blocks(np.ndarray):
+            def __getitem__(self, key):
+                part = np.asarray(super().__getitem__(key))
+                sizes.append(len(part))
+                return part
+
+        rows = 3 * block + 2
+        colorings = np.random.default_rng([n, r, k, block]).integers(0, k, size=(rows, m))
+        out = np.zeros((rows, 2), dtype=np.int64)
+        flat = search_mod._edges_flat(HypergraphShape(n, r))
+        _kernels.bulk_eval_kernel(n, r, k, m, flat, colorings.view(Blocks), out)
+        assert sizes == [min(block, rows - lo) for lo in range(0, rows, block)]
+        self.check_rows(n, r, colorings, out)
+
     def test_three_deep_chain(self):
-        # 6 -> 5 -> 1 -> 0 after four edges: (2, 6) must find root 0
-        # three jumps up from 6, or 2 and 0 stay two components
-        edges = np.array([5, 6, 1, 3, 1, 5, 0, 1, 2, 6], dtype=np.int64)
+        # (1, 5) hooks 3, the root of slot 1, under 6, the root of slot 5,
+        # which leaves 1 -> 3 -> 6 until that group's shortcut; without it
+        # (1, 4) reads 3 as the root of 1 and hooks it under 4, cutting it
+        # from 6, and {5, 6} stays a second component
+        edges = np.array([5, 6, 1, 3, 1, 5, 1, 4, 0, 1, 2, 6], dtype=np.int64)
         out = np.zeros((1, 2), dtype=np.int64)
-        _kernels.bulk_eval_kernel(7, 2, 1, 5, edges, np.zeros((1, 5), dtype=np.int64), out)
-        assert out.tolist() == [[1, 6]]
+        _kernels.bulk_eval_kernel(7, 2, 1, 6, edges, np.zeros((1, 6), dtype=np.int64), out)
+        assert out.tolist() == [[1, 7]]
 
     @pytest.mark.parametrize("color", [5, 2, -1])
     def test_color_out_of_range_refused(self, color):
