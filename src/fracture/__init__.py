@@ -21,7 +21,6 @@ from .core import (
     edge_ranks,
     f_value,
     fraction_str,
-    relabel_canonical,
     report_dict,
     z_value,
 )

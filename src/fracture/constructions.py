@@ -96,8 +96,8 @@ def _checked(shape: HypergraphShape, k: int, assignment: np.ndarray, f: int, wha
 
 
 def _first_use(colors: np.ndarray) -> np.ndarray:
-    """``relabel_canonical`` of an integer array, in numpy: each color
-    renumbered by the order of its first appearance."""
+    """An integer array with each color renumbered by the order of its
+    first appearance, so label choices are canonical."""
     import numpy as np
 
     _, first, inverse = np.unique(colors, return_index=True, return_inverse=True)
@@ -228,7 +228,11 @@ def base_registry(name: str) -> BaseColoring:
 
 
 def equitable_parts(n: int, t: int) -> list[range]:
-    """t contiguous parts of size ceil(n/t) or floor(n/t), big parts first."""
+    """t contiguous parts of size ceil(n/t) or floor(n/t), big parts first,
+    of range(n) for n >= 0 and t >= 1."""
+    n, t = as_int(n, "n"), as_int(t, "t")
+    if n < 0 or t < 1:
+        raise FractureError(f"need n >= 0 and t >= 1, got n={n}, t={t}")
     big = n % t
     size = n // t
     parts = []
@@ -304,7 +308,7 @@ def _blow_up_assignment(base: BaseColoring, shape: HypergraphShape) -> np.ndarra
     ]
     covers = edge_ranks(np.array(supersets, dtype=np.int64).reshape(-1, r), base.coloring.shape)
     assignment = np.full(shape.edge_count, -1, dtype=np.int64)
-    assignment[cross] = np.array(base.coloring.assignment)[covers][which]
+    assignment[cross] = base.coloring.colors[covers][which]
     # Inside edges take the smallest color at their part's base vertex,
     # then the planted matchings overwrite theirs; a part smaller than r
     # has no inside edges.
@@ -341,8 +345,7 @@ def _colors_at(coloring: Coloring) -> list[set[int]]:
     import numpy as np
 
     shape, k = coloring.shape, coloring.k
-    colors = np.array(coloring.assignment, dtype=np.int64)
-    vertex, color = np.divmod(np.sort(shape.edge_array() * k + colors[:, None], axis=None), k)
+    vertex, color = np.divmod(np.sort(shape.edge_array() * k + coloring.colors[:, None], axis=None), k)
     cuts = np.searchsorted(vertex, np.arange(shape.vertex_count + 1)).tolist()
     color = color.tolist()
     return [set(color[a:b]) for a, b in zip(cuts, cuts[1:])]
@@ -528,9 +531,8 @@ def _pair_colors(coloring: Coloring) -> np.ndarray:
 
     out = np.full((coloring.n, coloring.n), -1, dtype=np.int64)
     edges = coloring.shape.edge_array()
-    colors = np.array(coloring.assignment, dtype=np.int64)
-    out[edges[:, 0], edges[:, 1]] = colors
-    out[edges[:, 1], edges[:, 0]] = colors
+    out[edges[:, 0], edges[:, 1]] = coloring.colors
+    out[edges[:, 1], edges[:, 0]] = coloring.colors
     return out
 
 

@@ -3,11 +3,11 @@
 A coloring lives on a host shape.  The main host is the complete
 r-uniform hypergraph K_n^r, whose edges are the r-subsets of
 {0, ..., n-1}; they are identified with their rank in colexicographic
-order, so a coloring is a flat tuple of color indices, one per rank.
-The library's constructors build it as one int64 array, which is checked
-and evaluated as that array; only a tuple or JSON input is checked item
-by item (see ``Coloring``).  The second host is the complete bipartite
-graph K_{n,n} (``BipartiteShape``), with sides {0, ..., n-1} and
+order, so a coloring is one read-only int64 array of color indices,
+one per rank, checked and evaluated as that array; a tuple is only read
+back from it, and only a tuple or JSON input is checked item by item
+(see ``Coloring``).  The second host is the complete bipartite graph
+K_{n,n} (``BipartiteShape``), with sides {0, ..., n-1} and
 {n, ..., 2n-1} and the edge (i, n + j) at index i*n + j.  Every metric
 and serializer below reads the host only through ``shape.edge_array()``
 and ``shape.vertex_count``, so both hosts share one path.  Two
@@ -44,9 +44,9 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     import numpy as np
@@ -242,43 +242,40 @@ def edge_ranks(vertices: np.ndarray, shape: HypergraphShape) -> np.ndarray:
     return ranks
 
 
-@dataclass(frozen=True)
 class Coloring:
-    """An assignment of one of k colors to every edge of a host, immutable.
+    """An assignment of one of k colors to every edge of a host.
 
-    ``assignment[i]`` is the color of ``shape.edge_array()[i]``: the edge
-    with colex rank i on K_n^r, the edge (i // n, n + i % n) on K_{n,n}.
+    ``colors[i]`` is the color of ``shape.edge_array()[i]``: the edge with
+    colex rank i on K_n^r, the edge (i // n, n + i % n) on K_{n,n}.
     Colors need not all be used; empty classes are ignored by the metric
-    functions.  k goes through as_int.  The assignment is stored as a
-    tuple of Python ints, so a list or array the caller changes later
-    cannot change the coloring, and ``class_stats`` keeps its result on
-    the instance.
+    functions.  k goes through as_int.
 
-    It is given one of two ways.  A 1-D integer numpy array, as every
-    library constructor builds one, is checked in numpy (its length, and
-    its ``min`` and ``max`` against range(k)), with no pass over its items
-    in Python; a read-only int64 copy of it is kept until ``class_stats``
-    consumes it.  Anything else (a tuple or list, JSON's colors, an array
-    of another dtype or shape) is read item by item, and every color must
-    be a Python int.  The two ways refuse bad input with the same messages.
+    The colors are held one way, as ``colors``, a read-only int64 copy of
+    what was passed, so a list or array the caller changes later cannot
+    change the coloring.  ``assignment``, the same colors as a tuple of
+    Python ints, is read back from it on first use; equality, hash and
+    repr go through that tuple, so they do not depend on how the colors
+    were given.
+
+    A 1-D integer numpy array, as every library constructor builds one,
+    is checked in numpy, with no pass over its items in Python.  Anything
+    else (a tuple or list, JSON's colors, an array of another dtype or
+    shape) is read item by item, and every color must be a Python int.
+    Both are checked in one order, with the same messages: the length,
+    k, then the smallest and largest color against range(k).
     """
 
-    shape: HypergraphShape | BipartiteShape
-    k: int
-    assignment: tuple[int, ...]
-
-    def __post_init__(self) -> None:
+    def __init__(self, shape: HypergraphShape | BipartiteShape, k: int, assignment) -> None:
         import numpy as np
 
-        k = as_int(self.k, "k")
-        object.__setattr__(self, "k", k)
-        colors = self.assignment
+        k = as_int(k, "k")
+        colors = assignment
         array = isinstance(colors, np.ndarray) and colors.ndim == 1 and colors.dtype.kind in "iu"
         if not array:
             # any other array is read as its Python items, so it is refused
             # with the message a list of them gets
             colors = tuple(colors.tolist() if isinstance(colors, np.ndarray) else colors)
-        m = self.shape.edge_count
+        m = shape.edge_count
         if len(colors) != m:
             raise FractureError(f"assignment length {len(colors)} != edge count {m}")
         if not array:
@@ -289,24 +286,35 @@ class Coloring:
                 raise FractureError(f"colors must be integers, got {names}")
         if not 1 <= k <= m:
             raise FractureError(f"need 1 <= k <= edge count {m}, got k={k}")
-        if array:
-            low, high = int(colors.min()), int(colors.max())
-            if low < 0 or high >= k:
-                raise FractureError(f"color {low if low < 0 else high} out of range for k={k}")
-            # the tuple before the copy: a copy made first, alive beside the
-            # caller's array, the list and the tuple, raised the construct
-            # benchmark's peak RSS by 0.06-0.16 MiB
-            held, colors = colors, tuple(colors.tolist())
-            held = held.astype(np.int64)
-            held.flags.writeable = False
-            # frozen, and not a field: never compared, hashed or printed;
-            # class_stats consumes it
-            object.__setattr__(self, "_colors", held)
-        else:
-            for c in set(colors):
-                if not 0 <= c < k:
-                    raise FractureError(f"color {c} out of range for k={k}")
-        object.__setattr__(self, "assignment", colors)
+        # in Python for a tuple, whose ints may not fit int64
+        low, high = (int(colors.min()), int(colors.max())) if array else (min(colors), max(colors))
+        if low < 0 or high >= k:
+            raise FractureError(f"color {low if low < 0 else high} out of range for k={k}")
+        colors = np.array(colors, dtype=np.int64)
+        colors.flags.writeable = False
+        self.shape, self.k, self.colors = shape, k, colors
+
+    @cached_property
+    def assignment(self) -> tuple[int, ...]:
+        """The colors as a tuple of Python ints, read from ``colors``."""
+        return tuple(self.colors.tolist())
+
+    @cached_property
+    def _stats(self) -> tuple[ColorClassStats, ...]:
+        # read only by class_stats, so that every evaluation is a call of it
+        return _evaluate(self)
+
+    def _key(self) -> tuple:
+        return (self.shape, self.k, self.assignment)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Coloring) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return "Coloring(shape={!r}, k={!r}, assignment={!r})".format(*self._key())
 
     @property
     def n(self) -> int:
@@ -322,7 +330,7 @@ class Coloring:
             "n": self.n,
             "r": self.r,
             "k": self.k,
-            "colors": list(self.assignment),
+            "colors": self.colors.tolist(),
         }
         if self.shape.bipartite:
             out["bipartite"] = True
@@ -357,12 +365,7 @@ def class_stats(coloring: Coloring) -> list[ColorClassStats]:
     k*n.  A class's incident vertices are its touched slots and its
     components the touched slots left as roots.
     """
-    stats = coloring.__dict__.get("_class_stats")
-    if stats is None:
-        stats = _evaluate(coloring)
-        # frozen: the one attribute set outside the fields, never compared
-        object.__setattr__(coloring, "_class_stats", stats)
-    return list(stats)
+    return list(coloring._stats)
 
 
 def _evaluate(coloring: Coloring) -> tuple[ColorClassStats, ...]:
@@ -370,16 +373,8 @@ def _evaluate(coloring: Coloring) -> tuple[ColorClassStats, ...]:
 
     shape = coloring.shape
     k, n = coloring.k, shape.vertex_count
-    # an array-built coloring's array is taken off it, so that its m int64s
-    # are freed, with offsets', before the hooking rounds, which set the peak
-    colors = coloring.__dict__.pop("_colors", None)
-    if colors is None:
-        colors = np.array(coloring.assignment, dtype=np.int64)
-    offsets = colors * n
-    del colors
     # built as r contiguous columns, the layout _slot_components reads
-    columns = np.add(shape.edge_array().T, offsets, order="C")
-    del offsets
+    columns = np.add(shape.edge_array().T, coloring.colors * n, order="C")
     sizes = np.bincount(columns[0] // n, minlength=k)
     if k * n > columns.size:
         keys, columns = np.unique(columns.reshape(-1), return_inverse=True)
@@ -453,13 +448,6 @@ def z_value(coloring: Coloring) -> Fraction:
         Fraction(s.incident_vertices, coloring.shape.vertex_count)
         for s in class_stats(coloring)
     )
-
-
-def relabel_canonical(assignment: Sequence[int]) -> tuple[int, ...]:
-    """Renumber colors by first appearance so label choices are canonical."""
-    # a dict keeps its keys in first-insertion order
-    mapping = {c: i for i, c in enumerate(dict.fromkeys(assignment))}
-    return tuple(map(mapping.__getitem__, assignment))
 
 
 def fraction_str(x: Fraction) -> str:

@@ -143,7 +143,7 @@ def _exact(n: int, k: int, r: int, options: SearchOptions | None, objective: int
     best, exhausted, nodes, _ = _kernels.search_kernel(
         objective, n, r, k, m, _edges_flat(shape), _twins(shape), budget, cap, assign
     )
-    witness = Coloring(shape, k, tuple(int(x) for x in assign))
+    witness = Coloring(shape, k, assign)
     if objective == _kernels.OBJ_Z:
         value, got = Fraction(-int(best), n), z_value(witness)
     else:
@@ -183,11 +183,10 @@ def _first_unspanned(shape: HypergraphShape, k: int) -> ExhaustiveCheck:
     )
     if not found:
         return ExhaustiveCheck(True, k**m, None)
-    assign = tuple(int(x) for x in cx)
     rank = 0
-    for c in assign:
+    for c in cx.tolist():
         rank = rank * k + c
-    return ExhaustiveCheck(False, rank + 1, Coloring(shape, k, assign))
+    return ExhaustiveCheck(False, rank + 1, Coloring(shape, k, cx))
 
 
 def verify_k_le_r(n: int, k: int, r: int = 2) -> ExhaustiveCheck:

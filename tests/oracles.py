@@ -49,6 +49,13 @@ def classes_of(n, r, colors):
     return by_color
 
 
+def relabel_canonical(colors):
+    """Renumber colors by first appearance, so label choices are canonical."""
+    # a dict keeps its keys in first-insertion order
+    mapping = {c: i for i, c in enumerate(dict.fromkeys(colors))}
+    return tuple(map(mapping.__getitem__, colors))
+
+
 def f_of(n, r, colors):
     """Minimum component count over nonempty color classes."""
     by_color = classes_of(n, r, colors)

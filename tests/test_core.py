@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 from fracture import bounds, constructions, core, designs
-from fracture.search import _edges_flat
+from fracture.search import _edges_flat, _first_unspanned, exact_f
 from fracture import (
     BipartiteShape,
     Coloring,
@@ -25,7 +25,6 @@ from fracture import (
     edge_ranks,
     f_value,
     fraction_str,
-    relabel_canonical,
     report_dict,
     z_value,
 )
@@ -487,15 +486,15 @@ class TestValidation:
 
     def test_relabel_canonical(self):
         colors = (2, 2, 1, 1, 0, 2)
-        canon = relabel_canonical(colors)
+        canon = oracles.relabel_canonical(colors)
         assert canon == (0, 0, 1, 1, 2, 0)
-        assert relabel_canonical(canon) == canon
+        assert oracles.relabel_canonical(canon) == canon
         c = make(4, 3, 2, colors)
         assert f_value(make(4, 3, 2, canon)) == f_value(c)
 
     @given(st.lists(st.integers(0, 5), min_size=1, max_size=20))
     def test_relabel_preserves_partition(self, colors):
-        canon = relabel_canonical(colors)
+        canon = oracles.relabel_canonical(colors)
         groups = lambda cc: sorted(
             tuple(i for i, x in enumerate(cc) if x == col) for col in set(cc)
         )
@@ -521,6 +520,7 @@ INTEGER_ENTRY_POINTS = {
     "coloring_tk2": (constructions.coloring_tk2, (6, 5)),
     "coloring_baranyai_split": (lambda t: constructions.coloring_baranyai_split(12, 3, t), (2,)),
     "coloring_equitable": (lambda k: constructions.coloring_equitable(5, 2, k), (9,)),
+    "equitable_parts": (constructions.equitable_parts, (5, 2)),
     "disjoint_max_matchings": (lambda t: designs.disjoint_max_matchings(6, 2, t), (2,)),
     "disjoint_max_matchings-n-r": (lambda n, r: designs.disjoint_max_matchings(n, r, 2), (6, 2)),
     "one_factorization": (designs.one_factorization, (8,)),
@@ -651,8 +651,8 @@ class TestOneIntegerRule:
 
 
 class TestColoringMemo:
-    """A coloring's assignment is a tuple, and its class stats are
-    evaluated once per object."""
+    """A coloring's assignment reads back as a tuple, and its class stats
+    are evaluated once per object."""
 
     def test_assignment_copied_from_a_list(self):
         colors = [0, 1, 1]
@@ -714,6 +714,11 @@ class TestArrayRoute:
         "color-k-uint": (2, np.array([0, 2, 1], dtype=np.uint8)),
         "k-zero": (0, np.array([0, 0, 0])),
         "k-above-m": (4, np.array([0, 1, 2])),
+        # several colors out of range: both name the smallest if it is
+        # negative, else the largest
+        "two-above-k": (3, np.array([0, 5, 7])),
+        "negative-and-above-k": (3, np.array([-1, 0, 9])),
+        "two-negative": (3, np.array([0, -1, -2])),
     }
 
     @pytest.mark.parametrize("name", REFUSED)
@@ -745,13 +750,23 @@ class TestArrayRoute:
         assert c.assignment == (0, 1, 1, 0, 1, 1)
         assert class_stats(c) == class_stats(make(4, 2, 2, (0, 1, 1, 0, 1, 1)))
 
-    def test_held_array_read_only_and_released_once_evaluated(self, union_finds):
-        c = Coloring(HypergraphShape(4, 2), 2, np.array([0, 1, 1, 0, 1, 1]))
-        held = c.__dict__["_colors"]
-        assert held.dtype == np.int64 and not held.flags.writeable
-        first = class_stats(c)
-        assert "_colors" not in c.__dict__
-        assert class_stats(c) == first and len(union_finds) == 1
+    def test_colors_held_once_and_assignment_read_back(self, union_finds):
+        for given in (np.array, list):
+            colors = given([0, 1, 1, 0, 1, 1])
+            c = Coloring(HypergraphShape(4, 2), 2, colors)
+            assert c.colors.dtype == np.int64 and not c.colors.flags.writeable
+            colors[0] = 1
+            assert c.colors.tolist() == [0, 1, 1, 0, 1, 1]
+            assert type(c.assignment) is tuple and set(map(type, c.assignment)) == {int}
+            assert list(c.assignment) == c.colors.tolist()
+            del union_finds[:]
+            assert class_stats(c) == class_stats(c) and len(union_finds) == 1
+        # the search kernels' witness arrays, passed in as they are
+        witness = exact_f(5, 3).witness
+        counterexample = _first_unspanned(HypergraphShape(4, 2), 3).counterexample
+        for c in (witness, counterexample):
+            copy = Coloring(c.shape, c.k, tuple(c.colors.tolist()))
+            assert copy == c and hash(copy) == hash(c) and repr(copy) == repr(c)
 
 
 class TestSerialization:
