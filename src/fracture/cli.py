@@ -7,10 +7,11 @@ and table print exact bound records, search runs the exhaustive search
 for f or z (under --budget, the best coloring found when the budget
 runs out), and verify re-derives whatever a JSON artifact claims and
 fails loudly on any mismatch.  Each command is declared once, in
-``_COMMANDS``, and each construct and designs subcommand once, in
-``_CONSTRUCT`` / ``_DESIGNS``: one table entry gives its help, its
-arguments and its handler or builder, and drives both the parser and
-the dispatch.  A call builds the arguments of the one command it names.
+``_COMMANDS``, and each construct, designs and bounds subcommand once,
+in ``_CONSTRUCT`` / ``_DESIGNS`` / ``_BOUNDS``: one table entry gives
+its help, its arguments and its handler or builder, and drives both the
+parser and the dispatch.  A call builds the arguments of the one command
+it names.
 
 Exit codes: 0 success, 2 bad arguments, unreadable or malformed input,
 or infeasible construction, 3 search stopped by budget before proving
@@ -127,27 +128,7 @@ def _record_dict(rec: bounds_mod.BoundRecord) -> dict:
 
 
 def _cmd_bounds(args) -> int:
-    if args.quantity == "z":
-        # the upper catalog refuses r >= 4 at once, before the recursion
-        upper = _record_dict(bounds_mod.z_upper_constructions(args.k, args.r))
-        out = {
-            "k": args.k,
-            "r": args.r,
-            "lower": _record_dict(bounds_mod.z_lower_best(args.k, args.r)),
-            "upper": upper,
-        }
-    else:
-        counting = bounds_mod.f_upper_counting(args.n, args.k, args.r)
-        trivial = bounds_mod.f_upper_trivial(args.n, args.k, args.r)
-        out = {
-            "n": args.n,
-            "k": args.k,
-            "r": args.r,
-            "upper_counting": _record_dict(counting),
-            "upper_trivial": _record_dict(trivial),
-            "upper": _record_dict(bounds_mod.f_upper_best(args.n, args.k, args.r)),
-        }
-    _dump(out, args.output)
+    _dump(_BOUNDS[args.quantity][2](args), args.output)
     return EXIT_OK
 
 
@@ -213,12 +194,7 @@ def _same(claim, fresh) -> bool:
 
 def _verify_payload(data: dict) -> tuple[bool, str]:
     if "blocks" in data:
-        designs_mod.Design(
-            data["v"],
-            data["strength"],
-            data["block_size"],
-            tuple(tuple(b) for b in data["blocks"]),
-        )
+        designs_mod.Design(data["v"], data["strength"], data["block_size"], data["blocks"])
         return True, "design covers every subset exactly once"
     if "factors" in data:
         designs_mod.MatchingDecomposition(
@@ -317,6 +293,21 @@ _DESIGNS = {
                                                  designs_mod.k4minus_decomposition(a.n)]}),
 }
 
+# the records are computed in the order written and printed with sorted
+# keys: z's upper goes first, as its catalog refuses r >= 4 at once,
+# before the recursion behind the lower bound runs
+_BOUNDS = {
+    "z": ("incidence fraction bounds", {"--k": None, "--r": 2},
+          lambda a: {"k": a.k, "r": a.r,
+                     "upper": _record_dict(bounds_mod.z_upper_constructions(a.k, a.r)),
+                     "lower": _record_dict(bounds_mod.z_lower_best(a.k, a.r))}),
+    "f": ("component count upper bounds", {"--n": None, "--k": None, "--r": 2},
+          lambda a: {"n": a.n, "k": a.k, "r": a.r,
+                     "upper_counting": _record_dict(bounds_mod.f_upper_counting(a.n, a.k, a.r)),
+                     "upper_trivial": _record_dict(bounds_mod.f_upper_trivial(a.n, a.k, a.r)),
+                     "upper": _record_dict(bounds_mod.f_upper_best(a.n, a.k, a.r))}),
+}
+
 
 def _add_output(p) -> None:
     p.add_argument("--output", help="write JSON here instead of stdout")
@@ -343,19 +334,6 @@ def _fill_file(p) -> None:
     _add_output(p)
 
 
-def _fill_bounds(parser) -> None:
-    pbs = parser.add_subparsers(dest="quantity", required=True)
-    p = pbs.add_parser("z", help="incidence fraction bounds")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--r", type=int, default=2)
-    _add_output(p)
-    p = pbs.add_parser("f", help="component count upper bounds")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--r", type=int, default=2)
-    _add_output(p)
-
-
 def _fill_table(p) -> None:
     p.add_argument("--json", action="store_true")
     _add_output(p)
@@ -378,7 +356,8 @@ _COMMANDS = {
     "eval": ("recompute the report for a coloring JSON", _fill_file, _cmd_eval),
     "designs": ("build and validate a design",
                 functools.partial(_fill_subcommands, "kind", _DESIGNS), _cmd_designs),
-    "bounds": ("exact bound records", _fill_bounds, _cmd_bounds),
+    "bounds": ("exact bound records",
+               functools.partial(_fill_subcommands, "quantity", _BOUNDS), _cmd_bounds),
     "table": ("two-sided summary for k = 3..13", _fill_table, _cmd_table),
     "search": ("exact optimum, or the best found within --budget", _fill_search, _cmd_search),
     "verify": ("recheck any JSON artifact this tool emits", _fill_file, _cmd_verify),

@@ -242,7 +242,36 @@ def edge_ranks(vertices: np.ndarray, shape: HypergraphShape) -> np.ndarray:
     return ranks
 
 
-class Coloring:
+class ReadOnly:
+    """A checked value that cannot change once built: setting or deleting
+    an attribute raises AttributeError.  ``__init__`` stores the fields
+    through ``__dict__``, as ``functools.cached_property`` stores its
+    values.  Equality, hash and repr go through the ``_fields``, so
+    objects built from one value in different ways are the same."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, type(self)) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._key()))
+        return f"{type(self).__name__}({fields})"
+
+
+class Coloring(ReadOnly):
     """An assignment of one of k colors to every edge of a host.
 
     ``colors[i]`` is the color of ``shape.edge_array()[i]``: the edge with
@@ -264,6 +293,8 @@ class Coloring:
     Both are checked in one order, with the same messages: the length,
     k, then the smallest and largest color against range(k).
     """
+
+    _fields = ("shape", "k", "assignment")
 
     def __init__(self, shape: HypergraphShape | BipartiteShape, k: int, assignment) -> None:
         import numpy as np
@@ -292,7 +323,7 @@ class Coloring:
             raise FractureError(f"color {low if low < 0 else high} out of range for k={k}")
         colors = np.array(colors, dtype=np.int64)
         colors.flags.writeable = False
-        self.shape, self.k, self.colors = shape, k, colors
+        self.__dict__.update(shape=shape, k=k, colors=colors)
 
     @cached_property
     def assignment(self) -> tuple[int, ...]:
@@ -303,18 +334,6 @@ class Coloring:
     def _stats(self) -> tuple[ColorClassStats, ...]:
         # read only by class_stats, so that every evaluation is a call of it
         return _evaluate(self)
-
-    def _key(self) -> tuple:
-        return (self.shape, self.k, self.assignment)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Coloring) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return "Coloring(shape={!r}, k={!r}, assignment={!r})".format(*self._key())
 
     @property
     def n(self) -> int:

@@ -37,7 +37,8 @@ from math import comb
 from typing import TYPE_CHECKING
 
 from .core import (
-    FractureError, HypergraphShape, as_int, check_binomial_size, check_host_edges, edge_ranks,
+    FractureError, HypergraphShape, ReadOnly, as_int, check_binomial_size, check_host_edges,
+    edge_ranks,
 )
 
 if TYPE_CHECKING:
@@ -186,7 +187,9 @@ def gf(q: int) -> FiniteField:
 @dataclass(frozen=True)
 class Design:
     """A t-(v, block_size, 1) design: blocks of a fixed size on v points
-    such that every strength-subset of points lies in exactly one block."""
+    such that every strength-subset of points lies in exactly one block.
+    Blocks may come as lists, as JSON gives them; they are held as tuples,
+    so a design hashes and no later change to the caller's lists reaches it."""
 
     v: int
     strength: int
@@ -194,6 +197,7 @@ class Design:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "blocks", tuple(map(tuple, self.blocks)))
         for name in ("v", "strength", "block_size"):
             object.__setattr__(self, name, as_int(getattr(self, name), name))
         if not 1 <= self.strength <= self.block_size <= self.v:
@@ -338,13 +342,15 @@ def inversive_plane(q: int) -> Design:
     return Design(q * q + 1, 3, q + 1, _sorted_blocks(blocks))
 
 
-class MatchingDecomposition:
+class MatchingDecomposition(ReadOnly):
     """Edge-disjoint factors of K_n^r, each factor a set of pairwise
     disjoint edges; ``complete`` means they cover every edge.  Factors come
     as tuples or lists of edges (as JSON gives them) or as one int array
     (factors, n // r, r) (as the builders make them), are checked once,
     and are kept as ``edges``, that array as read-only int64, and
     ``ranks``, the colex rank of each edge from that check."""
+
+    _fields = ("n", "r", "factors", "complete")
 
     def __init__(self, n: int, r: int, factors, complete: bool) -> None:
         import numpy as np
@@ -369,7 +375,7 @@ class MatchingDecomposition:
             bad = edges[repeated.argmax()].tolist()
             raise FractureError(f"factor {tuple(map(tuple, bad))} is not a matching")
         edges.flags.writeable = ranks.flags.writeable = False
-        self.n, self.r, self.complete, self.edges, self.ranks = n, r, complete, edges, ranks
+        self.__dict__.update(n=n, r=r, complete=complete, edges=edges, ranks=ranks)
 
     def first(self, t: int) -> MatchingDecomposition:
         """The first t factors, incomplete, on this one's checked arrays."""
@@ -381,18 +387,6 @@ class MatchingDecomposition:
     def factors(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """The factors as tuples of edges, read from ``edges`` on first use."""
         return tuple(tuple(map(tuple, factor)) for factor in self.edges.tolist())
-
-    def _key(self) -> tuple:
-        return (self.n, self.r, self.factors, self.complete)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, MatchingDecomposition) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return "MatchingDecomposition(n={!r}, r={!r}, factors={!r}, complete={!r})".format(*self._key())
 
     def to_dict(self) -> dict:
         return {"n": self.n, "r": self.r, "complete": self.complete, "factors": self.edges.tolist()}

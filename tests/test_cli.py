@@ -638,6 +638,31 @@ class TestBoundsAndTable:
         assert code == 2 and captured.out == ""
         assert captured.err == "error: counting bound is too large for a float\n"
 
+    # sha256 over (argv, exit code, stdout, stderr) of each call, recorded
+    # while bounds z and f were still parsed and dispatched by hand
+    GRID_SHA256 = "a38ff41537015456dc699a7a45dd2cf3354b696b320e2ee53600d15de11d3690"
+
+    def test_grid_bytes_unchanged(self, capsys):
+        grid = [
+            ["z", "--k", str(k), "--r", str(r)]
+            for k in (0, 1, 2, 3, 4, 5, 8, 13, 35, 36, 100, 500, 501)
+            for r in (0, 1, 2, 3, 4)
+        ] + [
+            ["f", "--n", str(n), "--k", str(k), "--r", str(r)]
+            for n, k, r in [
+                (12, 3, 2), (10, 4, 2), (9, 5, 2), (20, 7, 3), (10**12, 3, 2),
+                (10**6, 2, 5 * 10**5), (10**400, 10**800, 2), (5, 0, 2), (3, 2, 5),
+            ]
+        ]
+        assert len(grid) == 74
+        digest = hashlib.sha256()
+        for argv in grid:
+            argv = ["bounds", *argv]
+            code = main(argv)
+            captured = capsys.readouterr()
+            digest.update(json.dumps([argv, code, captured.out, captured.err]).encode())
+        assert digest.hexdigest() == self.GRID_SHA256
+
     def test_table_text(self, capsys):
         code, text = run(capsys, "table")
         assert code == 0

@@ -695,6 +695,30 @@ class TestColoringMemo:
         assert c == make(4, 2, 2, (0, 1, 0, 1, 0, 1))
 
 
+class TestReadOnly:
+    """A coloring cannot change once built: every attribute, stored or
+    read back on first use, refuses to be set or deleted."""
+
+    @pytest.mark.parametrize("name", ["shape", "k", "colors", "assignment", "_stats", "other"])
+    def test_attributes_refuse_set_and_delete(self, name):
+        c = make(4, 2, 2, (0, 1, 1, 0, 1, 1))
+        f_value(c)  # fills the cached _stats and assignment
+        before = (repr(c), c.to_dict(), hash(c), class_stats(c))
+        with pytest.raises(AttributeError, match="Coloring is read-only"):
+            setattr(c, name, 9)
+        with pytest.raises(AttributeError, match="Coloring is read-only"):
+            delattr(c, name)
+        assert (repr(c), c.to_dict(), hash(c), class_stats(c)) == before
+        assert c == make(4, 2, 2, (0, 1, 1, 0, 1, 1))
+
+    def test_library_coloring_keeps_its_k(self):
+        c = constructions.coloring_nminus1(7)
+        with pytest.raises(AttributeError):
+            c.k = 3
+        assert c.to_dict()["k"] == 6 == max(c.to_dict()["colors"]) + 1
+        assert coloring_from_dict(c.to_dict()) == c
+
+
 class TestArrayRoute:
     """A 1-D integer array is checked in numpy and gives the coloring a
     tuple-built one is; anything else is read as a tuple of its items."""

@@ -302,6 +302,15 @@ class TestDesigns:
         assert len(cover) == math.comb(d.v, 3)
         assert set(cover.values()) == {1}
 
+    def test_list_built_design_is_the_tuple_built_one(self):
+        fano = projective_plane(2)
+        blocks = [list(b) for b in fano.blocks]
+        d = designs.Design(7, 2, 3, blocks)
+        assert d == fano and hash(d) == hash(fano) and repr(d) == repr(fano)
+        blocks[0][2] = 9
+        blocks.pop()
+        assert d.blocks == fano.blocks and d.to_dict() == fano.to_dict()
+
     def test_invalid_design_cannot_be_built(self):
         # one line of a 2-(7, 3, 1) design covers 3 of its 21 pairs
         with pytest.raises(FractureError, match="blocks hold 3 subsets, expected 21"):
@@ -396,6 +405,19 @@ class TestFactorizations:
             designs.MatchingDecomposition(4, 2, np.zeros((1, 2, 3), dtype=np.int64), False)
         with pytest.raises(FractureError, match="vertices must be integers"):
             designs.MatchingDecomposition(4, 2, np.array([[[0.0, 1.0], [2.0, 3.0]]]), False)
+
+    @pytest.mark.parametrize("name", ["n", "r", "complete", "edges", "ranks", "factors", "other"])
+    def test_attributes_refuse_set_and_delete(self, name):
+        dec = one_factorization(6)
+        before = (repr(dec), dec.to_dict(), hash(dec))
+        for target in (dec, dec.first(2)):
+            with pytest.raises(AttributeError, match="MatchingDecomposition is read-only"):
+                setattr(target, name, False)
+            with pytest.raises(AttributeError, match="MatchingDecomposition is read-only"):
+                delattr(target, name)
+        # the cached factorization every later caller gets is unchanged
+        assert one_factorization(6) is dec and dec.complete is True
+        assert (repr(dec), dec.to_dict(), hash(dec)) == before
 
     def test_baranyai_pins(self):
         cases = [
