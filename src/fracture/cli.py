@@ -32,7 +32,7 @@ from . import bounds as bounds_mod
 from . import constructions as cons
 from . import designs as designs_mod
 from . import search as search_mod
-from .core import Coloring, FractureError, coloring_from_dict, fraction_str, report_dict
+from .core import Coloring, FractureError, as_int, coloring_from_dict, fraction_str, report_dict
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -54,7 +54,10 @@ def _dump(obj, output: str | None) -> None:
 
 def _encode(obj, pad: str) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2)`` byte for byte, for a
-    value nested at indent ``pad``.
+    value nested at indent ``pad``.  A numpy array is a coloring's colors
+    as ``_coloring_json`` hands them over, each item its color's JSON
+    text: one join lays them out as ``indent`` lays out the list of the
+    colors, with no Python int or json call per color.
 
     ``indent`` makes json use its pure-Python encoder, so this recurses
     only through dicts and lists (or tuples) that hold containers, and
@@ -62,12 +65,16 @@ def _encode(obj, pad: str) -> str:
     ``",\n" + pad`` as its item separator, it lays the items out exactly
     as ``indent`` would.
     """
+    import numpy as np
+
+    inner = pad + "  "
+    if isinstance(obj, np.ndarray):
+        return "[\n" + inner + (",\n" + inner).join(obj.tolist()) + "\n" + pad + "]"
     if not isinstance(obj, (dict, list, tuple)) or not obj:
         return json.dumps(obj)
-    inner = pad + "  "
     values = obj.values() if isinstance(obj, dict) else obj
     # one issubclass per distinct type, not one isinstance per item
-    if not any(issubclass(t, (dict, list, tuple)) for t in set(map(type, values))):
+    if not any(issubclass(t, (dict, list, tuple, np.ndarray)) for t in set(map(type, values))):
         text = json.dumps(obj, sort_keys=True, separators=(",\n" + inner, ": "))
         return text[0] + "\n" + inner + text[1:-1] + "\n" + pad + text[-1]
     if isinstance(obj, dict):
@@ -95,8 +102,21 @@ def _load(path: str | None) -> dict:
         raise FractureError(f"unreadable JSON: {exc}") from exc
 
 
+def _coloring_json(coloring: Coloring) -> dict:
+    """``coloring.to_dict()`` as ``_encode`` writes it, with no Python int
+    made per color: the colors are a table of the k color labels, indexed
+    by the int64 array, so each item is its color's JSON text."""
+    import numpy as np
+
+    labels = np.array(list(map(str, range(coloring.k))), dtype=object)
+    out = {"n": coloring.n, "r": coloring.r, "k": coloring.k, "colors": labels[coloring.colors]}
+    if coloring.shape.bipartite:
+        out["bipartite"] = True
+    return out
+
+
 def _payload(coloring: Coloring) -> dict:
-    return {"coloring": coloring.to_dict(), "report": report_dict(coloring)}
+    return {"coloring": _coloring_json(coloring), "report": report_dict(coloring)}
 
 
 def _cmd_construct(args) -> int:
@@ -180,7 +200,7 @@ def _cmd_search(args) -> int:
         "value": value,
         "exhausted": res.exhausted,
         "nodes": res.nodes,
-        "witness": res.witness.to_dict(),
+        "witness": _coloring_json(res.witness),
         "report": report_dict(res.witness),
     }
     _dump(out, args.output)
@@ -216,6 +236,11 @@ def _verify_payload(data: dict) -> tuple[bool, str]:
                 return False, f"{key} is {data[key]}, the witness has {getattr(witness, key)}"
         if data["metric"] not in ("f", "z"):
             return False, f"metric must be \"f\" or \"z\", got {data['metric']!r}"
+        # a search's own record of its walk: typed here, not re-proved
+        if type(data["exhausted"]) is not bool:
+            return False, f"exhausted must be true or false, got {data['exhausted']!r}"
+        if as_int(data["nodes"], "nodes") < 0:
+            return False, f"nodes must be non-negative, got {data['nodes']}"
         report = report_dict(witness)
         got = report[data["metric"]]
         if not _same(got, data["value"]):

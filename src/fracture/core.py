@@ -287,11 +287,16 @@ class Coloring(ReadOnly):
     were given.
 
     A 1-D integer numpy array, as every library constructor builds one,
-    is checked in numpy, with no pass over its items in Python.  Anything
-    else (a tuple or list, JSON's colors, an array of another dtype or
-    shape) is read item by item, and every color must be a Python int.
-    Both are checked in one order, with the same messages: the length,
-    k, then the smallest and largest color against range(k).
+    is checked in numpy, with no pass over its items in Python.  A list
+    or tuple (JSON's colors are a list, taken as they are) pays one pass
+    in Python, the type check, as every color must be a Python int; it
+    is then converted once, by ``np.fromiter``, and its range read in
+    numpy.  Anything else (an array of another dtype or shape, any other
+    iterable) is read as a tuple of its items first.  Both routes are
+    checked in one order, with the same messages: the length, k, then
+    the smallest and largest color against range(k).  Only a color past
+    int64 overflows the conversion; it is out of range, and the range is
+    then read in Python so that the message names it.
     """
 
     _fields = ("shape", "k", "assignment")
@@ -302,7 +307,7 @@ class Coloring(ReadOnly):
         k = as_int(k, "k")
         colors = assignment
         array = isinstance(colors, np.ndarray) and colors.ndim == 1 and colors.dtype.kind in "iu"
-        if not array:
+        if not array and not isinstance(colors, (list, tuple)):
             # any other array is read as its Python items, so it is refused
             # with the message a list of them gets
             colors = tuple(colors.tolist() if isinstance(colors, np.ndarray) else colors)
@@ -317,11 +322,19 @@ class Coloring(ReadOnly):
                 raise FractureError(f"colors must be integers, got {names}")
         if not 1 <= k <= m:
             raise FractureError(f"need 1 <= k <= edge count {m}, got k={k}")
-        # in Python for a tuple, whose ints may not fit int64
-        low, high = (int(colors.min()), int(colors.max())) if array else (min(colors), max(colors))
+        if array:
+            # read before the int64 copy, which wraps a uint64 past int64
+            low, high = int(colors.min()), int(colors.max())
+            colors = np.array(colors, dtype=np.int64)
+        else:
+            try:
+                colors = np.fromiter(colors, np.int64, count=m)
+                low, high = int(colors.min()), int(colors.max())
+            except OverflowError:
+                # k <= m fits int64, so a color that does not is out of range
+                low, high = min(colors), max(colors)
         if low < 0 or high >= k:
             raise FractureError(f"color {low if low < 0 else high} out of range for k={k}")
-        colors = np.array(colors, dtype=np.int64)
         colors.flags.writeable = False
         self.__dict__.update(shape=shape, k=k, colors=colors)
 
@@ -492,7 +505,7 @@ def coloring_from_dict(d: dict) -> Coloring:
         if type(bipartite) is not bool:
             raise FractureError(f"coloring JSON: bipartite must be true or false, got {bipartite!r}")
         shape = BipartiteShape(d["n"]) if bipartite else HypergraphShape(d["n"], d["r"])
-        return Coloring(shape, d["k"], tuple(d["colors"]))
+        return Coloring(shape, d["k"], d["colors"])
     except KeyError as exc:
         raise FractureError(f"coloring JSON missing key {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:

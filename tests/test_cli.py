@@ -14,16 +14,24 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracture import BipartiteShape, Coloring, base_registry, bipartite_from_clique, report_dict
+from fracture import (
+    BipartiteShape,
+    Coloring,
+    HypergraphShape,
+    base_registry,
+    bipartite_from_clique,
+    report_dict,
+)
 from fracture import constructions as cons
 from fracture import core
 from fracture import designs as designs_mod
 from fracture import search as search_mod
-from fracture.cli import _COMMANDS, _CONSTRUCT, _DESIGNS, _dump, build_parser, main
+from fracture.cli import _COMMANDS, _CONSTRUCT, _DESIGNS, _coloring_json, _dump, _payload, build_parser, main
 
 
 def run(capsys, *argv):
@@ -447,6 +455,63 @@ class TestDump:
         obj = {"b": [[1, 2.5, None], [], {}, ()], "a": {"x": (True, "\u00e9")}, "c": [{}]}
         _dump(obj, None)
         assert capsys.readouterr().out == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+@st.composite
+def _drawn_colorings(draw):
+    """A coloring of a small K_n^r or K_{n,n}: k from 1 to m, colors that
+    may skip 0 and run past 9."""
+    if draw(st.booleans()):
+        shape = BipartiteShape(draw(st.integers(1, 5)))
+    else:
+        r = draw(st.integers(2, 3))
+        shape = HypergraphShape(draw(st.integers(r, 7)), r)
+    m = shape.edge_count
+    k = draw(st.one_of(st.integers(1, m), st.just(m)))
+    low = draw(st.integers(0, k - 1))
+    colors = draw(st.lists(st.integers(low, k - 1), min_size=m, max_size=m))
+    return Coloring(shape, k, colors)
+
+
+class TestColorsArrayWriter:
+    """The CLI writes a coloring's colors from its int64 array, through a
+    table of its k labels: every payload gives the bytes json.dumps gives
+    for the list form, at any nesting depth."""
+
+    @staticmethod
+    def nest(value, path):
+        for step in reversed(path):
+            value = {"x": value, "y": 0} if step == "dict" else [value, 1]
+        return value
+
+    @settings(max_examples=200, deadline=None)
+    @given(coloring=_drawn_colorings(), path=st.lists(st.sampled_from(["dict", "list"]), max_size=3))
+    def test_bytes_match_the_list_form(self, tmp_path_factory, coloring, path):
+        out = tmp_path_factory.getbasetemp() / "colors.json"
+        listed = {"coloring": coloring.to_dict(), "report": report_dict(coloring)}
+        assert isinstance(_payload(coloring)["coloring"]["colors"], np.ndarray)
+        for given_, expected in [
+            (_payload(coloring), listed),
+            ({"witness": _coloring_json(coloring), "value": 1}, {"witness": coloring.to_dict(), "value": 1}),
+        ]:
+            _dump(self.nest(given_, path), str(out))
+            text = json.dumps(self.nest(expected, path), sort_keys=True, indent=2) + "\n"
+            assert out.read_bytes() == text.encode()
+
+    @pytest.mark.parametrize(
+        "coloring",
+        [
+            Coloring(HypergraphShape(6, 2), 14, [11, 10, 3, 9, 10, 13, 5, 4, 9, 1, 12, 2, 2, 7, 13]),
+            Coloring(HypergraphShape(5, 2), 10, list(range(10))),
+            Coloring(BipartiteShape(4), 16, list(range(15, -1, -1))),
+            Coloring(HypergraphShape(3, 3), 1, [0]),
+        ],
+        ids=["skips-0-past-9", "k-is-m", "bipartite-k-is-m", "one-edge"],
+    )
+    def test_edge_cases(self, capsys, coloring):
+        _dump(_payload(coloring), None)
+        listed = {"coloring": coloring.to_dict(), "report": report_dict(coloring)}
+        assert capsys.readouterr().out == json.dumps(listed, sort_keys=True, indent=2) + "\n"
 
 
 _SMALL_INTS = st.integers(-2, 9)
@@ -1214,6 +1279,43 @@ class TestStrictIntegers:
         assert code == 4 and verdict["reason"] == "report does not match a fresh evaluation"
 
 
+class TestColorMessages:
+    """JSON colors pay one type pass and one int64 conversion, and are
+    refused with the messages the per-color Python checks gave: a color
+    past int64 is still named as it was written."""
+
+    # colors of K_4 (six edges) with k = 3 -> the message, as pinned
+    # before the conversion went through numpy
+    BIG = "1" + "0" * 30
+    REFUSED = {
+        "above-int64": ([0, 1, 2, 10**30, 1, 2], f"color {BIG} out of range for k=3"),
+        "below-int64": ([0, 1, 2, -(10**30), 1, 2], f"color -{BIG} out of range for k=3"),
+        "both-past-int64": ([10**30, 1, 2, -(10**30), 1, 2], f"color -{BIG} out of range for k=3"),
+        "just-past-int64": ([0, 1, 2, 2**63, 1, 2], "color 9223372036854775808 out of range for k=3"),
+        "int64-max": ([0, 1, 2, 2**63 - 1, 1, 2], "color 9223372036854775807 out of range for k=3"),
+        "int64-min": ([0, 1, 2, -(2**63), 1, 2], "color -9223372036854775808 out of range for k=3"),
+        "just-below-int64": ([0, 1, 2, -(2**63) - 1, 1, 2], "color -9223372036854775809 out of range for k=3"),
+        "k": ([0, 1, 2, 3, 1, 2], "color 3 out of range for k=3"),
+        "true": ([0, 1, 2, True, 1, 2], "colors must be integers, got bool"),
+        "float": ([0, 1, 2, 1.0, 1, 2], "colors must be integers, got float"),
+        "int-and-float": ([0, 1.0, 2, 0.5, 1, 2], "colors must be integers, got float"),
+        "mixed-past-int64": ([0, 1.0, True, "1", 1, 10**30], "colors must be integers, got bool, float, str"),
+    }
+
+    @pytest.mark.parametrize("name", REFUSED)
+    def test_same_message_everywhere(self, capsys, tmp_path, name):
+        colors, message = self.REFUSED[name]
+        with pytest.raises(core.FractureError) as refused:
+            Coloring(HypergraphShape(4, 2), 3, colors)
+        assert str(refused.value) == message
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"n": 4, "r": 2, "k": 3, "colors": colors}))
+        assert main(["eval", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        code, verdict = run_json(capsys, "verify", str(path))
+        assert (code, verdict) == (4, {"reason": f"FractureError: {message}", "valid": False})
+
+
 class TestBipartiteHost:
     # sha256 of the construct outputs, recorded before K_{n,n} colorings
     # moved onto the shared Coloring path
@@ -1415,7 +1517,13 @@ class TestArtifactFuzz:
         path = tmp_path_factory.getbasetemp() / "artifact-fuzz.json"
         out = tmp_path_factory.getbasetemp() / "artifact-fuzz.out.json"
         path.write_text(json.dumps(mutated))
-        assert main(["verify", str(path), "--output", str(out)]) in (0, 4)
+        # a search's exhausted flag must be a JSON bool, its nodes a JSON
+        # int of at least 0, whatever else holds
+        nodes = mutated.get("nodes")
+        refused = "witness" in mutated and (
+            type(mutated.get("exhausted")) is not bool or type(nodes) is not int or nodes < 0
+        )
+        assert main(["verify", str(path), "--output", str(out)]) in ((4,) if refused else (0, 4))
 
     @pytest.mark.parametrize("metric", ["banana", "F", "", None, 0, ["z"]])
     def test_unknown_metric_rejected(self, capsys, tmp_path, metric):
@@ -1428,6 +1536,36 @@ class TestArtifactFuzz:
         code, verdict = run_json(capsys, "verify", str(path))
         assert code == 4 and verdict["valid"] is False
         assert "metric" in verdict["reason"]
+
+    @pytest.mark.parametrize(
+        "key, value, reason",
+        [
+            ("exhausted", "yes", "exhausted must be true or false, got 'yes'"),
+            ("exhausted", 1, "exhausted must be true or false, got 1"),
+            ("exhausted", None, "exhausted must be true or false, got None"),
+            ("exhausted", ..., "KeyError: 'exhausted'"),
+            ("nodes", -5, "nodes must be non-negative, got -5"),
+            ("nodes", 1.5, "FractureError: nodes must be an integer, got 1.5"),
+            ("nodes", "x", "FractureError: nodes must be an integer, got 'x'"),
+            ("nodes", True, "FractureError: nodes must be an integer, got True"),
+            ("nodes", ..., "KeyError: 'nodes'"),
+        ],
+        ids=["exhausted-yes", "exhausted-1", "exhausted-null", "exhausted-missing", "nodes-negative",
+             "nodes-float", "nodes-string", "nodes-true", "nodes-missing"],
+    )
+    def test_walk_record_must_be_typed(self, capsys, tmp_path, key, value, reason):
+        # each of these once verified as valid; ... deletes the key
+        path = tmp_path / "search.json"
+        assert main(["search", "f", "--n", "6", "--k", "3", "--output", str(path)]) == 0
+        artifact = json.loads(path.read_text())
+        code, verdict = run_json(capsys, "verify", str(path))
+        assert (code, verdict["valid"]) == (0, True)
+        if value is ...:
+            del artifact[key]
+        else:
+            artifact[key] = value
+        path.write_text(json.dumps(artifact))
+        assert run_json(capsys, "verify", str(path)) == (4, {"reason": reason, "valid": False})
 
 
 def _readme_block(heading):
